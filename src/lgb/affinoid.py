@@ -12,6 +12,13 @@ conic decomposition must refine the vertex regions V_i.
 Series are represented exactly by finite Laurent polynomial bodies; the
 cap is a computation bound, not an uncertainty: every identity holds
 modulo terms of valuation at least the cap.
+
+``PolytopeMode.shifted_lm`` compares the terms of X^t g by integer keys
+cached per polynomial (exponent, valuation times the vertices' common
+denominator, dot product with each scaled vertex), so testing t against a
+T_{i,j} module builds no product.  The T_{i,j} generators come from the
+memoized search ``lattice.minimal_elements`` that the Laurent layer's
+general cone modules use too.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd as _gcd
 
 from lgb.coeffs import INF, Coefficient
@@ -33,6 +41,7 @@ from lgb.lattice import (
     box_points,
     cone_from_halfspaces,
     fm_feasible,
+    minimal_elements,
     rational_rank,
     scale_to_int,
     validate_decomposition,
@@ -237,10 +246,6 @@ def val_polytope(ctx: PolytopeContext, f):
     return best, tuple(i + 1 for i, v in enumerate(per_vertex) if v == best)
 
 
-def brute_min_index(ctx, coef, exp) -> int:
-    return min(ctx.term_val_indices(coef, exp)[1])
-
-
 def compare_polytope(ctx: PolytopeContext, order: GeneralizedOrder, s: Term, t: Term) -> int:
     """Three-stage comparison: valuation (smaller is greater), smallest
     attaining index (smaller is greater), then the generalized order."""
@@ -432,7 +437,7 @@ class PolytopeMode:
     """Division machinery for a ring whose order refines a polytope's
     vertex regions."""
 
-    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_certified")
+    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_term_keys")
 
     def __init__(self, ring: LaurentRing, context: PolytopeContext, refined: RefinedDecomposition):
         if context.n != ring.n:
@@ -448,7 +453,7 @@ class PolytopeMode:
         self.refined = refined
         self.labels = refined.labels
         self._initials = {}
-        self._certified = True
+        self._term_keys = {}
 
     def __eq__(self, other):
         return (
@@ -505,7 +510,31 @@ class PolytopeMode:
         return lm, lc
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        return self.leading(g.term_mul(shift)).exp
+        """lm(X^shift * g) without building the product: ``leading``'s key
+        times the common denominator, in integers.  A term's key is
+        (v(c) * den - max_k num_k.(e + shift), first attaining vertex),
+        smaller is greater, ties broken by the generalized order."""
+        keys = self._term_keys.get(g)
+        if keys is None:
+            num, den = self.context._num, self.context._den
+            # coefficient valuations are integers
+            keys = [
+                (e, int(c.valuation()) * den, tuple(vdot(v, e) for v in num))
+                for e, c in g.terms_unordered()
+            ]
+            self._term_keys[g] = keys
+        sdots = [vdot(v, shift) for v in self.context._num]
+        order = self.ring.order
+        best = best_key = None
+        for e, vden, dots in keys:
+            top, neg_k = max((d + s, -k) for k, (d, s) in enumerate(zip(dots, sdots)))
+            key = (vden - top, -neg_k)
+            exp = vadd(e, shift)
+            if best is None or key < best_key or (key == best_key and order.compare(exp, best) > 0):
+                best, best_key = exp, key
+        if best is None:
+            raise AffinoidError("the zero series has no leading term")
+        return best
 
     def module_contains(self, g: LaurentPoly, t, label) -> bool:
         """t in T_{i,j}(g): the shifted leading monomial lands in the cone
@@ -525,23 +554,19 @@ class PolytopeMode:
 
     # ------------------------------------------------------------------
     def tij_generators(self, f: LaurentPoly, label, search_radius=6):
-        gens, certified = self._tij_search(f, label, search_radius)
-        if not certified:
-            self._certified = False
-        return gens
-
-    def _tij_search(self, f: LaurentPoly, label, search_radius):
-        """Generators of T_{i,j}(f) by witness construction plus bounded
-        minimal-element search; every candidate verified directly."""
-        i, _ = label
+        """Generators of T_{i,j}(f): the minimal elements reached from a
+        witness and the radius box by ``lattice.minimal_elements``, each
+        verified directly.  With several vertices there is no completeness
+        certificate yet: a generator away from the box and the witness would
+        be missed."""
         if f.is_zero():
             raise AffinoidError("the zero series has no cone module")
         if self.context.nvertices == 1:
             body = self.initial(f, 1)
             flat = self.refined.flat_index(label)
             if self.ring.standard_cones:
-                return [body.ti_generator(flat)], True
-            return body.ti_set_general(flat, search_radius), True
+                return [body.ti_generator(flat)]
+            return body.ti_set_general(flat, search_radius)
         cone = self.refined.cone(label)
         member = lambda t: self.module_contains(f, t, label)
 
@@ -559,33 +584,12 @@ class PolytopeMode:
                 f"no witness for cone {label} within radius {search_radius}"
             )
 
-        def settle(p):
-            moved = True
-            while moved:
-                moved = False
-                for h in cone.generators:
-                    while member(vsub(p, h)):
-                        p = vsub(p, h)
-                        moved = True
-            return p
-
-        candidates = {settle(witness)}
-        members = []
-        for p in box_points(self.ring.n, search_radius):
-            if member(p):
-                members.append(p)
-        for p in members:
-            candidates.add(settle(p))
-        minimal = sorted(
-            p for p in candidates if not any(member(vsub(p, h)) for h in cone.generators)
-        )
+        starts = chain([witness], box_points(self.ring.n, search_radius))
+        minimal = minimal_elements(member, cone.generators, starts)
         for g in minimal:
             if not member(g):
                 raise AffinoidError(f"search produced a non-member {g}")
-        covered = all(
-            any(cone.contains(vsub(p, g)) for g in minimal) for p in members
-        )
-        return minimal, covered
+        return minimal
 
     def _interior_vector(self, label):
         i, _ = label
@@ -599,7 +603,6 @@ class PolytopeMode:
         raise AffinoidError(f"cone {label} has no interior lattice direction")
 
     def u_set(self, f: LaurentPoly, g: LaurentPoly, label, search_radius=6):
-        i, _ = label
         if self.context.nvertices == 1:
             flat = self.refined.flat_index(label)
             return u_intersection(self.initial(f, 1), self.initial(g, 1), flat, search_radius)
@@ -608,15 +611,7 @@ class PolytopeMode:
         lmg, _ = self.cone_leading(g, label)
         fam_f = [vadd(a, lmf) for a in self.tij_generators(f, label, search_radius)]
         fam_g = [vadd(b, lmg) for b in self.tij_generators(g, label, search_radius)]
-        raw = set()
-        for a in fam_f:
-            for b in fam_g:
-                raw.add(cone.shifted_intersection(a, b))
-        minimal = []
-        for v in sorted(raw):
-            if not any(w != v and cone.contains(vsub(v, w)) for w in raw):
-                minimal.append(v)
-        return minimal
+        return cone.module_intersection(fam_f, fam_g)
 
 
 def lm_polytope(mode: PolytopeMode, f):

@@ -403,26 +403,3 @@ class Coefficient:
         if self.spec.is_finite:
             return f"{self.payload}@{self.spec!r}"
         return f"{self.payload}"
-
-
-# -- free-function aliases for the operation surface -------------------------
-
-def field_ops(a: Coefficient, b: Coefficient, op: str) -> Coefficient:
-    """One entry point for the field arithmetic family."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise FieldError(f"unknown field operation {op!r}")
-
-
-def coeff_valuation(a: Coefficient):
-    return a.valuation()

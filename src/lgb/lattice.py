@@ -78,6 +78,39 @@ def box_points(n, radius):
     return itertools.product(range(-radius, radius + 1), repeat=n)
 
 
+def minimal_elements(member, generators, starts):
+    """Sorted minimal elements of a module over the monoid of `generators`,
+    reached from the start points that are members.
+
+    Each member start slides down the generators while it stays a member,
+    so it ends where no ``p - h`` is a member: a minimal element below it.
+    Slides from nearby starts overlap, so ``member`` is memoized for the
+    length of the call; it must be a pure predicate on points.
+    """
+    memo = {}
+
+    def test(p):
+        hit = memo.get(p)
+        if hit is None:
+            hit = memo[p] = member(p)
+        return hit
+
+    found = set()
+    for p in starts:
+        if not test(p):
+            continue
+        moved = True
+        while moved:
+            moved = False
+            for h in generators:
+                q = vsub(p, h)
+                while test(q):
+                    p, q = q, vsub(q, h)
+                    moved = True
+        found.add(p)
+    return sorted(found)
+
+
 # -- exact integer/rational linear algebra -----------------------------------
 
 def int_det(rows):
@@ -363,6 +396,14 @@ class Cone:
         for c, gen in zip(top, self.generators):
             g = vadd(g, vscale(c, gen))
         return g
+
+    def module_intersection(self, fam_a, fam_b):
+        """Minimal generators of (fam_a + cone) intersected with (fam_b + cone)."""
+        raw = {self.shifted_intersection(a, b) for a in fam_a for b in fam_b}
+        return [
+            v for v in sorted(raw)
+            if not any(w != v and self.contains(vsub(v, w)) for w in raw)
+        ]
 
     def positive_functional(self):
         """An integer functional strictly positive on the cone minus 0."""

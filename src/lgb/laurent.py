@@ -7,6 +7,11 @@ that pushes the support into the cone), the shifted-cone module
 decomposition, by descent) or as a finite generating set (general case,
 by an exact union-of-polyhedra description with a feasibility
 certificate), and the collision-monomial modules used to form S-pairs.
+
+The general-case generators come from ``lattice.minimal_elements``, the
+search the polytope layer's T_{i,j} modules share: box points slide down
+the cone generators to minimal members, with the integer membership test
+memoized for one search.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from lgb.lattice import (
     box_points,
     fm_feasible,
     is_standard_decomposition,
+    minimal_elements,
     vadd,
     vdot,
     vneg,
@@ -287,9 +293,10 @@ class LaurentPoly:
         return t
 
     def ti_set_general(self, i, search_radius: int):
-        """Generating set of {t : lm(X^t f) in T_i} as a T_i-module, from the
-        exact polyhedral description; raises IncompleteSearchError when the
-        set cannot be certified complete within the radius."""
+        """Generating set of {t : lm(X^t f) in T_i} as a T_i-module: the
+        minimal elements of the exact polyhedral description reached from
+        the radius box and the cone witness; raises IncompleteSearchError
+        when the set cannot be certified complete within the radius."""
         if self.is_zero():
             raise UndefinedLeadingError("the zero polynomial has no cone module")
         cells = _ti_cells(self, i)
@@ -298,27 +305,10 @@ class LaurentPoly:
         def member(p):
             return any(all(vdot(a, p) + b >= 0 for a, b in cell) for cell in cells)
 
-        def settle(p):
-            # slide down cone generators to a minimal module element
-            moved = True
-            while moved:
-                moved = False
-                for h in cone.generators:
-                    while member(vsub(p, h)):
-                        p = vsub(p, h)
-                        moved = True
-            return p
-
-        candidates = set()
-        for p in box_points(self.ring.n, search_radius):
-            if member(p):
-                candidates.add(settle(p))
-        witness = self.cone_witness(i)
-        if member(witness):
-            candidates.add(settle(witness))
-        minimal = sorted(
-            p for p in candidates if not any(member(vsub(p, h)) for h in cone.generators)
+        starts = itertools.chain(
+            box_points(self.ring.n, search_radius), [self.cone_witness(i)]
         )
+        minimal = minimal_elements(member, cone.generators, starts)
         for g in minimal:
             if not self.ti_contains(g, i):
                 raise LatticeError(f"polyhedral description disagrees at {g}")
@@ -432,15 +422,7 @@ def u_intersection(f: LaurentPoly, g: LaurentPoly, i, search_radius: int = 8):
         return [cone.shifted_intersection(a, b)]
     fam_f = [vadd(a, lmf) for a in f.ti_set_general(i, search_radius)]
     fam_g = [vadd(b, lmg) for b in g.ti_set_general(i, search_radius)]
-    raw = set()
-    for a in fam_f:
-        for b in fam_g:
-            raw.add(cone.shifted_intersection(a, b))
-    minimal = []
-    for v in sorted(raw):
-        if not any(w != v and cone.contains(vsub(v, w)) for w in raw):
-            minimal.append(v)
-    return minimal
+    return cone.module_intersection(fam_f, fam_g)
 
 
 # -- free-function aliases for the operation surface --------------------------

@@ -27,7 +27,7 @@ from lgb.coeffs import INF, FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import buchberger
 from lgb.laurent import LaurentRing, Term
-from lgb.lattice import build_decomposition
+from lgb.lattice import box_points, build_decomposition
 from lgb.oracle import brute_valP
 from lgb.reduction import reduce
 
@@ -36,13 +36,17 @@ def q2_ring(n=2, score="degmin"):
     return ring_for(FieldSpec.padic(2), n, score)
 
 
-def example71():
-    ctx = PolytopeContext([(1, 1), (0, 1)])
-    std = build_decomposition("standard", 2)
-    refined = build_refined_decomposition(ctx, std)
+def polytope_mode(vertices):
+    ctx = PolytopeContext(vertices)
+    refined = build_refined_decomposition(ctx, build_decomposition("standard", 2))
     order = GeneralizedOrder(refined.decomposition, ScoreFunction("degmin", 2))
     ring = LaurentRing(FieldSpec.padic(2), 2, order, ("x", "y"))
-    return ctx, refined, ring, PolytopeMode(ring, ctx, refined)
+    return ring, PolytopeMode(ring, ctx, refined)
+
+
+def example71():
+    ring, mode = polytope_mode([(1, 1), (0, 1)])
+    return mode.context, mode.refined, ring, mode
 
 
 def test_val_weight_examples():
@@ -367,3 +371,60 @@ def test_single_term_tij_generator():
         gens = mode.tij_generators(f, label, 6)
         for g in gens:
             assert mode.module_contains(f, g, label)
+
+
+# example 7.1 and the polytopes of the general-cones benchmark workload
+BENCH_POLYTOPES = (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((2, 1), (0, 1)), ((1, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize("vertices", BENCH_POLYTOPES + (((1, 2),),))
+def test_shifted_lm_matches_leading_of_product(vertices):
+    ring, mode = polytope_mode(vertices)
+    rng = random.Random(str(vertices))
+    for _ in range(8):
+        g = random_poly(ring, rng, terms=4, radius=3)
+        for t in box_points(2, 4):
+            assert mode.shifted_lm(g, t) == mode.leading(g.term_mul(t)).exp
+
+
+# tij_generators(f, label, 6) at the labels (1,1), (1,2), (2,1), (2,2),
+# computed with the per-layer box searches the shared search replaced
+TIJ_POLYS = ("2*x + y", "x*y + 4", "x^-1*y^2 - 2*x", "3*x^2*y^-1 + 4*y^-2 + 1")
+TIJ_PINS = {
+    ((1, 1), (0, 1)): [
+        [(0, -1)], [(0, -1)], [(-1, -2)], [(-1, -2)],
+        [(-1, -1)], [(-1, -1)], [(-2, -2)], [(-2, -2)],
+        [(1, -2)], [(1, -2)], [(0, -3)], [(0, -3)],
+        [(-1, 1)], [(-1, 1)], [(-2, -2)], [(-2, -2)],
+    ],
+    ((1, 0), (0, 1)): [
+        [(1, 0)], [(1, 0)], [(0, 0)], [(0, 0)],
+        [(-1, -1)], [(-1, -1)], [(-1, 0)], [(-1, 0)],
+        [(2, 0)], [(2, 0)], [(1, 0)], [(1, 0)],
+        [(-1, 1)], [(-1, 1)], [(0, 3)], [(0, 3)],
+    ],
+    ((2, 1), (0, 1)): [
+        [(0, 0)], [(0, 0)], [(-1, -2)], [(-1, -2)],
+        [(-1, -1)], [(-1, -1)], [(-2, -2)], [(-2, -2)],
+        [(1, 0)], [(1, 0)], [(0, -3)], [(0, -3)],
+        [(-1, 1)], [(-1, 1)], [(-2, -2)], [(-2, -2)],
+    ],
+    ((1, 0), (-1, 0)): [
+        [(0, 0)], [(0, 0)], [(-1, -2)], [(-1, -2)],
+        [(-1, -1)], [(-1, -1)], [(-2, -2)], [(-2, -2)],
+        [(1, 0)], [(1, 0)], [(0, -3)], [(0, -3)],
+        [(-1, 1)], [(-1, 1)], [(-2, -2)], [(-2, -2)],
+    ],
+}
+
+
+@pytest.mark.parametrize("vertices", BENCH_POLYTOPES)
+def test_tij_generators_pinned(vertices):
+    ring, mode = polytope_mode(vertices)
+    assert mode.labels == ((1, 1), (1, 2), (2, 1), (2, 2))
+    got = [
+        mode.tij_generators(parse_poly(ring, text), label, 6)
+        for text in TIJ_POLYS
+        for label in mode.labels
+    ]
+    assert got == TIJ_PINS[vertices]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_poly, ring_for
+from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.lattice import box_points, build_decomposition, vadd, vsub
@@ -231,3 +232,22 @@ def test_format_and_display_order(q_ring2):
     ring9 = ring_for(f9, 2, "degmin")
     g = LaurentPoly(ring9, {(2, 0): f9.element((1, 2)), (0, 0): f9.element((2, 0))})
     assert str(g) == "(2*a+1)*x^2 + 2"
+
+
+# ti_set_general(i, 8) for the four orthant cones, computed with the
+# per-layer box search the shared search replaced
+TI_PINS = {
+    "x*y^-1 + 2": [[(0, 1)], [(-1, 1)], [(-1, 0)], [(-1, 0), (0, 1)]],
+    "x^2 - 3*y + x^-1*y^-2": [[(0, 1), (1, 0)], [(-1, 1)], [(0, 0)], [(1, 0)]],
+    "2*x^-1*y + y^-1 - x^2": [[(0, 0)], [(-1, 0)], [(-1, -1)], [(0, 0)]],
+    "x^3*y - y^2 + 5*x^-2": [[(-1, 0), (0, -1)], [(-2, 0)], [(-1, -1)], [(0, -1)]],
+}
+
+
+def test_ti_set_general_pinned():
+    d = build_decomposition("orthant", 2)
+    rows = {i: tuple(c.generators[k][k] for k in range(2)) for i, c in enumerate(d.cones)}
+    ring = LaurentRing(FieldSpec.rational(), 2, GeneralizedOrder(d, ScoreFunction("custom", 2, rows=rows)))
+    for text, expected in TI_PINS.items():
+        f = parse_poly(ring, text)
+        assert [f.ti_set_general(i, 8) for i in range(4)] == expected, text

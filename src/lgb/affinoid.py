@@ -13,12 +13,17 @@ Series are represented exactly by finite Laurent polynomial bodies; the
 cap is a computation bound, not an uncertainty: every identity holds
 modulo terms of valuation at least the cap.
 
-``PolytopeMode.shifted_lm`` compares the terms of X^t g by integer keys
-cached per polynomial (exponent, valuation times the vertices' common
-denominator, dot product with each scaled vertex), so testing t against a
-T_{i,j} module builds no product.  The T_{i,j} generators come from the
-memoized search ``lattice.minimal_elements`` that the Laurent layer's
-general cone modules use too.
+Each mode gives a term a sort key, ``term_key(coef, exp)``, largest term
+first: minus the valuation times the common denominator of the weight or
+the vertices (an integer, since coefficient valuations are integers), for
+a polytope minus the first attaining vertex index, then the generalized
+order's key.  ``leading`` and the shared division loop take keyed maxima.
+``PolytopeMode.shifted_lm`` keys the terms of X^t g from integers cached
+per polynomial (exponent, valuation times the denominator, dot product
+with each scaled vertex), so testing t against a T_{i,j} module builds no
+product.  The T_{i,j} generators come from the memoized search
+``lattice.minimal_elements`` that the Laurent layer's general cone
+modules use too.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentPoly, LaurentRing, Term, format_poly, u_intersection
-from lgb.reduction import division_loop
+from lgb.reduction import division_loop, residual
 
 
 class AffinoidError(ValueError):
@@ -394,23 +399,14 @@ class WeightMode:
             self._initials[g] = cached
         return cached
 
-    def leading(self, f: LaurentPoly) -> Term:
-        best = None
-        best_val = None
-        order = self.ring.order
+    def term_key(self, coef: Coefficient, exp):
+        """Sort key, largest term first: (num.e - v(c) * den, order key)."""
         ctx = self.context
-        for exp, coef in f.terms_unordered():
-            val = ctx.term_val(coef, exp)
-            if (
-                best is None
-                or val < best_val
-                or (val == best_val and order.compare(exp, best.exp) > 0)
-            ):
-                best = Term(coef, exp)
-                best_val = val
-        if best is None:
-            raise AffinoidError("the zero series has no leading term")
-        return best
+        top = vdot(ctx._num, exp)
+        return (top - int(coef.valuation()) * ctx._den,) + self.ring.order.key(exp)
+
+    def leading(self, f: LaurentPoly) -> Term:
+        return _max_term(self, f)
 
     def cone_leading(self, g: LaurentPoly, label):
         lm, lc, _ = self.initial(g).cone_leading_data(label)
@@ -422,12 +418,12 @@ class WeightMode:
     def module_contains(self, g: LaurentPoly, t, label) -> bool:
         return self.initial(g).ti_contains(t, label)
 
-    def on_fire(self, work, label, g, shift) -> None:
+    def on_fire(self, label, g, shift) -> None:
         lm_g, _ = self.cone_leading(g, label)
         cone = self.ring.order.decomposition[label]
         target = self.shifted_lm(g, shift)
-        if cone.contains(target):
-            assert target == vadd(shift, lm_g)
+        if cone.contains(target) and target != vadd(shift, lm_g):
+            raise AssertionError(f"reducer fired off its cone leading monomial at {shift}")
 
     def u_set(self, f: LaurentPoly, g: LaurentPoly, label, search_radius=8):
         return u_intersection(self.initial(f), self.initial(g), label, search_radius)
@@ -484,24 +480,15 @@ class PolytopeMode:
             self._initials[key] = cached
         return cached
 
-    def leading(self, f: LaurentPoly) -> Term:
-        best = None
-        best_key = None
-        order = self.ring.order
+    def term_key(self, coef: Coefficient, exp):
+        """Sort key, largest term first: (top - v(c) * den, -first attaining
+        vertex index, order key), where top is the largest num_k.e."""
         ctx = self.context
-        for exp, coef in f.terms_unordered():
-            val, inds = ctx.term_val_indices(coef, exp)
-            key = (val, inds[0])
-            if (
-                best is None
-                or key < best_key
-                or (key == best_key and order.compare(exp, best.exp) > 0)
-            ):
-                best = Term(coef, exp)
-                best_key = key
-        if best is None:
-            raise AffinoidError("the zero series has no leading term")
-        return best
+        top, neg_k = max((vdot(v, exp), -k) for k, v in enumerate(ctx._num, 1))
+        return (top - int(coef.valuation()) * ctx._den, neg_k) + self.ring.order.key(exp)
+
+    def leading(self, f: LaurentPoly) -> Term:
+        return _max_term(self, f)
 
     def cone_leading(self, g: LaurentPoly, label):
         i, _ = label
@@ -510,10 +497,9 @@ class PolytopeMode:
         return lm, lc
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        """lm(X^shift * g) without building the product: ``leading``'s key
-        times the common denominator, in integers.  A term's key is
-        (v(c) * den - max_k num_k.(e + shift), first attaining vertex),
-        smaller is greater, ties broken by the generalized order."""
+        """lm(X^shift * g) without building the product: ``term_key`` of
+        each shifted term from the integers cached per polynomial, the
+        order key computed only on ties."""
         keys = self._term_keys.get(g)
         if keys is None:
             num, den = self.context._num, self.context._den
@@ -524,13 +510,15 @@ class PolytopeMode:
             ]
             self._term_keys[g] = keys
         sdots = [vdot(v, shift) for v in self.context._num]
-        order = self.ring.order
+        order_key = self.ring.order.key
         best = best_key = None
         for e, vden, dots in keys:
             top, neg_k = max((d + s, -k) for k, (d, s) in enumerate(zip(dots, sdots)))
-            key = (vden - top, -neg_k)
+            key = (top - vden, neg_k)
             exp = vadd(e, shift)
-            if best is None or key < best_key or (key == best_key and order.compare(exp, best) > 0):
+            if best is None or key > best_key or (
+                key == best_key and order_key(exp) > order_key(best)
+            ):
                 best, best_key = exp, key
         if best is None:
             raise AffinoidError("the zero series has no leading term")
@@ -544,13 +532,14 @@ class PolytopeMode:
         lm = self.shifted_lm(g, t)
         return cone.contains(lm) and self.context.in_vi_less(i, lm)
 
-    def on_fire(self, work, label, g, shift) -> None:
+    def on_fire(self, label, g, shift) -> None:
         i, _ = label
         cone = self.refined.cone(label)
         target = self.shifted_lm(g, shift)
         if cone.contains(target) and self.context.in_vi_less(i, target):
             lm_g, _ = self.cone_leading(g, label)
-            assert target == vadd(shift, lm_g)
+            if target != vadd(shift, lm_g):
+                raise AssertionError(f"reducer fired off its cone leading monomial at {shift}")
 
     # ------------------------------------------------------------------
     def tij_generators(self, f: LaurentPoly, label, search_radius=6):
@@ -612,6 +601,15 @@ class PolytopeMode:
         fam_f = [vadd(a, lmf) for a in self.tij_generators(f, label, search_radius)]
         fam_g = [vadd(b, lmg) for b in self.tij_generators(g, label, search_radius)]
         return cone.module_intersection(fam_f, fam_g)
+
+
+def _max_term(mode, f: LaurentPoly) -> Term:
+    """The leading term of a series body: the largest ``term_key``."""
+    key = mode.term_key
+    best = max(f.terms_unordered(), key=lambda t: key(t[1], t[0]), default=None)
+    if best is None:
+        raise AffinoidError("the zero series has no leading term")
+    return Term(best[1], best[0])
 
 
 def lm_polytope(mode: PolytopeMode, f):
@@ -709,8 +707,12 @@ class _SeriesDivision:
     def labels(self):
         return self.mode.labels
 
-    def leading(self, f):
-        return self.mode.leading(f)
+    def term_key(self, coef, exp):
+        return self.mode.term_key(coef, exp)
+
+    def leading(self, work, keys):
+        exp = max(keys, key=keys.__getitem__)
+        return Term(work[exp], exp)
 
     def cone_leading(self, g, label):
         return self.mode.cone_leading(g, label)
@@ -721,8 +723,8 @@ class _SeriesDivision:
     def past_cap(self, term: Term) -> bool:
         return self.mode.term_val(term) >= self.cap
 
-    def on_fire(self, work, label, g, shift):
-        self.mode.on_fire(work, label, g, shift)
+    def on_fire(self, label, g, shift):
+        self.mode.on_fire(label, g, shift)
 
 
 def reduce_P(f: CappedSeries, gens):
@@ -748,10 +750,8 @@ def reduce_P(f: CappedSeries, gens):
         qcap = cap - min(Fraction(0), min(mode.poly_val(g.body) for g in gens))
     quotients = [CappedSeries(mode, LaurentPoly(ring, q), qcap) for q in qdicts]
     remainder = CappedSeries(mode, LaurentPoly(ring, rdict), cap)
-    residual = f.body - remainder.body
-    for q, g in zip(quotients, gens):
-        residual = residual - q.body * g.body
-    for e, c in residual.items():
+    rest = residual(f.body, remainder.body, [q.body for q in quotients], [g.body for g in gens])
+    for e, c in rest.items():
         if mode.term_val(Term(c, e)) < cap:
             raise ArithmeticError("capped division identity failed to re-verify")
     return quotients, remainder
@@ -799,8 +799,8 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
                 if not s.is_zero():
                     lmf, lcf = mode.cone_leading(f.body, label)
                     lmg, lcg = mode.cone_leading(g.body, label)
-                    bound = Term(lcf * lcg, v)
-                    assert mode.compare_terms(s.leading_term(), bound) < 0
+                    if mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) >= 0:
+                        raise AssertionError(f"S-pair at {v} does not drop below its bound")
                 if s.is_zero():
                     stats.zero_reductions += 1
                     continue
@@ -834,7 +834,8 @@ def is_groebner_series(H):
                         continue
                     lmf, lcf = mode.cone_leading(H[a].body, label)
                     lmg, lcg = mode.cone_leading(H[b].body, label)
-                    assert mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) < 0
+                    if mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) >= 0:
+                        raise AssertionError(f"S-pair at {v} does not drop below its bound")
                     _, r = reduce_P(s, H)
                     if not r.is_zero():
                         return False, (label, a, b, v)

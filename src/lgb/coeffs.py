@@ -217,6 +217,8 @@ class FieldSpec:
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FieldSpec)
             and self.kind == other.kind

@@ -6,6 +6,10 @@ group order as tie-break: ``u < v`` iff ``score(u) < score(v)`` or the
 scores tie and ``u`` is lexicographically smaller.  Such an order is
 total, satisfies ``1 <= t`` for every monomial, and is compatible with
 multiplication inside each cone.
+
+``GeneralizedOrder.key`` turns the order into a sort key, ``(score,
+exponent permuted by the tie-break)``, so maxima and sorts run on tuples
+instead of pairwise ``compare`` calls.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class ScoreFunction:
 class GeneralizedOrder:
     """A generalized monomial order: decomposition + score + lex tie-break."""
 
-    __slots__ = ("decomposition", "score", "perm", "_linear_forms")
+    __slots__ = ("decomposition", "score", "perm", "_identity", "_linear_forms")
 
     def __init__(self, decomposition: ConicDecomposition, score: ScoreFunction, perm=None):
         if score.n != decomposition.n:
@@ -96,6 +100,7 @@ class GeneralizedOrder:
         self.perm = tuple(perm) if perm is not None else tuple(range(decomposition.n))
         if sorted(self.perm) != list(range(decomposition.n)):
             raise LatticeError(f"{self.perm} is not a permutation")
+        self._identity = self.perm == tuple(range(decomposition.n))
         self._linear_forms = {}
 
     @property
@@ -135,12 +140,15 @@ class GeneralizedOrder:
             return -1 if pu < pv else 1
         return self.group_compare(u, v)
 
+    def key(self, e):
+        """Sort key: ``u < v`` iff ``key(u) < key(v)``."""
+        if self._identity:
+            return (self.phi(e), tuple(e))
+        return (self.phi(e), tuple(e[i] for i in self.perm))
+
     def max_exponent(self, exps):
         """The greatest exponent vector of a nonempty iterable."""
-        best = None
-        for e in exps:
-            if best is None or self.compare(e, best) > 0:
-                best = e
+        best = max(exps, key=self.key, default=None)
         if best is None:
             raise LatticeError("empty iterable has no maximum")
         return best
@@ -162,11 +170,7 @@ class GeneralizedOrder:
         for a in tuples:
             _, vpart = cone.factorize(a)
             t = vadd(t, vpart)
-        best = None
-        for a in tuples:
-            if best is None or self.compare(vadd(t, a), vadd(t, best)) > 0:
-                best = a
-        return best
+        return max(tuples, key=lambda a: self.key(vadd(t, a)))
 
     # ------------------------------------------------------------------
     def linear_form(self, i):

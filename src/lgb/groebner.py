@@ -24,14 +24,11 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass
 class GBConfig:
-    pair_strategy: str = "fifo"
     normalize: bool = False
     max_basis: int = 500
     track_provenance: bool = True
 
     def __post_init__(self):
-        if self.pair_strategy != "fifo":
-            raise RingError("only the fifo pair strategy is supported")
         if self.max_basis <= 0:
             raise RingError("the basis-size guard must be positive")
 
@@ -67,8 +64,8 @@ def spair(i, f: LaurentPoly, g: LaurentPoly, v) -> LaurentPoly:
 
 def _assert_spair_bound(ring, s: LaurentPoly, v) -> None:
     # the leading monomial of a nonzero S-pair drops strictly below v
-    if not s.is_zero():
-        assert ring.order.compare(s.leading_monomial(), v) < 0
+    if not s.is_zero() and ring.order.compare(s.leading_monomial(), v) >= 0:
+        raise AssertionError(f"S-pair at {v} does not drop below its bound")
 
 
 def _prepare_generators(gens):

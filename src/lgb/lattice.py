@@ -75,7 +75,7 @@ def scale_to_int(v):
 
 def box_points(n, radius):
     """All lattice points of the box [-radius, radius]^n, lexicographic."""
-    return itertools.product(range(-radius, radius + 1), repeat=n)
+    yield from itertools.product(range(-radius, radius + 1), repeat=n)
 
 
 def minimal_elements(member, generators, starts):
@@ -369,7 +369,8 @@ class Cone:
             n = self.n
             mat = [[Fraction(self.generators[j][i]) for j in range(n)] for i in range(n)]
             cols = [solve_rational(mat, tuple(1 if i == k else 0 for i in range(n))) for k in range(n)]
-            assert all(c.denominator == 1 for col in cols for c in col)
+            if any(c.denominator != 1 for col in cols for c in col):
+                raise AssertionError(f"cone {self.id} has a non-integral inverse")
             inv = tuple(tuple(int(cols[k][i]) for k in range(n)) for i in range(n))
             self._cache["inv"] = inv
         return tuple(sum(a * b for a, b in zip(row, s)) for row in inv)

@@ -273,23 +273,28 @@ class LaurentPoly:
 
     def ti_generator(self, i):
         """Generator g with {t : lm(X^t f) in T_i} = g + T_i (standard
-        decomposition), found by per-generator descent from a witness."""
+        decomposition), found by per-generator descent from a witness and
+        memoized on the polynomial."""
+        cached = self._cone_cache.get(("ti", i))
+        if cached is not None:
+            return cached
         if not self.ring.standard_cones:
             gens = self.ti_set_general(i, search_radius=8)
-            if len(gens) == 1:
-                return gens[0]
-            raise LatticeError(
-                "the cone module is not monogenous; use ti_set_general"
-            )
-        if self.is_zero():
-            raise UndefinedLeadingError("the zero polynomial has no cone module")
-        cone = self.ring.order.decomposition[i]
-        t = self.cone_witness(i)
-        assert self.ti_contains(t, i)
-        for h in cone.generators:
-            while self.ti_contains(t, i):
-                t = vsub(t, h)
-            t = vadd(t, h)
+            if len(gens) != 1:
+                raise LatticeError("the cone module is not monogenous; use ti_set_general")
+            t = gens[0]
+        else:
+            if self.is_zero():
+                raise UndefinedLeadingError("the zero polynomial has no cone module")
+            cone = self.ring.order.decomposition[i]
+            t = self.cone_witness(i)
+            if not self.ti_contains(t, i):
+                raise AssertionError(f"cone witness {t} lies outside T_{i}")
+            for h in cone.generators:
+                while self.ti_contains(t, i):
+                    t = vsub(t, h)
+                t = vadd(t, h)
+        self._cone_cache[("ti", i)] = t
         return t
 
     def ti_set_general(self, i, search_radius: int):
@@ -423,24 +428,6 @@ def u_intersection(f: LaurentPoly, g: LaurentPoly, i, search_radius: int = 8):
     fam_f = [vadd(a, lmf) for a in f.ti_set_general(i, search_radius)]
     fam_g = [vadd(b, lmg) for b in g.ti_set_general(i, search_radius)]
     return cone.module_intersection(fam_f, fam_g)
-
-
-# -- free-function aliases for the operation surface --------------------------
-
-def leading_data(f: LaurentPoly):
-    return f.leading_data()
-
-
-def cone_leading_data(f: LaurentPoly, i):
-    return f.cone_leading_data(i)
-
-
-def ti_generator(f: LaurentPoly, i):
-    return f.ti_generator(i)
-
-
-def ti_set_general(f: LaurentPoly, i, search_radius: int):
-    return f.ti_set_general(i, search_radius)
 
 
 # -- formatting ----------------------------------------------------------------

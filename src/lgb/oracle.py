@@ -132,7 +132,8 @@ def laurent_membership_oracle(f: LaurentPoly, gens, max_basis: int = 300) -> boo
         tuple(0 for _ in range(ring.n + 1)): -ring.field.one(),
     }
     basis = _ordinary_buchberger(cleared + [slack], zero, max_basis)
-    assert _ordinary_is_groebner(basis, zero)
+    if not _ordinary_is_groebner(basis, zero):
+        raise AssertionError("the saturation basis fails the Buchberger criterion")
     probe = _clear(f)
     return not _poly_reduce(probe, basis, zero)
 

@@ -6,6 +6,11 @@ first comparison, loop exits at the precision cap).  Reducer selection is
 deterministic: scan cone labels in order, then the divisor list in order,
 and take the first pair whose cone leading monomial cancels the current
 leading term without introducing a larger one.
+
+The work polynomial is a mutable ``{exp: coef}`` map with a parallel
+``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
+step takes a keyed maximum and subtracts ``coef * X^shift * g`` in place;
+no immutable polynomial is rebuilt per step.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from lgb.laurent import LaurentPoly, LaurentRing, Term
-from lgb.lattice import vsub
+from lgb.lattice import vadd, vsub
 
 
 class PolynomialMode:
@@ -25,9 +30,12 @@ class PolynomialMode:
         self.ring = ring
         self.labels = tuple(range(len(ring.order.decomposition.cones)))
 
-    def leading(self, f: LaurentPoly) -> Term:
-        _, _, lt = f.leading_data()
-        return lt
+    def term_key(self, coef, exp):
+        return self.ring.order.key(exp)
+
+    def leading(self, work, keys) -> Term:
+        exp = max(keys, key=keys.__getitem__)
+        return Term(work[exp], exp)
 
     def cone_leading(self, g: LaurentPoly, label):
         lm, lc, _ = g.cone_leading_data(label)
@@ -39,7 +47,7 @@ class PolynomialMode:
     def past_cap(self, term: Term) -> bool:
         return False
 
-    def on_fire(self, work, label, g, shift) -> None:
+    def on_fire(self, label, g, shift) -> None:
         pass
 
 
@@ -51,34 +59,62 @@ def division_loop(f: LaurentPoly, gens, mode):
     """
     ring = f.ring
     zero = ring.field.zero()
+    term_key = mode.term_key
     quotients = [dict() for _ in gens]
     remainder = {}
-    work = f
-    tail = ring.zero()
-    while not work.is_zero():
-        lt = mode.leading(work)
+    work = dict(f.terms_unordered())
+    keys = {e: term_key(c, e) for e, c in work.items()}
+    while work:
+        lt = mode.leading(work, keys)
         if mode.past_cap(lt):
-            tail = work
             break
-        fired = False
         for label in mode.labels:
             for k, g in enumerate(gens):
                 lm_g, lc_g = mode.cone_leading(g, label)
                 shift = vsub(lt.exp, lm_g)
                 if mode.shifted_lm(g, shift) == lt.exp:
-                    mode.on_fire(work, label, g, shift)
-                    coef = lt.coef / lc_g
-                    acc = quotients[k]
-                    acc[shift] = acc.get(shift, zero) + coef
-                    work = work - g.term_mul(shift, coef)
-                    fired = True
                     break
-            if fired:
-                break
-        if not fired:
+            else:
+                continue
+            mode.on_fire(label, g, shift)
+            coef = lt.coef / lc_g
+            acc = quotients[k]
+            acc[shift] = acc.get(shift, zero) + coef
+            neg = -coef
+            for e, c in g.terms_unordered():
+                e = vadd(e, shift)
+                c = c * neg
+                old = work.get(e)
+                if old is not None:
+                    c = old + c
+                    if c.is_zero():
+                        del work[e], keys[e]
+                        continue
+                work[e] = c
+                keys[e] = term_key(c, e)
+            break
+        else:
             remainder[lt.exp] = remainder.get(lt.exp, zero) + lt.coef
-            work = work - ring.monomial(lt.exp, lt.coef)
-    return quotients, remainder, tail
+            del work[lt.exp], keys[lt.exp]
+    return quotients, remainder, LaurentPoly(ring, work)
+
+
+def residual(f: LaurentPoly, remainder: LaurentPoly, quotients, gens) -> dict:
+    """The nonzero terms of ``f - r - sum(q * g)``, accumulated in one dict."""
+    acc = dict(f.terms_unordered())
+
+    def add(e, c):
+        old = acc.get(e)
+        acc[e] = c if old is None else old + c
+
+    for e, c in remainder.terms_unordered():
+        add(e, -c)
+    for q, g in zip(quotients, gens):
+        for eq, cq in q.terms_unordered():
+            neg = -cq
+            for eg, cg in g.terms_unordered():
+                add(vadd(eq, eg), cg * neg)
+    return {e: c for e, c in acc.items() if not c.is_zero()}
 
 
 @dataclass
@@ -104,12 +140,10 @@ def reduce(f: LaurentPoly, gens) -> ReductionResult:
             raise ValueError("divisors must be nonzero")
     mode = PolynomialMode(ring)
     qdicts, rdict, tail = division_loop(f, gens, mode)
-    assert tail.is_zero()
+    if not tail.is_zero():
+        raise AssertionError("polynomial division left a tail past the cap")
     quotients = [LaurentPoly(ring, q) for q in qdicts]
     remainder = LaurentPoly(ring, rdict)
-    check = remainder
-    for q, g in zip(quotients, gens):
-        check = check + q * g
-    if check != f:
+    if residual(f, remainder, quotients, gens):
         raise ArithmeticError("division identity failed to re-verify")
     return ReductionResult(quotients, remainder)

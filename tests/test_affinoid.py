@@ -29,6 +29,7 @@ from lgb.groebner import buchberger
 from lgb.laurent import LaurentRing, Term
 from lgb.lattice import box_points, build_decomposition
 from lgb.oracle import brute_valP
+from lgb import affinoid, reduction
 from lgb.reduction import reduce
 
 
@@ -428,3 +429,82 @@ def test_tij_generators_pinned(vertices):
         for label in mode.labels
     ]
     assert got == TIJ_PINS[vertices]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _random_terms(ring, rng, count):
+    out = []
+    for _ in range(count):
+        exp = tuple(rng.randint(-3, 3) for _ in range(ring.n))
+        coef = ring.field.from_fraction(Fraction(rng.choice((1, 3, 5)), rng.choice((1, 2, 4)))
+                                        * rng.choice((1, 2, 4, 8)))
+        out.append(Term(coef, exp))
+    return out
+
+
+@pytest.mark.parametrize("vertices", [None] + list(BENCH_POLYTOPES + (((1, 2),),)))
+def test_term_key_orders_like_compare(vertices):
+    """term_key orders terms as compare_weight (weight (1,2)) and
+    compare_polytope do, and ``leading`` is the compare-maximum."""
+    if vertices is None:
+        ring = q2_ring()
+        mode = WeightMode(ring, WeightContext((1, 2)))
+        compare = lambda s, t: compare_weight(mode.context, ring.order, s, t)
+    else:
+        ring, mode = polytope_mode(vertices)
+        compare = lambda s, t: compare_polytope(mode.context, ring.order, s, t)
+    rng = random.Random(str(vertices))
+    terms = _random_terms(ring, rng, 60)
+    for s in terms:
+        for t in terms:
+            ks, kt = mode.term_key(*s), mode.term_key(*t)
+            assert _sign(compare(s, t)) == (ks > kt) - (ks < kt)
+    for _ in range(20):
+        f = random_poly(ring, rng, terms=5, radius=3)
+        best = None
+        for exp, coef in f.terms_unordered():
+            if best is None or compare(Term(coef, exp), best) > 0:
+                best = Term(coef, exp)
+        assert mode.leading(f) == best
+
+
+def _drop_one_quotient_term(real):
+    def broken(f, gens, mode):
+        quotients, remainder, tail = real(f, gens, mode)
+        for q in quotients:
+            if q:
+                q.pop(next(iter(q)))
+                break
+        else:
+            raise AssertionError("no quotient term to drop")
+        return quotients, remainder, tail
+
+    return broken
+
+
+def test_reduce_reverification_catches_a_dropped_quotient_term(monkeypatch, q_ring2):
+    f = parse_poly(q_ring2, "2*x^2*y^-1 + x^-3*y - 3*y^-5")
+    gens = [parse_poly(q_ring2, "x^-2*y^-1 + x*y"), parse_poly(q_ring2, "x^-2*y + x^2*y^-1")]
+    broken = _drop_one_quotient_term(reduction.division_loop)
+    monkeypatch.setattr(reduction, "division_loop", broken)
+    with pytest.raises(ArithmeticError):
+        reduce(f, gens)
+
+
+@pytest.mark.parametrize("directive", ["weight", "polytope"])
+def test_reduce_P_reverification_catches_a_dropped_quotient_term(monkeypatch, directive):
+    if directive == "weight":
+        ring = q2_ring()
+        mode = WeightMode(ring, WeightContext((1, 2)))
+    else:
+        ring, mode = polytope_mode([(1, 2)])
+    f = CappedSeries(mode, parse_poly(ring, "x^3*y + 2*x*y^2 + x^-1"), 20)
+    gens = [CappedSeries(mode, parse_poly(ring, p), 20) for p in ("x*y + 2", "y^2 + 4*x")]
+    reduce_P(f, gens)
+    broken = _drop_one_quotient_term(affinoid.division_loop)
+    monkeypatch.setattr(affinoid, "division_loop", broken)
+    with pytest.raises(ArithmeticError):
+        reduce_P(f, gens)

@@ -153,3 +153,36 @@ def test_builtin_scores_are_integral():
             v = tuple(rng.randint(-6, 6) for _ in range(3))
             value = order.phi(v)
             assert value >= 0 and int(value) == value
+
+
+def _orthant_custom(n):
+    d = build_decomposition("orthant", n)
+    rows = {i: tuple(c.generators[k][k] for k in range(n)) for i, c in enumerate(d.cones)}
+    return GeneralizedOrder(d, ScoreFunction("custom", n, rows=rows))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["min", "degmin", "orthant", "perm"])
+def test_key_agrees_with_compare(n, kind):
+    if kind == "orthant":
+        order = _orthant_custom(n)
+    elif kind == "perm":
+        order = make_order(n, "degmin", perm=tuple(range(n))[::-1])
+    else:
+        order = make_order(n, kind)
+    rng = random.Random(f"{n}:{kind}")
+    for _ in range(400):
+        u = tuple(rng.randint(-3, 3) for _ in range(n))
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        ku, kv = order.key(u), order.key(v)
+        assert _sign(order.compare(u, v)) == (ku > kv) - (ku < kv)
+    exps = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(12)]
+    best = exps[0]
+    for e in exps[1:]:
+        if order.compare(e, best) > 0:
+            best = e
+    assert order.max_exponent(exps) == best

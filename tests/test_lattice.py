@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -173,3 +174,13 @@ def test_orthant_gray_code_order_n2():
     d = build_decomposition("orthant", 2)
     signs = [tuple(g[i][i] for i in range(2)) for g in (c.generators for c in d.cones)]
     assert signs == [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+
+
+def test_box_points_is_a_generator_in_lexicographic_order():
+    assert inspect.isgeneratorfunction(box_points)
+    assert list(box_points(2, 1)) == [
+        (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)
+    ]
+    pts = list(box_points(3, 2))
+    assert pts == sorted(pts) and len(set(pts)) == 125
+    assert list(box_points(1, 0)) == [(0,)]

@@ -418,13 +418,6 @@ class WeightMode:
     def module_contains(self, g: LaurentPoly, t, label) -> bool:
         return self.initial(g).ti_contains(t, label)
 
-    def on_fire(self, label, g, shift) -> None:
-        lm_g, _ = self.cone_leading(g, label)
-        cone = self.ring.order.decomposition[label]
-        target = self.shifted_lm(g, shift)
-        if cone.contains(target) and target != vadd(shift, lm_g):
-            raise AssertionError(f"reducer fired off its cone leading monomial at {shift}")
-
     def u_set(self, f: LaurentPoly, g: LaurentPoly, label, search_radius=8):
         return u_intersection(self.initial(f), self.initial(g), label, search_radius)
 
@@ -433,7 +426,7 @@ class PolytopeMode:
     """Division machinery for a ring whose order refines a polytope's
     vertex regions."""
 
-    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_term_keys")
+    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules")
 
     def __init__(self, ring: LaurentRing, context: PolytopeContext, refined: RefinedDecomposition):
         if context.n != ring.n:
@@ -450,6 +443,7 @@ class PolytopeMode:
         self.labels = refined.labels
         self._initials = {}
         self._term_keys = {}
+        self._modules = {}
 
     def __eq__(self, other):
         return (
@@ -532,22 +526,14 @@ class PolytopeMode:
         lm = self.shifted_lm(g, t)
         return cone.contains(lm) and self.context.in_vi_less(i, lm)
 
-    def on_fire(self, label, g, shift) -> None:
-        i, _ = label
-        cone = self.refined.cone(label)
-        target = self.shifted_lm(g, shift)
-        if cone.contains(target) and self.context.in_vi_less(i, target):
-            lm_g, _ = self.cone_leading(g, label)
-            if target != vadd(shift, lm_g):
-                raise AssertionError(f"reducer fired off its cone leading monomial at {shift}")
-
     # ------------------------------------------------------------------
     def tij_generators(self, f: LaurentPoly, label, search_radius=6):
         """Generators of T_{i,j}(f): the minimal elements reached from a
         witness and the radius box by ``lattice.minimal_elements``, each
-        verified directly.  With several vertices there is no completeness
-        certificate yet: a generator away from the box and the witness would
-        be missed."""
+        verified directly and memoized on the mode (failures are not).  With
+        several vertices there is no completeness certificate yet: a
+        generator away from the box and the witness would be missed.  One
+        vertex defers to the Laurent modules, memoized per polynomial."""
         if f.is_zero():
             raise AffinoidError("the zero series has no cone module")
         if self.context.nvertices == 1:
@@ -556,6 +542,9 @@ class PolytopeMode:
             if self.ring.standard_cones:
                 return [body.ti_generator(flat)]
             return body.ti_set_general(flat, search_radius)
+        cached = self._modules.get((f, label, search_radius))
+        if cached is not None:
+            return list(cached)
         cone = self.refined.cone(label)
         member = lambda t: self.module_contains(f, t, label)
 
@@ -578,7 +567,8 @@ class PolytopeMode:
         for g in minimal:
             if not member(g):
                 raise AffinoidError(f"search produced a non-member {g}")
-        return minimal
+        self._modules[(f, label, search_radius)] = minimal
+        return list(minimal)
 
     def _interior_vector(self, label):
         i, _ = label
@@ -723,8 +713,8 @@ class _SeriesDivision:
     def past_cap(self, term: Term) -> bool:
         return self.mode.term_val(term) >= self.cap
 
-    def on_fire(self, label, g, shift):
-        self.mode.on_fire(label, g, shift)
+    def on_fire(self, label, g, shift) -> None:
+        pass
 
 
 def reduce_P(f: CappedSeries, gens):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class LatticeError(ValueError):
@@ -272,33 +272,30 @@ def in_integer_span(basis, v):
 # (or > 0 when strict).  Entries are Fractions or ints.
 
 def fm_feasible(constraints, nvars) -> bool:
-    """Exact feasibility of a system of linear inequalities over Q^n."""
-    cons = [(tuple(Fraction(c) for c in a), Fraction(b), s) for a, b, s in constraints]
+    """Exact feasibility of a system of linear inequalities over Q^n.
+
+    Each constraint is scaled once by the positive lcm of its denominators,
+    so the elimination runs in integers; a positive scaling keeps both the
+    inequality and its strictness.
+    """
+    cons = []
+    for a, b, s in constraints:
+        den = lcm(*(x.denominator for x in a), b.denominator)
+        cons.append((tuple(int(x * den) for x in a), int(b * den), s))
     for var in range(nvars):
         pos, neg, rest = [], [], []
-        for a, b, s in cons:
-            if a[var] > 0:
-                pos.append((a, b, s))
-            elif a[var] < 0:
-                neg.append((a, b, s))
-            else:
-                rest.append((a, b, s))
+        for c in cons:
+            x = c[0][var]
+            (pos if x > 0 else neg if x < 0 else rest).append(c)
         new = rest
         for ap, bp, sp in pos:
             for an, bn, sn in neg:
                 # eliminate: combine with weights |an[var]|, ap[var]
                 wp, wn = -an[var], ap[var]
                 a = tuple(wp * x + wn * y for x, y in zip(ap, an))
-                b = wp * bp + wn * bn
-                new.append((a, b, sp or sn))
+                new.append((a, wp * bp + wn * bn, sp or sn))
         cons = new
-    for a, b, s in cons:
-        if s:
-            if not b > 0:
-                return False
-        elif not b >= 0:
-            return False
-    return True
+    return all(b > 0 if s else b >= 0 for _, b, s in cons)
 
 
 # -- cones ---------------------------------------------------------------------

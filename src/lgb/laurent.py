@@ -4,14 +4,20 @@ For a nonzero Laurent polynomial f and a cone index i the engine provides
 the leading monomial inside cone i (computed through a witness translation
 that pushes the support into the cone), the shifted-cone module
 ``{t : lm(tf) in T_i}`` either as a single generator (standard
-decomposition, by descent) or as a finite generating set (general case,
-by an exact union-of-polyhedra description with a feasibility
-certificate), and the collision-monomial modules used to form S-pairs.
+decomposition, by descent) or as a finite generating set (general case),
+and the collision-monomial modules used to form S-pairs.  Both kinds of
+module are memoized on the polynomial.
 
-The general-case generators come from ``lattice.minimal_elements``, the
-search the polytope layer's T_{i,j} modules share: box points slide down
-the cone generators to minimal members, with the integer membership test
-memoized for one search.
+The general case describes the module exactly in factored form
+(``_ti_cells``): base inequalities, and per competing cone a factor whose
+options are inequality lists; a point is a member when it satisfies the
+base and one option of every factor.  The product of the factors, a union
+of polyhedra, is never expanded: membership tests factor by factor, and
+the completeness certificate walks the options depth first, pruning every
+partial system that Fourier-Motzkin proves empty.  The generators come
+from ``lattice.minimal_elements``, the search the polytope layer's T_{i,j}
+modules share: box points slide down the cone generators to minimal
+members, with the integer membership test memoized for one search.
 """
 
 from __future__ import annotations
@@ -299,46 +305,44 @@ class LaurentPoly:
 
     def ti_set_general(self, i, search_radius: int):
         """Generating set of {t : lm(X^t f) in T_i} as a T_i-module: the
-        minimal elements of the exact polyhedral description reached from
-        the radius box and the cone witness; raises IncompleteSearchError
-        when the set cannot be certified complete within the radius."""
+        minimal elements of the factored description of ``_ti_cells``
+        reached from the radius box and the cone witness; raises
+        IncompleteSearchError when the set cannot be certified complete
+        within the radius.  Memoized per (cone, radius); failures are not.
+
+        The certificate proves the described set minus the union of the
+        shifted cones g + T_i empty over the rationals.  It walks one option
+        per factor, then one half-space per generator g to lie outside of,
+        depth first, and prunes every partial system Fourier-Motzkin proves
+        empty: added constraints never make an empty system nonempty."""
         if self.is_zero():
             raise UndefinedLeadingError("the zero polynomial has no cone module")
-        cells = _ti_cells(self, i)
+        cached = self._cone_cache.get((i, search_radius))
+        if cached is not None:
+            return list(cached)
+        base, factors = _ti_cells(self, i)
         cone = self.ring.order.decomposition[i]
-
-        def member(p):
-            return any(all(vdot(a, p) + b >= 0 for a, b in cell) for cell in cells)
-
         starts = itertools.chain(
             box_points(self.ring.n, search_radius), [self.cone_witness(i)]
         )
-        minimal = minimal_elements(member, cone.generators, starts)
+        minimal = minimal_elements(
+            lambda p: _satisfies(base, factors, p), cone.generators, starts
+        )
         for g in minimal:
             if not self.ti_contains(g, i):
                 raise LatticeError(f"polyhedral description disagrees at {g}")
-        # completeness certificate: the described set minus the union of the
-        # shifted cones must be empty over the rationals
-        for cell in cells:
-            base = [(a, Fraction(b), False) for a, b in cell]
-            if not minimal:
-                if fm_feasible(base, self.ring.n):
-                    raise IncompleteSearchError(
-                        f"no generators found within radius {search_radius}"
-                    )
-                continue
-            for choice in itertools.product(
-                *[cone.halfspaces for _ in minimal]
-            ):
-                cons = list(base)
-                for g, h in zip(minimal, choice):
-                    # outside g + T_i: h.(p - g) <= -1
-                    cons.append((vneg(h), Fraction(vdot(h, g) - 1), False))
-                if fm_feasible(cons, self.ring.n):
-                    raise IncompleteSearchError(
-                        f"generating set not certified complete within radius {search_radius}"
-                    )
-        return minimal
+        # outside g + T_i: h.(p - g) <= -1 for one half-space h
+        levels = factors + [
+            [[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal
+        ]
+        if _some_choice_feasible(base, levels, self.ring.n):
+            raise IncompleteSearchError(
+                f"generating set not certified complete within radius {search_radius}"
+                if minimal
+                else f"no generators found within radius {search_radius}"
+            )
+        self._cone_cache[(i, search_radius)] = minimal
+        return list(minimal)
 
     # -- display -----------------------------------------------------------
     def sorted_terms(self, compare=None):
@@ -373,12 +377,15 @@ def _int_ineq(coeffs, const, strict):
 
 
 def _ti_cells(f: LaurentPoly, i):
-    """Integer half-space cells whose union is exactly the cone-i module of f.
+    """The cone-i module of f as (base, factors) of integer inequalities
+    (a, b), meaning a.t + b >= 0: t is a member iff it satisfies the base
+    and, for every factor, all of at least one of its options.
 
-    The module equals A_i intersected, over every cone j whose cone leading
-    monomial differs, with (complement of A_j) union (the region where the
-    score favours the cone-i leading monomial, ties broken by the constant
-    group-order comparison of the two leading monomials).
+    The base says lm_i(f) + t lies in cone i.  There is one factor per cone
+    j whose cone leading monomial differs: (complement of A_j) union (the
+    region where the score favours the cone-i leading monomial, ties broken
+    by the constant group-order comparison of the two leading monomials),
+    with A_j = {t : lm_j(f) + t in cone j}.
     """
     ring = f.ring
     order = ring.order
@@ -404,13 +411,26 @@ def _ti_cells(f: LaurentPoly, i):
         )
         options.append(inside + [(a, b)])
         factors.append(options)
-    cells = []
-    for combo in itertools.product(*factors):
-        cell = list(base)
-        for part in combo:
-            cell.extend(part)
-        cells.append(cell)
-    return cells
+    return base, factors
+
+
+def _some_choice_feasible(cons, levels, n):
+    """Whether cons plus one option of every level is feasible over Q for
+    some choice of options, depth first; an infeasible prefix is pruned."""
+    if not fm_feasible([(a, b, False) for a, b in cons], n):
+        return False
+    return not levels or any(
+        _some_choice_feasible(cons + option, levels[1:], n) for option in levels[0]
+    )
+
+
+def _satisfies(base, factors, p):
+    """Whether p satisfies the base and one option of every factor."""
+
+    def holds(cons):
+        return all(vdot(a, p) + b >= 0 for a, b in cons)
+
+    return holds(base) and all(any(holds(o) for o in options) for options in factors)
 
 
 def u_intersection(f: LaurentPoly, g: LaurentPoly, i, search_radius: int = 8):

@@ -11,6 +11,12 @@ The work polynomial is a mutable ``{exp: coef}`` map with a parallel
 ``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
 step takes a keyed maximum and subtracts ``coef * X^shift * g`` in place;
 no immutable polynomial is rebuilt per step.
+
+A reducer fires only when lm(X^shift g) is the current leading exponent,
+with shift = that exponent minus lm_label(g), so it always cancels at
+shift + lm_label(g) and a fire needs no further check.  The modes'
+``on_fire`` hook does nothing; it marks each fire for ``bench/spans.py``,
+which counts reducer fires through it.
 """
 
 from __future__ import annotations

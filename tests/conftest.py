@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lgb.coeffs import FieldSpec
-from lgb.gmo import make_order
+from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
+from lgb.lattice import build_decomposition
 from lgb.laurent import LaurentRing
 
 
@@ -53,3 +54,28 @@ def random_poly(ring, rng, terms=3, radius=3, bound=9, attempts=100):
         if d:
             return ring.poly(d)
     raise RuntimeError("failed to sample a nonzero polynomial")
+
+
+def reference_fm_feasible(constraints, nvars):
+    """Fourier-Motzkin elimination over Fractions, the textbook way: the
+    check for lattice.fm_feasible, which eliminates in integers."""
+    cons = [(tuple(Fraction(c) for c in a), Fraction(b), s) for a, b, s in constraints]
+    for var in range(nvars):
+        pos = [c for c in cons if c[0][var] > 0]
+        neg = [c for c in cons if c[0][var] < 0]
+        new = [c for c in cons if c[0][var] == 0]
+        for ap, bp, sp in pos:
+            for an, bn, sn in neg:
+                wp, wn = -an[var], ap[var]
+                a = tuple(wp * x + wn * y for x, y in zip(ap, an))
+                new.append((a, wp * bp + wn * bn, sp or sn))
+        cons = new
+    return all(b > 0 if s else b >= 0 for _, b, s in cons)
+
+
+def orthant_ring(n):
+    """Q[x^±1, ...] under the orthant decomposition with the per-cone
+    custom score (row i is the sign vector of cone i)."""
+    d = build_decomposition("orthant", n)
+    rows = {i: tuple(c.generators[k][k] for k in range(n)) for i, c in enumerate(d.cones)}
+    return LaurentRing(FieldSpec.rational(), n, GeneralizedOrder(d, ScoreFunction("custom", n, rows=rows)))

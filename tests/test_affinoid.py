@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from lgb.coeffs import INF, FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import buchberger
 from lgb.laurent import LaurentRing, Term
-from lgb.lattice import box_points, build_decomposition
+from lgb.lattice import box_points, build_decomposition, vadd
 from lgb.oracle import brute_valP
 from lgb import affinoid, reduction
 from lgb.reduction import reduce
@@ -508,3 +509,113 @@ def test_reduce_P_reverification_catches_a_dropped_quotient_term(monkeypatch, di
     monkeypatch.setattr(affinoid, "division_loop", broken)
     with pytest.raises(ArithmeticError):
         reduce_P(f, gens)
+
+
+@pytest.mark.parametrize("directive", ["weight (1,2)", "polytope (1,2)", "example 7.1"])
+def test_reducer_fires_at_its_cone_leading_monomial(directive):
+    """lm(X^t g) in the cone-label module implies lm(X^t g) = t + lm_label(g):
+    so a division step, which fires when lm(X^shift g) is the current
+    leading exponent with shift = that exponent minus lm_label(g), always
+    cancels at its cone leading monomial and needs no check."""
+    if directive == "weight (1,2)":
+        ring = q2_ring()
+        mode = WeightMode(ring, WeightContext((1, 2)))
+    elif directive == "polytope (1,2)":
+        ring, mode = polytope_mode([(1, 2)])
+    else:
+        ring, mode = polytope_mode([(1, 1), (0, 1)])
+    rng = random.Random(directive)
+    hits = 0
+    for _ in range(8):
+        g = random_poly(ring, rng, terms=4, radius=3)
+        for label in mode.labels:
+            lm_g, _ = mode.cone_leading(g, label)
+            for t in box_points(2, 4):
+                if mode.module_contains(g, t, label):
+                    assert mode.shifted_lm(g, t) == vadd(t, lm_g), (g, label, t)
+                    hits += 1
+    assert hits > 100
+
+
+def test_tij_generators_are_memoized(monkeypatch):
+    searches = []
+    real = affinoid.minimal_elements
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(affinoid, "minimal_elements", counting)
+    ring, mode = polytope_mode(BENCH_POLYTOPES[0])
+    f = parse_poly(ring, "x^-1*y^2 - 2*x")
+    # callers may change what they get: a miss and a hit both return a copy
+    for _ in range(2):
+        got = mode.tij_generators(f, (1, 1), 6)
+        assert got == [(1, -2)]
+        got.append((9, 9))
+        got[0] = (7, 7)
+    assert mode.tij_generators(f, (1, 1), 6) == [(1, -2)]
+    # an equal polynomial built separately hits the same entry
+    assert mode.tij_generators(parse_poly(ring, "x^-1*y^2 - 2*x"), (1, 1), 6) == [(1, -2)]
+    assert len(searches) == 1
+    assert mode.tij_generators(f, (1, 2), 6) == [(1, -2)]
+    assert len(searches) == 2
+    # a failure is not cached: each attempt searches again
+    boom = []
+
+    def failing(*args):
+        boom.append(args)
+        raise affinoid.IncompleteSearchError("search refused")
+
+    monkeypatch.setattr(affinoid, "minimal_elements", failing)
+    g = parse_poly(ring, "2*x + y")
+    for _ in range(2):
+        with pytest.raises(affinoid.IncompleteSearchError):
+            mode.tij_generators(g, (2, 1), 6)
+    assert len(boom) == 2
+    monkeypatch.setattr(affinoid, "minimal_elements", counting)
+    assert mode.tij_generators(g, (2, 1), 6) == [(-1, -2)]
+    assert mode.tij_generators(g, (2, 1), 6) == [(-1, -2)]
+    assert len(searches) == 3
+
+
+# the vertex lists of the four general-cones polytopes and of the known
+# failures, and two non-simplicial 3-dimensional cones for the ray test
+SETUP_POLYTOPES = BENCH_POLYTOPES + (
+    ((1, 1), (-2, -1)), ((-2, 2), (1, 2), (2, -2), (-1, -1)), ((0, 0), (1, 0), (0, 1)),
+)
+SETUP_CONES = (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)), ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)))
+
+
+def test_polytope_setup_feasibility_matches_fraction_elimination(monkeypatch):
+    """Every feasibility question of the polytope set-up (vertex hulls,
+    vertex regions, refined pieces, extreme rays) gets the verdict of
+    Fourier-Motzkin over Fractions."""
+    from conftest import reference_fm_feasible
+    from lgb import lattice
+
+    real = lattice.fm_feasible
+    callers = {}
+
+    def checked(constraints, nvars):
+        constraints = list(constraints)
+        verdict = real(constraints, nvars)
+        assert verdict == reference_fm_feasible(constraints, nvars), constraints
+        caller = sys._getframe(1).f_code.co_name
+        callers.setdefault(caller, set()).add(verdict)
+        return verdict
+
+    monkeypatch.setattr(lattice, "fm_feasible", checked)
+    monkeypatch.setattr(affinoid, "fm_feasible", checked)
+    for vertices in SETUP_POLYTOPES:
+        ctx = PolytopeContext(vertices)
+        for base in ("standard", "orthant"):
+            build_refined_decomposition(ctx, build_decomposition(base, 2))
+    for hs in SETUP_CONES:
+        lattice.rays_from_halfspaces(hs, 3)
+    assert callers == {
+        "_in_convex_hull": {False},
+        "build_refined_decomposition": {True, False},
+        # in a pointed cone every candidate ray is extreme
+        "rays_from_halfspaces": {False},
+    }

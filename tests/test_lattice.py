@@ -1,8 +1,11 @@
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+
+from conftest import reference_fm_feasible
 
 from lgb.lattice import (
     Cone,
@@ -129,6 +132,57 @@ def test_fm_feasible():
     assert fm_feasible([((1, 0), 0, True), ((0, 1), 0, True)], 2)
     # strict x > 0 with x < 1 feasible over Q
     assert fm_feasible([((1,), 0, True), ((-1,), 1, True)], 1)
+
+
+def test_fm_feasible_rational_entries():
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    # x/2 - 1/3 >= 0 and -x/3 + 1/6 >= 0: x >= 2/3 and x <= 1/2
+    assert not fm_feasible([((half,), -third, False), ((-third,), sixth, False)], 1)
+    # x >= 2/3 and x <= 3/4
+    assert fm_feasible([((half,), -third, False), ((-third,), Fraction(1, 4), False)], 1)
+    # x/2 + y/3 >= 1/6 with y <= 1/3: x <= -1/7 leaves x/2 + y/3 <= 5/126 < 1/6,
+    # x <= 1/7 reaches 23/126
+    assert not fm_feasible(
+        [((half, third), -sixth, False), ((-1, 0), Fraction(-1, 7), False), ((0, -1), third, False)], 2
+    )
+    assert fm_feasible(
+        [((half, third), -sixth, False), ((-1, 0), Fraction(1, 7), False), ((0, -1), third, False)], 2
+    )
+
+
+def test_fm_feasible_strict_boundaries():
+    assert fm_feasible([((1,), 0, True), ((-1,), 1, True)], 1)  # 0 < x < 1
+    assert not fm_feasible([((1,), -1, False), ((-1,), 0, False)], 1)  # x >= 1, x <= 0
+    assert fm_feasible([((1,), 0, False), ((-1,), 0, False)], 1)  # x = 0
+    assert not fm_feasible([((1,), 0, True), ((-1,), 0, False)], 1)  # x > 0, x <= 0
+    assert not fm_feasible([((1,), 0, False), ((-1,), 0, True)], 1)  # x >= 0, x < 0
+    h = Fraction(1, 2)
+    assert not fm_feasible([((1,), -h, True), ((-1,), h, False)], 1)  # x > 1/2, x <= 1/2
+    assert fm_feasible([((1,), -h, False), ((-1,), h, False)], 1)  # x = 1/2
+    # strictness survives the elimination of another variable
+    assert not fm_feasible([((1, 1), 0, True), ((-1, 0), 0, False), ((0, -1), 0, False)], 2)
+    assert fm_feasible([((1, 1), 0, False), ((-1, 0), 0, False), ((0, -1), 0, False)], 2)
+    assert fm_feasible([], 2)
+
+
+def test_fm_feasible_invariant_under_positive_row_scaling():
+    rng = random.Random(487)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        system = [
+            (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-4, 4), rng.random() < 0.3)
+            for _ in range(rng.randint(1, 6))
+        ]
+        verdict = fm_feasible(system, n)
+        assert verdict == reference_fm_feasible(system, n), system
+        scaled = []
+        for a, b, s in system:
+            k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            scaled.append((tuple(k * x for x in a), k * b, s))
+        assert fm_feasible(scaled, n) == verdict, system
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_rays_and_hilbert_basis_2d():

@@ -1,17 +1,20 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import random_poly, ring_for
+from conftest import orthant_ring, random_poly, ring_for
 from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
-from lgb.lattice import box_points, build_decomposition, vadd, vsub
+from lgb.lattice import IncompleteSearchError, box_points, build_decomposition, vadd, vdot, vsub
 from lgb.laurent import (
     LaurentPoly,
     LaurentRing,
     RingError,
     UndefinedLeadingError,
+    _satisfies,
+    _ti_cells,
     format_poly,
     u_intersection,
 )
@@ -251,3 +254,91 @@ def test_ti_set_general_pinned():
     for text, expected in TI_PINS.items():
         f = parse_poly(ring, text)
         assert [f.ti_set_general(i, 8) for i in range(4)] == expected, text
+
+
+def _expanded_cells_member(base, factors):
+    """Membership in the union of the fully expanded product cells; each
+    cell is a set of inequality indices, and a point is in the union when
+    the inequalities it satisfies include some cell."""
+    cells = [list(base) + [c for part in combo for c in part] for combo in itertools.product(*factors)]
+    ineqs = sorted({c for cell in cells for c in cell})
+    index = {c: k for k, c in enumerate(ineqs)}
+    cells = [frozenset(index[c] for c in cell) for cell in cells]
+
+    def member(p):
+        holds = frozenset(k for k, (a, b) in enumerate(ineqs) if vdot(a, p) + b >= 0)
+        return any(cell <= holds for cell in cells)
+
+    return member
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factored_membership_agrees_with_cells_and_ti_contains(n):
+    ring = orthant_ring(n)
+    if n == 2:
+        rng = random.Random(2024)
+        texts = list(TI_PINS) + [str(random_poly(ring, rng, terms=3, radius=2)) for _ in range(3)]
+    else:
+        # 3 to 5 factors of 4 options per cone: up to 1,024 cells
+        texts = ["x*y^-1 + 2*z", "x^-1*y*z - 3*y^-1"]
+    for text in texts:
+        f = parse_poly(ring, text)
+        for i in range(2 ** n):
+            base, factors = _ti_cells(f, i)
+            expanded = _expanded_cells_member(base, factors)
+            for p in box_points(n, 6):
+                inside = _satisfies(base, factors, p)
+                assert inside == f.ti_contains(p, i), (text, i, p)
+                assert inside == expanded(p), (text, i, p)
+
+
+# ti_set_general(i, 4) for the eight orthant cones, computed with the
+# expanded-cell membership and the Fraction Fourier-Motzkin certificate
+TI_PIN_N3 = [
+    [(0, 1, 0)],
+    [(-1, 0, 0), (-1, 1, -1), (0, 1, 0)],
+    [(-1, 0, 0)],
+    [(0, 0, 0)],
+    [(-1, 0, -1), (0, 0, 0), (0, 1, -1)],
+    [(-1, 0, -1)],
+    [(-1, 1, -1)],
+    [(0, 1, -1)],
+]
+
+
+def test_ti_set_general_pinned_n3():
+    f = parse_poly(orthant_ring(3), "x*y^-1 + 2*z")
+    assert [f.ti_set_general(i, 4) for i in range(8)] == TI_PIN_N3
+
+
+def test_ti_set_general_is_memoized(monkeypatch):
+    from lgb import laurent
+
+    searches = []
+    real = laurent.minimal_elements
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laurent, "minimal_elements", counting)
+    ring = orthant_ring(2)
+    f = parse_poly(ring, "x^2 - 3*y + x^-1*y^-2")
+    # callers may change what they get: a miss and a hit both return a copy
+    for _ in range(2):
+        got = f.ti_set_general(0, 8)
+        assert got == [(0, 1), (1, 0)]
+        got.append((9, 9))
+        got[0] = (7, 7)
+    assert f.ti_set_general(0, 8) == [(0, 1), (1, 0)]
+    assert len(searches) == 1
+    f.ti_set_general(0, 6)  # another radius is another search
+    assert len(searches) == 2
+    # a failure is not cached: each attempt searches again
+    g = ring.poly({(9, 0): 1, (0, 9): 1, (-8, -8): 1})
+    for _ in range(2):
+        with pytest.raises(IncompleteSearchError):
+            g.ti_set_general(0, 1)
+    assert len(searches) == 4
+    assert g.ti_set_general(0, 12) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+    assert len(searches) == 5

@@ -28,6 +28,7 @@ modules use too.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,7 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentPoly, LaurentRing, Term, format_poly, u_intersection
-from lgb.reduction import division_loop, residual
+from lgb.reduction import _memoized_lm, division_loop, residual
 
 
 class AffinoidError(ValueError):
@@ -95,11 +96,14 @@ class WeightContext:
     def __repr__(self):
         return f"WeightContext({self.r})"
 
+    def scaled_val(self, coef: Coefficient, exp) -> int:
+        """The term valuation times the common denominator of the weight."""
+        return coef.valuation() * self._den - vdot(self._num, exp)
+
     def term_val(self, coef: Coefficient, exp) -> Fraction:
         if len(exp) != len(self._num):
             raise AffinoidError("exponent dimension does not match the weight")
-        dot = sum(a * b for a, b in zip(self._num, exp))
-        return coef.valuation() - Fraction(dot, self._den)
+        return Fraction(self.scaled_val(coef, exp), self._den)
 
 
 def _body_of(f):
@@ -198,9 +202,12 @@ class PolytopeContext:
         best = coef.valuation() - Fraction(top, self._den)
         return best, tuple(i + 1 for i, d in enumerate(dots) if d == top)
 
+    def scaled_val(self, coef: Coefficient, exp) -> int:
+        """The term valuation times the common denominator of the vertices."""
+        return coef.valuation() * self._den - max(vdot(v, exp) for v in self._num)
+
     def term_val(self, coef: Coefficient, exp) -> Fraction:
-        dots = [sum(a * b for a, b in zip(v, exp)) for v in self._num]
-        return coef.valuation() - Fraction(max(dots), self._den)
+        return Fraction(self.scaled_val(coef, exp), self._den)
 
     def vi_halfspaces(self, i: int):
         """Integer normals of the vertex region V_i = {a : r_i.a >= r_j.a}."""
@@ -386,9 +393,6 @@ class WeightMode:
     def term_val(self, term: Term) -> Fraction:
         return self.context.term_val(term.coef, term.exp)
 
-    def poly_val(self, body: LaurentPoly):
-        return val_weight(self.context, body)[0]
-
     def compare_terms(self, s: Term, t: Term) -> int:
         return compare_weight(self.context, self.ring.order, s, t)
 
@@ -403,7 +407,7 @@ class WeightMode:
         """Sort key, largest term first: (num.e - v(c) * den, order key)."""
         ctx = self.context
         top = vdot(ctx._num, exp)
-        return (top - int(coef.valuation()) * ctx._den,) + self.ring.order.key(exp)
+        return (top - coef.valuation() * ctx._den,) + self.ring.order.key(exp)
 
     def leading(self, f: LaurentPoly) -> Term:
         return _max_term(self, f)
@@ -460,9 +464,6 @@ class PolytopeMode:
     def term_val(self, term: Term) -> Fraction:
         return self.context.term_val(term.coef, term.exp)
 
-    def poly_val(self, body: LaurentPoly):
-        return val_polytope(self.context, body)[0]
-
     def compare_terms(self, s: Term, t: Term) -> int:
         return compare_polytope(self.context, self.ring.order, s, t)
 
@@ -479,7 +480,7 @@ class PolytopeMode:
         vertex index, order key), where top is the largest num_k.e."""
         ctx = self.context
         top, neg_k = max((vdot(v, exp), -k) for k, v in enumerate(ctx._num, 1))
-        return (top - int(coef.valuation()) * ctx._den, neg_k) + self.ring.order.key(exp)
+        return (top - coef.valuation() * ctx._den, neg_k) + self.ring.order.key(exp)
 
     def leading(self, f: LaurentPoly) -> Term:
         return _max_term(self, f)
@@ -497,9 +498,8 @@ class PolytopeMode:
         keys = self._term_keys.get(g)
         if keys is None:
             num, den = self.context._num, self.context._den
-            # coefficient valuations are integers
             keys = [
-                (e, int(c.valuation()) * den, tuple(vdot(v, e) for v in num))
+                (e, c.valuation() * den, tuple(vdot(v, e) for v in num))
                 for e, c in g.terms_unordered()
             ]
             self._term_keys[g] = keys
@@ -623,13 +623,14 @@ class CappedSeries:
     __slots__ = ("mode", "body", "cap")
 
     def __init__(self, mode, body: LaurentPoly, cap):
-        if body.ring != mode.ring:
+        if body.ring is not mode.ring and body.ring != mode.ring:
             raise AffinoidError("series body does not live in the mode's ring")
         self.mode = mode
         self.cap = Fraction(cap)
-        kept = {
-            e: c for e, c in body.terms_unordered() if mode.term_val(Term(c, e)) < self.cap
-        }
+        ctx = mode.context
+        # an integer scaled_val is below cap * den iff it is below the ceiling
+        bound = math.ceil(self.cap * ctx._den)
+        kept = {e: c for e, c in body.terms_unordered() if ctx.scaled_val(c, e) < bound}
         self.body = LaurentPoly(mode.ring, kept)
 
     def is_zero(self) -> bool:
@@ -649,7 +650,7 @@ class CappedSeries:
     def _check(self, other):
         if not isinstance(other, CappedSeries):
             raise AffinoidError(f"expected a CappedSeries, got {type(other).__name__}")
-        if other.mode != self.mode:
+        if other.mode is not self.mode and other.mode != self.mode:
             raise AffinoidError("mixed series contexts")
 
     def __add__(self, other):
@@ -685,17 +686,17 @@ class CappedSeries:
 
 
 class _SeriesDivision:
-    """Adapter binding a mode and a cap to the shared division loop."""
+    """Adapter binding a mode to the shared division loop for one engine
+    call, with the memo of ``reduction``'s module docstring; ``bound`` is
+    ceil(cap * den) for the cap of the division in progress."""
 
-    __slots__ = ("mode", "cap")
+    __slots__ = ("mode", "labels", "bound", "_lms")
 
-    def __init__(self, mode, cap):
+    def __init__(self, mode):
         self.mode = mode
-        self.cap = Fraction(cap)
-
-    @property
-    def labels(self):
-        return self.mode.labels
+        self.labels = mode.labels
+        self.bound = None
+        self._lms = {}
 
     def term_key(self, coef, exp):
         return self.mode.term_key(coef, exp)
@@ -708,10 +709,10 @@ class _SeriesDivision:
         return self.mode.cone_leading(g, label)
 
     def shifted_lm(self, g, shift):
-        return self.mode.shifted_lm(g, shift)
+        return _memoized_lm(self._lms, g, shift, self.mode.shifted_lm)
 
     def past_cap(self, term: Term) -> bool:
-        return self.mode.term_val(term) >= self.cap
+        return self.mode.context.scaled_val(term.coef, term.exp) >= self.bound
 
     def on_fire(self, label, g, shift) -> None:
         pass
@@ -726,23 +727,29 @@ def reduce_P(f: CappedSeries, gens):
     back below it, so quotient terms are kept up to cap minus the most
     negative divisor valuation.
     """
-    gens = list(gens)
+    return _reduce_P(f, list(gens), _SeriesDivision(f.mode))
+
+
+def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
+    """``reduce_P`` with the division adapter of the calling engine function."""
     for g in gens:
         f._check(g)
         if g.is_zero():
             raise AffinoidError("divisors must be nonzero at the working precision")
-    mode = f.mode
+    mode, ctx = f.mode, f.mode.context
     cap = min([f.cap] + [g.cap for g in gens])
-    qdicts, rdict, tail = division_loop(f.body, [g.body for g in gens], _SeriesDivision(mode, cap))
+    division.bound = math.ceil(cap * ctx._den)
+    qdicts, rdict, tail = division_loop(f.body, [g.body for g in gens], division)
     ring = mode.ring
     qcap = cap
     if gens:
-        qcap = cap - min(Fraction(0), min(mode.poly_val(g.body) for g in gens))
+        low = min(ctx.scaled_val(c, e) for g in gens for e, c in g.body.terms_unordered())
+        qcap = cap - min(Fraction(0), Fraction(low, ctx._den))
     quotients = [CappedSeries(mode, LaurentPoly(ring, q), qcap) for q in qdicts]
     remainder = CappedSeries(mode, LaurentPoly(ring, rdict), cap)
     rest = residual(f.body, remainder.body, [q.body for q in quotients], [g.body for g in gens])
     for e, c in rest.items():
-        if mode.term_val(Term(c, e)) < cap:
+        if ctx.scaled_val(c, e) < division.bound:
             raise ArithmeticError("capped division identity failed to re-verify")
     return quotients, remainder
 
@@ -777,6 +784,7 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
             raise AffinoidError("generators must share one precision cap")
         if g not in basis:
             basis.append(g)
+    division = _SeriesDivision(mode)
     stats = GBStats()
     queue = deque((a, b) for a in range(len(basis)) for b in range(a + 1, len(basis)))
     while queue:
@@ -794,7 +802,7 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
                 if s.is_zero():
                     stats.zero_reductions += 1
                     continue
-                _, r = reduce_P(s, basis)
+                _, r = _reduce_P(s, basis, division)
                 if r.is_zero():
                     stats.zero_reductions += 1
                     continue
@@ -815,6 +823,7 @@ def is_groebner_series(H):
     if not H:
         raise AffinoidError("need at least one series")
     mode = H[0].mode
+    division = _SeriesDivision(mode)
     for a in range(len(H)):
         for b in range(a + 1, len(H)):
             for label in mode.labels:
@@ -826,7 +835,7 @@ def is_groebner_series(H):
                     lmg, lcg = mode.cone_leading(H[b].body, label)
                     if mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) >= 0:
                         raise AssertionError(f"S-pair at {v} does not drop below its bound")
-                    _, r = reduce_P(s, H)
+                    _, r = _reduce_P(s, H, division)
                     if not r.is_zero():
                         return False, (label, a, b, v)
     return True, None

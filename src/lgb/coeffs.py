@@ -2,15 +2,18 @@
 
 Supported fields: the rationals with the trivial valuation, the rationals
 with a p-adic valuation, and finite fields F_{p^k} (valuation identically
-zero on nonzero elements).  Rationals are stored as ``fractions.Fraction``
-(always in lowest terms, positive denominator); finite-field elements are
-coefficient vectors over F_p reduced modulo a fixed defining polynomial.
-No floating point is used anywhere.
+zero on nonzero elements).  A rational is a coprime integer pair (n, d),
+d > 0, operated on by gcd arithmetic on ints as in ``fractions.Fraction``
+(``payload`` gives the ``Fraction``); products, quotients and inverses
+carry a known valuation over.  Finite-field elements are coefficient
+vectors over F_p reduced modulo a fixed defining polynomial.  Operations
+compare fields by identity first.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class FieldError(ValueError):
@@ -151,12 +154,13 @@ class FieldSpec:
     p-adic valuation), ``finite`` (F_{p^k}, trivial valuation).
     """
 
-    __slots__ = ("kind", "p", "k", "modulus", "_reduce_rows")
+    __slots__ = ("kind", "p", "k", "modulus", "is_finite", "_reduce_rows")
 
     def __init__(self, kind: str, p: int = 0, k: int = 1, modulus=None):
         if kind not in ("rational", "padic", "finite"):
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
+        self.is_finite = kind == "finite"
         self.p = p
         self.k = k
         self.modulus = None
@@ -239,15 +243,11 @@ class FieldSpec:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
     # -- element constructors ------------------------------------------
     def zero(self) -> "Coefficient":
         if self.is_finite:
             return Coefficient(self, (0,) * self.k)
-        return Coefficient(self, Fraction(0))
+        return Coefficient(self, 0)
 
     def one(self) -> "Coefficient":
         return self.from_int(1)
@@ -255,7 +255,7 @@ class FieldSpec:
     def from_int(self, m: int) -> "Coefficient":
         if self.is_finite:
             return Coefficient(self, (m % self.p,) + (0,) * (self.k - 1))
-        return Coefficient(self, Fraction(m))
+        return self.from_fraction(m)
 
     def from_fraction(self, fr: Fraction) -> "Coefficient":
         fr = Fraction(fr)
@@ -266,7 +266,7 @@ class FieldSpec:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             val = (num * pow(den, -1, self.p)) % self.p
             return Coefficient(self, (val,) + (0,) * (self.k - 1))
-        return Coefficient(self, fr)
+        return Coefficient(self, fr.numerator, fr.denominator)
 
     def element(self, vector) -> "Coefficient":
         """Finite-field element from a coefficient vector over F_p."""
@@ -286,14 +286,25 @@ class FieldSpec:
 
 
 class Coefficient:
-    """An element of a :class:`FieldSpec`, canonical and immutable."""
+    """An element of a :class:`FieldSpec`, canonical and immutable: in Q
+    and Q_p the value ``_n/_d`` in lowest terms with ``_d > 0`` (trusted,
+    so build elements with the ``FieldSpec`` constructors), in F_{p^k} the
+    vector ``_n``.  ``_val`` is the valuation once known, else None."""
 
-    __slots__ = ("spec", "payload", "_val")
+    __slots__ = ("spec", "_n", "_d", "_val")
 
-    def __init__(self, spec: FieldSpec, payload):
+    def __init__(self, spec: FieldSpec, n, d: int = 1, val=None):
         self.spec = spec
-        self.payload = payload
-        self._val = None
+        self._n = n
+        self._d = d
+        self._val = val
+
+    @property
+    def payload(self):
+        """The value: a ``Fraction`` in Q and Q_p, the vector in F_{p^k}."""
+        if self.spec.is_finite:
+            return self._n
+        return Fraction(self._n, self._d)
 
     # ------------------------------------------------------------------
     def _check(self, other: "Coefficient") -> None:
@@ -304,8 +315,8 @@ class Coefficient:
 
     def is_zero(self) -> bool:
         if self.spec.is_finite:
-            return not any(self.payload)
-        return self.payload == 0
+            return not any(self._n)
+        return self._n == 0
 
     def __bool__(self):
         return not self.is_zero()
@@ -314,7 +325,8 @@ class Coefficient:
         return (
             isinstance(other, Coefficient)
             and self.spec == other.spec
-            and self.payload == other.payload
+            and self._n == other._n
+            and self._d == other._d
         )
 
     def __hash__(self):
@@ -322,12 +334,19 @@ class Coefficient:
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other):
-        self._check(other)
         spec = self.spec
+        if other.__class__ is not Coefficient or other.spec is not spec:
+            self._check(other)
         if spec.is_finite:
             p = spec.p
-            return Coefficient(spec, tuple((a + b) % p for a, b in zip(self.payload, other.payload)))
-        return Coefficient(spec, self.payload + other.payload)
+            return Coefficient(spec, tuple((a + b) % p for a, b in zip(self._n, other._n)))
+        # na/da + nb/db reduced by gcds, as in Fraction (Knuth 4.5.1)
+        na, da, nb, db = self._n, self._d, other._n, other._d
+        g = gcd(da, db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = gcd(t, g)
+        return Coefficient(spec, t // g, s * (db // g))
 
     def __sub__(self, other):
         return self + (-other)
@@ -336,21 +355,26 @@ class Coefficient:
         spec = self.spec
         if spec.is_finite:
             p = spec.p
-            return Coefficient(spec, tuple((-a) % p for a in self.payload))
-        return Coefficient(spec, -self.payload)
+            return Coefficient(spec, tuple((-a) % p for a in self._n))
+        return Coefficient(spec, -self._n, self._d, self._val)
 
     def __mul__(self, other):
-        self._check(other)
         spec = self.spec
+        if other.__class__ is not Coefficient or other.spec is not spec:
+            self._check(other)
         if not spec.is_finite:
-            return Coefficient(spec, self.payload * other.payload)
+            na, da, nb, db = self._n, self._d, other._n, other._d
+            g, h = gcd(na, db), gcd(nb, da)
+            va, vb = self._val, other._val
+            val = None if va is None or vb is None else va + vb
+            return Coefficient(spec, (na // g) * (nb // h), (da // h) * (db // g), val)
         p, k = spec.p, spec.k
         if k == 1:
-            return Coefficient(spec, ((self.payload[0] * other.payload[0]) % p,))
+            return Coefficient(spec, ((self._n[0] * other._n[0]) % p,))
         prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(self.payload):
+        for i, ai in enumerate(self._n):
             if ai:
-                for j, bj in enumerate(other.payload):
+                for j, bj in enumerate(other._n):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
         out = prod[:k]
         for d in range(k, 2 * k - 1):
@@ -365,40 +389,40 @@ class Coefficient:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if not spec.is_finite:
-            return Coefficient(spec, 1 / self.payload)
+            sign = -1 if self._n < 0 else 1
+            val = None if self._val is None else -self._val
+            return Coefficient(spec, sign * self._d, sign * self._n, val)
         p, k = spec.p, spec.k
         if k == 1:
-            return Coefficient(spec, (pow(self.payload[0], -1, p),))
-        vec = _pinv(list(self.payload), list(spec.modulus), p)
+            return Coefficient(spec, (pow(self._n[0], -1, p),))
+        vec = _pinv(list(self._n), list(spec.modulus), p)
         vec += [0] * (k - len(vec))
         return Coefficient(spec, tuple(vec))
 
     def __truediv__(self, other):
-        self._check(other)
+        if other.__class__ is not Coefficient or other.spec is not self.spec:
+            self._check(other)
         return self * other.inv()
 
     # ------------------------------------------------------------------
     def valuation(self):
-        """Valuation in Q plus the distinguished +inf for zero."""
+        """Valuation, an int, plus the distinguished +inf for zero."""
         if self._val is not None:
             return self._val
         if self.is_zero():
             self._val = INF
-            return INF
-        spec = self.spec
-        if spec.kind != "padic":
-            self._val = Fraction(0)
-            return self._val
-        p = spec.p
-        num, den = self.payload.numerator, self.payload.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        self._val = Fraction(v)
+        elif self.spec.kind != "padic":
+            self._val = 0
+        else:
+            p = self.spec.p
+            num, den, v = self._n, self._d, 0
+            while num % p == 0:
+                num //= p
+                v += 1
+            while den % p == 0:
+                den //= p
+                v -= 1
+            self._val = v
         return self._val
 
     def __repr__(self):

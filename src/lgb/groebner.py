@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from lgb.laurent import LaurentPoly, RingError, u_intersection
 from lgb.lattice import vsub
-from lgb.reduction import reduce
+from lgb.reduction import PolynomialMode, _reduce, reduce
 
 
 class ResourceLimitError(RuntimeError):
@@ -89,6 +89,7 @@ def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
     ring, basis = _prepare_generators(list(gens))
     inputs = list(basis)
     ncones = len(ring.order.decomposition.cones)
+    mode = PolynomialMode(ring)
     stats = GBStats()
     track = cfg.track_provenance
     combos = None
@@ -111,7 +112,7 @@ def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
                 if s.is_zero():
                     stats.zero_reductions += 1
                     continue
-                quotients, r = reduce(s, basis)
+                quotients, r = _reduce(s, basis, mode)
                 if r.is_zero():
                     stats.zero_reductions += 1
                     continue
@@ -154,6 +155,7 @@ def is_groebner(H):
     names the first failing (cone, f-index, g-index, v)."""
     ring, basis = _prepare_generators(list(H))
     ncones = len(ring.order.decomposition.cones)
+    mode = PolynomialMode(ring)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             for i in range(ncones):
@@ -162,7 +164,7 @@ def is_groebner(H):
                     _assert_spair_bound(ring, s, v)
                     if s.is_zero():
                         continue
-                    _, r = reduce(s, basis)
+                    _, r = _reduce(s, basis, mode)
                     if not r.is_zero():
                         return False, (i, a, b, v)
     return True, None

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 
 
 class LatticeError(ValueError):
@@ -35,11 +36,11 @@ Vec = tuple
 # -- exponent-vector arithmetic ----------------------------------------------
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a):
@@ -47,7 +48,7 @@ def vneg(a):
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vscale(k, a):
@@ -436,7 +437,12 @@ class Cone:
 # -- ray enumeration and Hilbert bases -----------------------------------------
 
 def rays_from_halfspaces(halfspaces, n):
-    """Extreme rays of a pointed cone {x : h.x >= 0}, n <= 3."""
+    """Extreme rays of a pointed cone C = {x : h.x >= 0}, n <= 3, sorted.
+
+    Every candidate is extreme: it is a point of C on the planes of two
+    independent normals (n = 3, d = ha x hb != 0) or of one nonzero normal
+    (n = 2), so the face of C those planes cut out lies on the line through
+    d, and C being pointed, it is the ray through d.  For n = 1 it is C."""
     hs = [tuple(h) for h in halfspaces]
     cands = set()
     if n == 1:
@@ -462,28 +468,7 @@ def rays_from_halfspaces(halfspaces, n):
                     cands.add(primitive(dd))
     else:
         raise LatticeError("ray enumeration implemented for n <= 3")
-    # discard rays interior to the hull of the others
-    rays = sorted(cands)
-    keep = []
-    for r in rays:
-        others = [x for x in rays if x != r]
-        if not others or rational_rank([list(x) for x in others]) < rational_rank(
-            [list(x) for x in others + [r]]
-        ):
-            keep.append(r)
-            continue
-        # r is extreme unless it is a nonnegative combination of the others
-        cons = []
-        nn = len(others)
-        for i in range(n):
-            row = tuple(Fraction(o[i]) for o in others)
-            cons.append((row, Fraction(-r[i]), False))
-            cons.append((tuple(-x for x in row), Fraction(r[i]), False))
-        for i in range(nn):
-            cons.append((tuple(Fraction(1 if j == i else 0) for j in range(nn)), Fraction(0), False))
-        if not fm_feasible(cons, nn):
-            keep.append(r)
-    return keep
+    return sorted(cands)
 
 
 def _simplicial_hilbert(rays, n):

@@ -128,11 +128,12 @@ class LaurentPoly:
 
     def __init__(self, ring: LaurentRing, terms: dict):
         self.ring = ring
+        field = ring.field
         clean = {}
         for exp, c in terms.items():
             if not isinstance(c, Coefficient):
                 raise RingError("coefficients must be Coefficient instances")
-            if c.spec != ring.field:
+            if c.spec is not field and c.spec != field:
                 raise RingError(f"coefficient field {c.spec} does not match ring {ring.field}")
             if len(exp) != ring.n:
                 raise RingError(f"exponent {exp} has wrong dimension")
@@ -184,7 +185,7 @@ class LaurentPoly:
     def _check(self, other):
         if not isinstance(other, LaurentPoly):
             raise RingError(f"expected a LaurentPoly, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingError("mixed ring contexts")
 
     # -- arithmetic ------------------------------------------------------

@@ -17,6 +17,14 @@ with shift = that exponent minus lm_label(g), so it always cancels at
 shift + lm_label(g) and a fire needs no further check.  The modes'
 ``on_fire`` hook does nothing; it marks each fire for ``bench/spans.py``,
 which counts reducer fires through it.
+
+The same (g, shift) test recurs within a division and across the divisions
+of one Buchberger run, so the division adapter (``PolynomialMode`` here,
+the capped layer's ``_SeriesDivision``) memoizes ``shifted_lm`` as
+``{g: {shift: lm}}``.  Each engine call builds one adapter for all of its
+divisions, so the memo dies with the call; held on the polynomial or on a
+long-lived mode, it would keep every shift tried alive with the bases the
+caller retains.
 """
 
 from __future__ import annotations
@@ -27,14 +35,27 @@ from lgb.laurent import LaurentPoly, LaurentRing, Term
 from lgb.lattice import vadd, vsub
 
 
-class PolynomialMode:
-    """Division strategy for plain Laurent polynomials under the ring order."""
+def _memoized_lm(lms, g, shift, compute):
+    """``lms[g][shift]``, set to ``compute(g, shift)`` on first use."""
+    memo = lms.get(g)
+    if memo is None:
+        memo = lms[g] = {}
+    lm = memo.get(shift)
+    if lm is None:
+        lm = memo[shift] = compute(g, shift)
+    return lm
 
-    __slots__ = ("ring", "labels")
+
+class PolynomialMode:
+    """Division strategy for plain Laurent polynomials under the ring order,
+    built once per engine call (see the module docstring)."""
+
+    __slots__ = ("ring", "labels", "_lms")
 
     def __init__(self, ring: LaurentRing):
         self.ring = ring
         self.labels = tuple(range(len(ring.order.decomposition.cones)))
+        self._lms = {}
 
     def term_key(self, coef, exp):
         return self.ring.order.key(exp)
@@ -48,7 +69,7 @@ class PolynomialMode:
         return lm, lc
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        return g.shifted_leading_monomial(shift)
+        return _memoized_lm(self._lms, g, shift, LaurentPoly.shifted_leading_monomial)
 
     def past_cap(self, term: Term) -> bool:
         return False
@@ -139,12 +160,16 @@ def reduce(f: LaurentPoly, gens) -> ReductionResult:
     exactly) and no remainder term divisible inside any cone module of the
     divisors.
     """
-    ring = f.ring
     for g in gens:
         f._check(g)
         if g.is_zero():
             raise ValueError("divisors must be nonzero")
-    mode = PolynomialMode(ring)
+    return _reduce(f, gens, PolynomialMode(f.ring))
+
+
+def _reduce(f: LaurentPoly, gens, mode: PolynomialMode) -> ReductionResult:
+    """``reduce`` by checked divisors, with the calling engine's adapter."""
+    ring = f.ring
     qdicts, rdict, tail = division_loop(f, gens, mode)
     if not tail.is_zero():
         raise AssertionError("polynomial division left a tail past the cap")

@@ -611,11 +611,22 @@ def test_polytope_setup_feasibility_matches_fraction_elimination(monkeypatch):
         ctx = PolytopeContext(vertices)
         for base in ("standard", "orthant"):
             build_refined_decomposition(ctx, build_decomposition(base, 2))
-    for hs in SETUP_CONES:
-        lattice.rays_from_halfspaces(hs, 3)
+    # in a pointed cone every candidate ray is extreme, so the ray
+    # enumeration asks no feasibility question; its output is unchanged
+    # from the version that filtered candidates with fm_feasible
+    # with the two cones of the ray tests in test_lattice
+    cones = [(hs, 3) for hs in SETUP_CONES] + [
+        (((-3, -2), (-1, 0), (-1, 1)), 2),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3),
+    ]
+    rays = [lattice.rays_from_halfspaces(hs, n) for hs, n in cones]
     assert callers == {
         "_in_convex_hull": {False},
         "build_refined_decomposition": {True, False},
-        # in a pointed cone every candidate ray is extreme
-        "rays_from_halfspaces": {False},
     }
+    assert rays == [
+        [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)],
+        [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)],
+        [(-2, 3), (-1, -1)],
+        [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+    ]

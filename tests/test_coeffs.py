@@ -1,9 +1,13 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from lgb.coeffs import BUILTIN_MODULI, INF, Coefficient, FieldError, FieldSpec
+from lgb.laurent import LaurentPoly, RingError
 
 
 def test_rational_arithmetic():
@@ -136,3 +140,99 @@ def test_field_axioms_random(spec):
         assert a + (-a) == spec.zero()
         if not a.is_zero():
             assert a * a.inv() == spec.one()
+
+
+def _rationals(rng, count):
+    """Zero, units, negatives and values of a hundred-odd bits."""
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2**70, 3**40), Fraction(-(3**50), 2**61)]
+    while len(out) < count:
+        num = rng.choice((rng.randint(-60, 60), rng.randint(-(10**30), 10**30), 0))
+        den = rng.choice((1, rng.randint(1, 64), rng.randint(1, 10**25)))
+        out.append(Fraction(num, den))
+    return out
+
+
+def _padic_valuation(x, p):
+    if x == 0:
+        return INF
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _assert_matches(spec, c, x):
+    """c is the canonical element for the Fraction x: the coprime pair with
+    a positive denominator, compared with the from_fraction element."""
+    assert c.payload == x and type(c.payload) is Fraction
+    assert c._d > 0 and gcd(c._n, c._d) == 1
+    ref = spec.from_fraction(x)
+    assert c == ref and hash(c) == hash(ref) == hash((spec, x))
+    # a valuation carried over by the operation equals the recomputed one
+    expected = _padic_valuation(x, spec.p) if spec.kind == "padic" else (INF if x == 0 else 0)
+    assert c.valuation() == expected and ref.valuation() == expected
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.rational(), FieldSpec.padic(2)], ids=["Q", "Q2"])
+def test_rational_arithmetic_matches_fraction(spec):
+    rng = random.Random(4242)
+    values = _rationals(rng, 60)
+    for x in values:
+        a = spec.from_fraction(x)
+        _assert_matches(spec, a, x)
+        _assert_matches(spec, -a, -x)
+        if x:
+            _assert_matches(spec, a.inv(), 1 / x)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+    for x, y in itertools.product(values, repeat=2):
+        a, b = spec.from_fraction(x), spec.from_fraction(y)
+        if rng.random() < 0.5:
+            # known operand valuations are propagated, unknown ones are not
+            a.valuation()
+            b.valuation()
+        _assert_matches(spec, a + b, x + y)
+        _assert_matches(spec, a - b, x - y)
+        _assert_matches(spec, a * b, x * y)
+        if y:
+            _assert_matches(spec, a / b, x / y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        assert (a == b) == (x == y)
+
+
+def test_padic_valuation_propagates_through_products():
+    q2 = FieldSpec.padic(2)
+    a, b, z = q2.from_fraction(Fraction(12, 5)), q2.from_fraction(Fraction(3, 8)), q2.zero()
+    a.valuation(), b.valuation(), z.valuation()
+    for c, v in ((a * b, 2 - 3), (a / b, 2 + 3), (b.inv(), 3), (-a, 2), (a * z, INF), (z / b, INF)):
+        assert c._val == v
+        assert c.valuation() == v
+
+
+def test_mixed_fields_raise_in_every_operation():
+    q, q2, q3, f7 = FieldSpec.rational(), FieldSpec.padic(2), FieldSpec.padic(3), FieldSpec.finite(7)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for s, t in ((q, q2), (q2, q), (q2, q3), (q, f7), (f7, q2)):
+        for op in ops:
+            with pytest.raises(FieldError):
+                op(s.from_int(3), t.from_int(5))
+    for op in ops:
+        with pytest.raises(FieldError):
+            op(q.from_int(3), 5)
+    # equal fields held in distinct objects mix freely
+    assert FieldSpec.padic(2).from_int(3) * FieldSpec.padic(2).from_int(5) == q2.from_int(15)
+
+
+def test_laurent_poly_rejects_a_coefficient_of_another_field(q_ring2):
+    with pytest.raises(RingError):
+        LaurentPoly(q_ring2, {(0, 0): FieldSpec.padic(2).one()})
+    with pytest.raises(FieldError):
+        q_ring2.one() * FieldSpec.finite(7).one()
+    assert LaurentPoly(q_ring2, {(0, 0): FieldSpec.rational().one()}) == q_ring2.one()

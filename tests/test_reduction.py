@@ -1,13 +1,16 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from conftest import random_poly, ring_for
+from lgb.affinoid import WeightContext, WeightMode, _SeriesDivision
 from lgb.coeffs import FieldSpec
 from lgb.cli import parse_poly
-from lgb.laurent import Term
-from lgb.lattice import vsub
-from lgb.reduction import reduce
+from lgb.laurent import LaurentPoly, Term
+from lgb.lattice import box_points, vsub
+from lgb.reduction import PolynomialMode, reduce
 
 
 def test_quoted_division_fixture(q_ring2):
@@ -101,3 +104,96 @@ def test_guard_rejects_naive_cancellation(q_ring2):
     assert q_ring2.order.compare(grown, lm_f) > 0
     _, remainder = reduce(f, [g])
     assert remainder == f
+
+
+def _memo_cases():
+    """(name, adapter, direct, polynomials): the reducer-test memo of each
+    division adapter against lm(X^shift g) computed from the product."""
+    from test_affinoid import example71, q2_ring
+
+    rng = random.Random(77)
+    ring = ring_for(FieldSpec.rational(), 2, "degmin")
+    polys = [random_poly(ring, rng, terms=4, radius=3) for _ in range(5)]
+    yield "polynomial", PolynomialMode(ring), lambda g, t: g.term_mul(t).leading_monomial(), polys
+    wring = q2_ring()
+    for name, mode in (
+        ("weight (1,2)", WeightMode(wring, WeightContext((1, 2)))),
+        ("example 7.1", example71()[3]),
+    ):
+        polys = [random_poly(mode.ring, rng, terms=4, radius=3) for _ in range(5)]
+        yield name, _SeriesDivision(mode), lambda g, t, m=mode: m.leading(g.term_mul(t)).exp, polys
+
+
+def test_memoized_shifted_lm_matches_direct_computation():
+    rng = random.Random(5)
+    for name, adapter, direct, polys in _memo_cases():
+        queries = [(g, t) for g in polys for t in box_points(2, 4)] * 2
+        rng.shuffle(queries)
+        for g, t in queries:
+            assert adapter.shifted_lm(g, t) == direct(g, t), (name, g, t)
+
+
+def test_repeated_reducer_test_is_computed_once(monkeypatch, q_ring2):
+    from test_affinoid import q2_ring
+
+    def counting(owner, name):
+        shifts = []
+        real = getattr(owner, name)
+
+        def wrapped(self, *args):
+            shifts.append(args[-1])
+            return real(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+        return shifts
+
+    g = parse_poly(q_ring2, "x^-2*y^-1 + x*y")
+    h = parse_poly(q2_ring(), "2*x^-1 + y^2")
+    series = _SeriesDivision(WeightMode(h.ring, WeightContext((1, 2))))
+    for adapter, f, owner, name in (
+        (PolynomialMode(q_ring2), g, LaurentPoly, "shifted_leading_monomial"),
+        (series, h, WeightMode, "shifted_lm"),
+    ):
+        shifts = counting(owner, name)
+        for _ in range(3):
+            adapter.shifted_lm(f, (1, 2))
+        adapter.shifted_lm(f, (2, 1))
+        adapter.shifted_lm(f, (1, 2))
+        assert shifts == [(1, 2), (2, 1)]
+        monkeypatch.undo()
+
+
+def _spy(monkeypatch, module, name):
+    """Replace an adapter class with a subclass that records a weak
+    reference to every instance."""
+    refs = []
+    real = getattr(module, name)
+
+    class Spy(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(module, name, Spy)
+    return refs
+
+
+def test_division_adapter_lives_for_one_engine_call(monkeypatch, q_ring2):
+    from lgb import affinoid, groebner
+    from lgb.cli import parse_problem
+
+    refs = _spy(monkeypatch, groebner, "PolynomialMode")
+    gens = [parse_poly(q_ring2, "x^2*y - 1"), parse_poly(q_ring2, "x*y^2 - x")]
+    basis = groebner.buchberger(gens).basis
+    assert groebner.is_groebner(basis)[0]
+    problem = parse_problem(
+        "ring Qp 2\nvars x y\nweight 1 2\norder degmin\nprecision 12\ngens:\n"
+        "2*x^-1 + y^2\nx*y + 4\n"
+    )
+    series_refs = _spy(monkeypatch, affinoid, "_SeriesDivision")
+    sbasis = affinoid.buchberger_P(problem.series_generators()).basis
+    affinoid.reduce_P(problem.series(parse_poly(problem.ring, "x + y")), sbasis)
+    gc.collect()
+    # one adapter per call, each gone once its call has returned
+    assert len(refs) == 2 and len(series_refs) == 2
+    assert all(ref() is None for ref in refs + series_refs)

@@ -1,0 +1,120 @@
+"""Write every answer of the benchmark workloads and of the CLI to one file,
+so that two checkouts can be compared byte for byte.
+
+  python3 tools/dump_answers.py CHECKOUT OUT
+
+CHECKOUT is the root of an lgb checkout; its ``src`` and ``bench`` are
+imported.  The file holds, for seeds 1 and 7 of the three workloads, every
+basis (with its pair statistics), criterion verdict, and the quotients and
+remainder of each probe, of 1 and of each generator divided by the basis
+and by the generators; the bases or exceptions of the known failures; then
+the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
+``reduce``, ``member`` and ``info`` on each seed-1 problem file and each
+known failure (written to the directory ``OUT.problems``), and of
+``selftest``.  Compare two checkouts with ``cmp``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+WORKLOADS = ("std-cones", "general-cones", "capped-series")
+VERBS = (["gb"], ["gb", "--normalize"], ["check"], ["reduce"], ["member"], ["info"])
+
+
+def run_cli(cli, argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an uncaught exception is an answer too
+            code = f"uncaught {type(exc).__name__}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main():
+    checkout = Path(sys.argv[1]).resolve()
+    out_path = Path(sys.argv[2])
+    sys.path.insert(0, str(checkout / "src"))
+    sys.path.insert(0, str(checkout / "bench"))
+    import workloads
+    import worker
+    from lgb import affinoid, cli, reduction
+    from lgb.laurent import format_poly
+
+    lines = []
+    emit = lines.append
+
+    def text(h):
+        body = h.body if isinstance(h, affinoid.CappedSeries) else h
+        return format_poly(body) + " | " + repr(sorted((e, repr(c)) for e, c in body.terms_unordered()))
+
+    def guarded(label, fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # the failure type is the answer
+            emit(f"{label}: raised {type(exc).__name__}: {exc}")
+            return None
+
+    for seed in (1, 7):
+        for wl in WORKLOADS:
+            for inst in workloads.build(wl, seed):
+                case = worker.make_case(inst)
+                emit(f"== {wl} seed {seed} {inst.name}")
+                res = guarded("gb", case.gb)
+                if res is None:
+                    continue
+                emit(f"stats {res.stats}")
+                for h in res.basis:
+                    emit("basis " + text(h))
+                emit(f"check {guarded('check', case.check, res.basis)}")
+                for f in case.probes + [case.one] + list(case.gens):
+                    for divisors in (res.basis, case.gens):
+                        if isinstance(f, affinoid.CappedSeries):
+                            r = guarded("reduce", affinoid.reduce_P, f, divisors)
+                        else:
+                            r = guarded("reduce", reduction.reduce, f, divisors)
+                        if r is None:
+                            continue
+                        quotients, remainder = r
+                        emit("rem " + text(remainder))
+                        for q in quotients:
+                            emit("quo " + text(q))
+        for name, body, _ in workloads.KNOWN_FAILURES:
+            emit(f"== known {name}")
+            problem = cli.parse_problem(body)
+            res = guarded("gb", affinoid.buchberger_P, problem.series_generators())
+            if res is not None:
+                for h in res.basis:
+                    emit("basis " + text(h))
+
+    probdir = out_path.parent / (out_path.name + ".problems")
+    probdir.mkdir(exist_ok=True)
+    files = []
+    for wl in WORKLOADS:
+        for k, inst in enumerate(workloads.build(wl, 1)):
+            files.append((f"{wl}-{k}", inst.text, inst.probes[0].text))
+    for k, (_, body, _) in enumerate(workloads.KNOWN_FAILURES):
+        files.append((f"known-{k}", body, "x + y"))
+    for name, body, probe in files:
+        path = probdir / f"{name}.txt"
+        path.write_text(body)
+        for verb in VERBS:
+            argv = [*verb, str(path)]
+            if verb[0] in ("reduce", "member", "info"):
+                argv += ["--poly", probe]
+            code, out, err = run_cli(cli, argv)
+            emit(f"== cli {name} {' '.join(verb)} -> {code}")
+            emit(out)
+            emit("stderr: " + err.replace(str(probdir), "<dir>"))
+    code, out, _ = run_cli(cli, ["selftest"])
+    emit(f"== selftest -> {code}")
+    emit(out)
+    out_path.write_text("\n".join(lines) + "\n")
+    print(f"{len(lines)} lines written to {out_path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -727,11 +727,13 @@ def reduce_P(f: CappedSeries, gens):
     back below it, so quotient terms are kept up to cap minus the most
     negative divisor valuation.
     """
-    return _reduce_P(f, list(gens), _SeriesDivision(f.mode))
+    qdicts, qcap, remainder = _reduce_P(f, list(gens), _SeriesDivision(f.mode))
+    return [CappedSeries(f.mode, LaurentPoly(f.mode.ring, q), qcap) for q in qdicts], remainder
 
 
 def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
-    """``reduce_P`` with the division adapter of the calling engine function."""
+    """``reduce_P`` with the division adapter of the calling engine function:
+    (quotient term dicts cut at their raised cap, that cap, remainder)."""
     for g in gens:
         f._check(g)
         if g.is_zero():
@@ -745,13 +747,15 @@ def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
     if gens:
         low = min(ctx.scaled_val(c, e) for g in gens for e, c in g.body.terms_unordered())
         qcap = cap - min(Fraction(0), Fraction(low, ctx._den))
-    quotients = [CappedSeries(mode, LaurentPoly(ring, q), qcap) for q in qdicts]
+    # the terms CappedSeries(mode, LaurentPoly(ring, q), qcap) would keep
+    qbound = math.ceil(qcap * ctx._den)
+    qdicts = [{e: c for e, c in q.items() if ctx.scaled_val(c, e) < qbound} for q in qdicts]
     remainder = CappedSeries(mode, LaurentPoly(ring, rdict), cap)
-    rest = residual(f.body, remainder.body, [q.body for q in quotients], [g.body for g in gens])
+    rest = residual(f.body, remainder.body, qdicts, [g.body for g in gens])
     for e, c in rest.items():
         if ctx.scaled_val(c, e) < division.bound:
             raise ArithmeticError("capped division identity failed to re-verify")
-    return quotients, remainder
+    return qdicts, qcap, remainder
 
 
 def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeries:
@@ -802,7 +806,7 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
                 if s.is_zero():
                     stats.zero_reductions += 1
                     continue
-                _, r = _reduce_P(s, basis, division)
+                _, _, r = _reduce_P(s, basis, division)
                 if r.is_zero():
                     stats.zero_reductions += 1
                     continue
@@ -835,7 +839,7 @@ def is_groebner_series(H):
                     lmg, lcg = mode.cone_leading(H[b].body, label)
                     if mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) >= 0:
                         raise AssertionError(f"S-pair at {v} does not drop below its bound")
-                    _, r = _reduce_P(s, H, division)
+                    _, _, r = _reduce_P(s, H, division)
                     if not r.is_zero():
                         return False, (label, a, b, v)
     return True, None

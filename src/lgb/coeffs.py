@@ -5,14 +5,21 @@ with a p-adic valuation, and finite fields F_{p^k} (valuation identically
 zero on nonzero elements).  A rational is a coprime integer pair (n, d),
 d > 0, operated on by gcd arithmetic on ints as in ``fractions.Fraction``
 (``payload`` gives the ``Fraction``); products, quotients and inverses
-carry a known valuation over.  Finite-field elements are coefficient
-vectors over F_p reduced modulo a fixed defining polynomial.  Operations
-compare fields by identity first.  No floating point is used anywhere.
+carry a known valuation over.  An element of a prime field F_p is its
+residue.  An extension field F_{p^k}, k >= 2, is F_p[t]/(modulus) with
+p^k <= 10^4; its nonzero element alpha^i is stored as the exponent i in
+1..q-1 of a primitive element alpha, so products, inverses and negation
+add exponents mod q-1 and a sum is one lookup in the Zech logarithm table
+(1 + alpha^d = alpha^Z(d)).  The tables are built once per field; the
+coefficient vector over F_p (``payload``) is read from them.  Zero is
+``_n == 0`` in every field.  Operations compare fields by identity
+first.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 
@@ -68,17 +75,6 @@ def _ptrim(a):
     return a
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pdivmod(a, b, p):
     a = list(a)
     db, lb = len(b) - 1, b[-1]
@@ -94,26 +90,22 @@ def _pdivmod(a, b, p):
     return _ptrim(q), a
 
 
-def _pinv(a, modulus, p):
-    """Inverse of a modulo the defining polynomial, by extended Euclid."""
-    r0, r1 = list(modulus), _ptrim(list(a))
-    if not r1:
-        raise ZeroDivisionError("inverse of zero in a finite field")
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        qt = _pmul(q, t1, p)
-        t2 = [(x - y) % p for x, y in _zipext(t0, qt)]
-        t0, t1 = t1, _ptrim(t2)
-    # r0 is the gcd, a nonzero constant since the modulus is irreducible
-    c = pow(r0[0], -1, p)
-    return _ptrim([(x * c) % p for x in t0])
+def _mulmod(a, b, modulus, p):
+    """a * b modulo the defining polynomial; builds the field tables only."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _pdivmod(_ptrim([c % p for c in prod]), modulus, p)[1]
 
 
-def _zipext(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+def _powmod(a, e, modulus, p):
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, modulus, p)
+        a, e = _mulmod(a, a, modulus, p), e >> 1
+    return out
 
 
 def _irreducible(modulus, p) -> bool:
@@ -136,6 +128,29 @@ def _irreducible(modulus, p) -> bool:
     return k >= 1
 
 
+@cache
+def _field_tables(p, k, modulus):
+    """Tables of F_{p^k} = F_p[t]/(modulus), built once per field for every
+    FieldSpec of it, for a primitive alpha found by the order test on the
+    prime factors of q-1: ``exp[i]`` is the vector of alpha^i for i in
+    1..q-1 and ``exp[0]`` the zero vector, ``log`` inverts ``exp``, and
+    1 + alpha^d = alpha^zech[d] (0 when it is zero)."""
+    q1, mod = p ** k - 1, list(modulus)
+    primes = [r for r in range(2, q1 + 1) if q1 % r == 0 and _is_prime(r)]
+    for code in range(2, q1 + 1):
+        alpha = _ptrim([code // p ** i % p for i in range(k)])
+        if all(_powmod(alpha, q1 // r, mod, p) != [1] for r in primes):
+            break
+    exp, cur = [(0,) * k], [1]
+    for _ in range(q1):
+        cur = _mulmod(cur, alpha, mod, p)
+        exp.append(tuple(cur) + (0,) * (k - len(cur)))
+    log = {v: i for i, v in enumerate(exp)}
+    # alpha^d for d = 0..q-2, alpha^0 being exp[q-1]
+    zech = tuple(log[((v[0] + 1) % p,) + v[1:]] for v in exp[-1:] + exp[1:-1])
+    return tuple(exp), log, zech
+
+
 #: defining polynomials for the small built-in extension fields,
 #: little-endian with leading coefficient 1
 BUILTIN_MODULI = {
@@ -154,7 +169,7 @@ class FieldSpec:
     p-adic valuation), ``finite`` (F_{p^k}, trivial valuation).
     """
 
-    __slots__ = ("kind", "p", "k", "modulus", "is_finite", "_reduce_rows")
+    __slots__ = ("kind", "p", "k", "modulus", "is_finite", "_exp", "_log", "_zech", "_q1", "_half")
 
     def __init__(self, kind: str, p: int = 0, k: int = 1, modulus=None):
         if kind not in ("rational", "padic", "finite"):
@@ -164,7 +179,6 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.modulus = None
-        self._reduce_rows = None
         if kind == "rational":
             self.p = 0
             self.k = 1
@@ -181,6 +195,8 @@ class FieldSpec:
                 if modulus is not None:
                     raise FieldError("prime fields take no defining polynomial")
             else:
+                if p ** k > 10 ** 4:
+                    raise FieldError(f"GF({p}^{k}) is too large: extension fields need p^k <= 10^4")
                 if modulus is None:
                     try:
                         modulus = BUILTIN_MODULI[(p, k)]
@@ -192,19 +208,13 @@ class FieldSpec:
                 modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
                 if len(modulus) != k + 1:
                     raise FieldError("defining polynomial must be monic of degree k")
-                if p ** k <= 10 ** 4 and not _irreducible(modulus, p):
+                if not _irreducible(modulus, p):
                     raise FieldError(f"defining polynomial {modulus} is reducible over F_{p}")
                 self.modulus = modulus
-                # reduction table for t^k .. t^(2k-2)
-                rows = []
-                cur = [(-c) % p for c in modulus[:-1]]
-                rows.append(tuple(cur))
-                for _ in range(k - 2):
-                    cur = [0] + cur
-                    carry = cur.pop()
-                    cur = [(cur[i] + carry * rows[0][i]) % p for i in range(k)]
-                    rows.append(tuple(cur))
-                self._reduce_rows = tuple(rows)
+                self._exp, self._log, self._zech = _field_tables(p, k, modulus)
+                # -1 = alpha^((q-1)/2), or 1 in characteristic 2
+                self._q1 = p ** k - 1
+                self._half = 0 if p == 2 else self._q1 // 2
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -245,8 +255,6 @@ class FieldSpec:
 
     # -- element constructors ------------------------------------------
     def zero(self) -> "Coefficient":
-        if self.is_finite:
-            return Coefficient(self, (0,) * self.k)
         return Coefficient(self, 0)
 
     def one(self) -> "Coefficient":
@@ -254,7 +262,7 @@ class FieldSpec:
 
     def from_int(self, m: int) -> "Coefficient":
         if self.is_finite:
-            return Coefficient(self, (m % self.p,) + (0,) * (self.k - 1))
+            return self.element((m,))
         return self.from_fraction(m)
 
     def from_fraction(self, fr: Fraction) -> "Coefficient":
@@ -264,8 +272,7 @@ class FieldSpec:
             den = fr.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            val = (num * pow(den, -1, self.p)) % self.p
-            return Coefficient(self, (val,) + (0,) * (self.k - 1))
+            return self.element((num * pow(den, -1, self.p),))
         return Coefficient(self, fr.numerator, fr.denominator)
 
     def element(self, vector) -> "Coefficient":
@@ -276,7 +283,7 @@ class FieldSpec:
         if len(vec) > self.k:
             raise FieldError("vector longer than the extension degree")
         vec += [0] * (self.k - len(vec))
-        return Coefficient(self, tuple(vec))
+        return Coefficient(self, vec[0] if self.k == 1 else self._log[tuple(vec)])
 
     def generator(self) -> "Coefficient":
         """The residue of t in F_{p^k} = F_p[t]/(modulus)."""
@@ -288,8 +295,11 @@ class FieldSpec:
 class Coefficient:
     """An element of a :class:`FieldSpec`, canonical and immutable: in Q
     and Q_p the value ``_n/_d`` in lowest terms with ``_d > 0`` (trusted,
-    so build elements with the ``FieldSpec`` constructors), in F_{p^k} the
-    vector ``_n``.  ``_val`` is the valuation once known, else None."""
+    so build elements with the ``FieldSpec`` constructors), in F_p the
+    residue ``_n``, in F_{p^k} the exponent ``_n`` in 1..q-1 of alpha (an
+    exponent sum ``e`` reduces as ``e % (q-1) or q-1``), and zero is
+    ``_n == 0`` everywhere.  ``_val`` is the valuation once known, else
+    None."""
 
     __slots__ = ("spec", "_n", "_d", "_val")
 
@@ -302,9 +312,10 @@ class Coefficient:
     @property
     def payload(self):
         """The value: a ``Fraction`` in Q and Q_p, the vector in F_{p^k}."""
-        if self.spec.is_finite:
-            return self._n
-        return Fraction(self._n, self._d)
+        spec = self.spec
+        if not spec.is_finite:
+            return Fraction(self._n, self._d)
+        return (self._n,) if spec.k == 1 else spec._exp[self._n]
 
     # ------------------------------------------------------------------
     def _check(self, other: "Coefficient") -> None:
@@ -314,8 +325,6 @@ class Coefficient:
             raise FieldError(f"mixed fields: {self.spec} and {other.spec}")
 
     def is_zero(self) -> bool:
-        if self.spec.is_finite:
-            return not any(self._n)
         return self._n == 0
 
     def __bool__(self):
@@ -338,8 +347,14 @@ class Coefficient:
         if other.__class__ is not Coefficient or other.spec is not spec:
             self._check(other)
         if spec.is_finite:
-            p = spec.p
-            return Coefficient(spec, tuple((a + b) % p for a, b in zip(self._n, other._n)))
+            a, b = self._n, other._n
+            if spec.k == 1:
+                return Coefficient(spec, (a + b) % spec.p)
+            if not a or not b:
+                return self if b == 0 else other
+            # alpha^a + alpha^b = alpha^a (1 + alpha^(b-a)); b - a < 0 wraps mod q-1
+            z = spec._zech[b - a]
+            return Coefficient(spec, z and ((a + z) % spec._q1 or spec._q1))
         # na/da + nb/db reduced by gcds, as in Fraction (Knuth 4.5.1)
         na, da, nb, db = self._n, self._d, other._n, other._d
         g = gcd(da, db)
@@ -352,11 +367,12 @@ class Coefficient:
         return self + (-other)
 
     def __neg__(self):
-        spec = self.spec
-        if spec.is_finite:
-            p = spec.p
-            return Coefficient(spec, tuple((-a) % p for a in self._n))
-        return Coefficient(spec, -self._n, self._d, self._val)
+        spec, a = self.spec, self._n
+        if not spec.is_finite:
+            return Coefficient(spec, -a, self._d, self._val)
+        if spec.k == 1:
+            return Coefficient(spec, -a % spec.p)
+        return Coefficient(spec, a and ((a + spec._half) % spec._q1 or spec._q1))
 
     def __mul__(self, other):
         spec = self.spec
@@ -368,21 +384,10 @@ class Coefficient:
             va, vb = self._val, other._val
             val = None if va is None or vb is None else va + vb
             return Coefficient(spec, (na // g) * (nb // h), (da // h) * (db // g), val)
-        p, k = spec.p, spec.k
-        if k == 1:
-            return Coefficient(spec, ((self._n[0] * other._n[0]) % p,))
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(self._n):
-            if ai:
-                for j, bj in enumerate(other._n):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[:k]
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
-            if c:
-                row = spec._reduce_rows[d - k]
-                out = [(out[i] + c * row[i]) % p for i in range(k)]
-        return Coefficient(spec, tuple(out))
+        a, b = self._n, other._n
+        if spec.k == 1:
+            return Coefficient(spec, a * b % spec.p)
+        return Coefficient(spec, a and b and ((a + b) % spec._q1 or spec._q1))
 
     def inv(self) -> "Coefficient":
         spec = self.spec
@@ -392,12 +397,9 @@ class Coefficient:
             sign = -1 if self._n < 0 else 1
             val = None if self._val is None else -self._val
             return Coefficient(spec, sign * self._d, sign * self._n, val)
-        p, k = spec.p, spec.k
-        if k == 1:
-            return Coefficient(spec, (pow(self._n[0], -1, p),))
-        vec = _pinv(list(self._n), list(spec.modulus), p)
-        vec += [0] * (k - len(vec))
-        return Coefficient(spec, tuple(vec))
+        if spec.k == 1:
+            return Coefficient(spec, pow(self._n, -1, spec.p))
+        return Coefficient(spec, spec._q1 - self._n or spec._q1)
 
     def __truediv__(self, other):
         if other.__class__ is not Coefficient or other.spec is not self.spec:

@@ -127,7 +127,8 @@ def division_loop(f: LaurentPoly, gens, mode):
 
 
 def residual(f: LaurentPoly, remainder: LaurentPoly, quotients, gens) -> dict:
-    """The nonzero terms of ``f - r - sum(q * g)``, accumulated in one dict."""
+    """The nonzero terms of ``f - r - sum(q * g)``, accumulated in one dict;
+    the quotients are ``{exp: coef}`` term dicts."""
     acc = dict(f.terms_unordered())
 
     def add(e, c):
@@ -137,7 +138,7 @@ def residual(f: LaurentPoly, remainder: LaurentPoly, quotients, gens) -> dict:
     for e, c in remainder.terms_unordered():
         add(e, -c)
     for q, g in zip(quotients, gens):
-        for eq, cq in q.terms_unordered():
+        for eq, cq in q.items():
             neg = -cq
             for eg, cg in g.terms_unordered():
                 add(vadd(eq, eg), cg * neg)
@@ -175,6 +176,6 @@ def _reduce(f: LaurentPoly, gens, mode: PolynomialMode) -> ReductionResult:
         raise AssertionError("polynomial division left a tail past the cap")
     quotients = [LaurentPoly(ring, q) for q in qdicts]
     remainder = LaurentPoly(ring, rdict)
-    if residual(f, remainder, quotients, gens):
+    if residual(f, remainder, qdicts, gens):
         raise ArithmeticError("division identity failed to re-verify")
     return ReductionResult(quotients, remainder)

@@ -44,6 +44,44 @@ def random_coeff(ring, rng, bound=9):
     return field.from_fraction(Fraction(c, den))
 
 
+def ref_add(spec, a, b):
+    """Reference F_{p^k} sum of two coefficient vectors."""
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def ref_neg(spec, a):
+    return tuple(-x % spec.p for x in a)
+
+
+def ref_mul(spec, a, b):
+    """Reference F_{p^k} product: the schoolbook convolution, then each
+    t^d with d >= k replaced by t^(d-k) times the negated lower part of the
+    monic defining polynomial, from the top degree down."""
+    p, k = spec.p, spec.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    if k > 1:
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d]
+            prod[d] = 0
+            for i, m in enumerate(spec.modulus[:-1]):
+                prod[d - k + i] -= c * m
+    return tuple(x % p for x in prod[:k])
+
+
+def field_vectors(spec):
+    """Every element of F_{p^k} as a coefficient vector, zero first."""
+    return [tuple(code // spec.p ** i % spec.p for i in range(spec.k)) for code in range(spec.p ** spec.k)]
+
+
+def ref_inv(spec, a):
+    """Reference inverse: the element whose product with a is one."""
+    one = (1,) + (0,) * (spec.k - 1)
+    return next(b for b in field_vectors(spec) if ref_mul(spec, a, b) == one)
+
+
 def random_poly(ring, rng, terms=3, radius=3, bound=9, attempts=100):
     """A nonzero random polynomial with up to `terms` terms in a box."""
     for _ in range(attempts):

@@ -197,3 +197,44 @@ def test_deterministic_output(tmp_path, capsys):
 def test_missing_file(capsys):
     assert main(["gb", "/nonexistent/problem.lgb"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "q, gens, expected",
+    [
+        (
+            4,
+            "a*x^2*y + x*y^-1 + 1\nx^-1*y^2 + (a+1)*x + a*y\n",
+            "a*x^2*y + x*y^-1 + 1\nx^-1*y^2 + (a+1)*x + a*y\na*y^3 + (a+1)*x^-1*y + (a+1)\n"
+            "x + a*x^-1*y^-1\nx^-4*y^-4 + (a+1)*y\na*y + a*x^-1*y^-1\n(a+1)*x^-3*y^-3 + a\n",
+        ),
+        (
+            8,
+            "a*x^2*y + x*y^-1 + a^2\nx^-1*y^2 + (a^2+1)*x + a*y\n",
+            "a*x^2*y + x*y^-1 + a^2\nx^-1*y^2 + (a^2+1)*x + a*y\na*y^3 + a*x^-1*y + a\n"
+            "(a^2+1)*x^-3*y^-2 + x + a*x^-1*y^-1\n(a+1)*x + a^2*y + a*x^-1*y^-1\n"
+            "(a^2+a+1)*x^-4*y^-4 + y + (a+1)*x^-1*y^-1\na*x^-2*y^-1 + (a^2+1)*x^-3*y^-3 + a^2\n",
+        ),
+        (
+            25,
+            "a*x^2*y + 3*x*y^-1 + 2\nx^-1*y^2 + (2*a+4)*x + a*y\n",
+            "a*x^2*y + 3*x*y^-1 + 2\nx^-1*y^2 + (2*a+4)*x + a*y\n4*a*y^3 + (2*a+2)*x^-1*y + (4*a+3)\n"
+            "2*x^-3*y^-2 + (2*a+3)*x + x^-1*y^-1\n(a+3)*x + (a+1)*y + (4*a+4)*x^-1*y^-1\n"
+            "2*x^-4*y^-4 + (4*a+2)*y + (a+3)*x^-1*y^-1\n(2*a+3)*x^-2*y^-1 + x^-3*y^-3 + (a+4)\n",
+        ),
+        (
+            27,
+            "a*x^2*y + 2*x*y^-1 + a^2\nx^-1*y^2 + (a^2+2*a)*x + a*y\n",
+            "a*x^2*y + 2*x*y^-1 + a^2\nx^-1*y^2 + (a^2+2*a)*x + a*y\n2*a*y^3 + a*x^-1*y + (a^2+a+1)\n"
+            "(a^2+2*a)*x^-3*y^-2 + (2*a^2+a+2)*x + (2*a^2+2)*x^-1*y^-1\n"
+            "(2*a^2+2)*x + 2*a^2*y + (a^2+a+1)*x^-1*y^-1\n"
+            "(a+2)*x^-4*y^-4 + (a^2+a+1)*y + (2*a^2+1)*x^-1*y^-1\n"
+            "(a^2+2)*x^-2*y^-1 + (2*a^2+a)*x^-3*y^-3 + (2*a^2+a+1)\n",
+        ),
+    ],
+    ids=["GF4", "GF8", "GF25", "GF27"],
+)
+def test_gb_stdout_over_extension_fields(tmp_path, capsys, q, gens, expected):
+    path = write(tmp_path, f"ring GF {q}\nvars x y\norder degmin\ngens:\n{gens}")
+    assert main(["gb", path]) == 0
+    assert capsys.readouterr().out == expected

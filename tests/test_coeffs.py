@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from conftest import field_vectors, ref_add, ref_inv, ref_mul, ref_neg
 from lgb.coeffs import BUILTIN_MODULI, INF, Coefficient, FieldError, FieldSpec
 from lgb.laurent import LaurentPoly, RingError
 
@@ -236,3 +237,57 @@ def test_laurent_poly_rejects_a_coefficient_of_another_field(q_ring2):
     with pytest.raises(FieldError):
         q_ring2.one() * FieldSpec.finite(7).one()
     assert LaurentPoly(q_ring2, {(0, 0): FieldSpec.rational().one()}) == q_ring2.one()
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)], ids=["GF4", "GF8", "GF9", "GF25", "GF27", "GF7"]
+)
+def test_finite_field_exhaustive_against_vectors(p, k):
+    spec = FieldSpec.finite(p, k)
+    vectors = field_vectors(spec)
+    zero, one = vectors[0], vectors[1]
+    elems = [spec.element(v) for v in vectors]
+    inverses = {v: ref_inv(spec, v) for v in vectors[1:]}
+
+    def matches(c, vector):
+        ref = spec.element(vector)
+        return c.payload == vector and c == ref and hash(c) == hash(ref) == hash((spec, vector))
+
+    for v, a in zip(vectors, elems):
+        assert matches(a, v) and spec.element(a.payload) == a
+        assert matches(-a, ref_neg(spec, v))
+        assert a.is_zero() == (v == zero)
+        if v in inverses:
+            assert matches(a.inv(), inverses[v])
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+    for (v, a), (w, b) in itertools.product(zip(vectors, elems), repeat=2):
+        assert matches(a + b, ref_add(spec, v, w))
+        assert matches(a - b, ref_add(spec, v, ref_neg(spec, w)))
+        assert matches(a * b, ref_mul(spec, v, w))
+        if w in inverses:
+            assert matches(a / b, ref_mul(spec, v, inverses[w]))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        assert (a == b) == (v == w)
+    # the primitive element behind the logarithms has order q - 1
+    if k > 1:
+        alpha = power = spec._exp[1]
+        for i in range(1, p ** k - 1):
+            assert power == spec._exp[i] and power != one
+            power = ref_mul(spec, power, alpha)
+        assert power == one == spec._exp[p ** k - 1]
+
+
+def test_extension_fields_are_bounded():
+    # 3^9 = 19683 and 101^2 = 10201 exceed 10^4, irreducible moduli or not
+    for p, k, modulus in ((3, 9, (1, 2) + (0,) * 7 + (1,)), (101, 2, (2, 0, 1)), (2, 14, None)):
+        with pytest.raises(FieldError):
+            FieldSpec.finite(p, k, modulus)
+    # the largest sizes below the bound build their tables: t^2 - 5 over F_97
+    f = FieldSpec.finite(97, 2, (92, 0, 1))
+    a = f.generator()
+    assert (a * a).payload == (5, 0) and (a / a) == f.one()
+    assert (a + f.from_int(96)).payload == (96, 1) and (-a).payload == (0, 96)

@@ -181,3 +181,66 @@ def test_spair_bound_on_formed_pairs(q_ring2):
                 s = spair(i, f, g, v)
                 if not s.is_zero():
                     assert order.compare(s.leading_data()[0], v) < 0
+
+
+#: one two-generator ideal over each extension field besides GF(9), with its
+#: printed basis
+EXTENSION_FIELD_BASES = {
+    (2, 2): (
+        ("a*x^2*y + x*y^-1 + 1", "x^-1*y^2 + (a+1)*x + a*y"),
+        [
+            "a*x^2*y + x*y^-1 + 1",
+            "x^-1*y^2 + (a+1)*x + a*y",
+            "a*y^3 + (a+1)*x^-1*y + (a+1)",
+            "x + a*x^-1*y^-1",
+            "x^-4*y^-4 + (a+1)*y",
+            "a*y + a*x^-1*y^-1",
+            "(a+1)*x^-3*y^-3 + a",
+        ],
+    ),
+    (2, 3): (
+        ("a*x^2*y + x*y^-1 + a^2", "x^-1*y^2 + (a^2+1)*x + a*y"),
+        [
+            "a*x^2*y + x*y^-1 + a^2",
+            "x^-1*y^2 + (a^2+1)*x + a*y",
+            "a*y^3 + a*x^-1*y + a",
+            "(a^2+1)*x^-3*y^-2 + x + a*x^-1*y^-1",
+            "(a+1)*x + a^2*y + a*x^-1*y^-1",
+            "(a^2+a+1)*x^-4*y^-4 + y + (a+1)*x^-1*y^-1",
+            "a*x^-2*y^-1 + (a^2+1)*x^-3*y^-3 + a^2",
+        ],
+    ),
+    (5, 2): (
+        ("a*x^2*y + 3*x*y^-1 + 2", "x^-1*y^2 + (2*a+4)*x + a*y"),
+        [
+            "a*x^2*y + 3*x*y^-1 + 2",
+            "x^-1*y^2 + (2*a+4)*x + a*y",
+            "4*a*y^3 + (2*a+2)*x^-1*y + (4*a+3)",
+            "2*x^-3*y^-2 + (2*a+3)*x + x^-1*y^-1",
+            "(a+3)*x + (a+1)*y + (4*a+4)*x^-1*y^-1",
+            "2*x^-4*y^-4 + (4*a+2)*y + (a+3)*x^-1*y^-1",
+            "(2*a+3)*x^-2*y^-1 + x^-3*y^-3 + (a+4)",
+        ],
+    ),
+    (3, 3): (
+        ("a*x^2*y + 2*x*y^-1 + a^2", "x^-1*y^2 + (a^2+2*a)*x + a*y"),
+        [
+            "a*x^2*y + 2*x*y^-1 + a^2",
+            "x^-1*y^2 + (a^2+2*a)*x + a*y",
+            "2*a*y^3 + a*x^-1*y + (a^2+a+1)",
+            "(a^2+2*a)*x^-3*y^-2 + (2*a^2+a+2)*x + (2*a^2+2)*x^-1*y^-1",
+            "(2*a^2+2)*x + 2*a^2*y + (a^2+a+1)*x^-1*y^-1",
+            "(a+2)*x^-4*y^-4 + (a^2+a+1)*y + (2*a^2+1)*x^-1*y^-1",
+            "(a^2+2)*x^-2*y^-1 + (2*a^2+a)*x^-3*y^-3 + (2*a^2+a+1)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("p, k", list(EXTENSION_FIELD_BASES), ids=["GF4", "GF8", "GF25", "GF27"])
+def test_extension_field_bases_pinned(p, k):
+    ring = ring_for(FieldSpec.finite(p, k), 2, "degmin", names=("x", "y"))
+    gens, expected = EXTENSION_FIELD_BASES[(p, k)]
+    res = buchberger([parse_poly(ring, g) for g in gens])
+    assert [str(h) for h in res.basis] == expected
+    assert is_groebner(res.basis)[0]

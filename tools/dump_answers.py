@@ -9,9 +9,11 @@ basis (with its pair statistics), criterion verdict, and the quotients and
 remainder of each probe, of 1 and of each generator divided by the basis
 and by the generators; the bases or exceptions of the known failures; then
 the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
-``reduce``, ``member`` and ``info`` on each seed-1 problem file and each
-known failure (written to the directory ``OUT.problems``), and of
-``selftest``.  Compare two checkouts with ``cmp``.
+``reduce``, ``member`` and ``info`` on each seed-1 problem file, each
+known failure and each of the ``EXTENSION_FIELDS`` problems over GF(4),
+GF(8), GF(25) and GF(27), which no workload reaches (written to the
+directory ``OUT.problems``), and of ``selftest``.  Compare two checkouts
+with ``cmp``.
 """
 
 import contextlib
@@ -21,6 +23,14 @@ from pathlib import Path
 
 WORKLOADS = ("std-cones", "general-cones", "capped-series")
 VERBS = (["gb"], ["gb", "--normalize"], ["check"], ["reduce"], ["member"], ["info"])
+#: (q, generators) of one two-generator ideal over each extension field
+#: besides GF(9), probed with ``x^2*y + a*x^-1*y^2``
+EXTENSION_FIELDS = (
+    (4, ("a*x^2*y + x*y^-1 + 1", "x^-1*y^2 + (a+1)*x + a*y")),
+    (8, ("a*x^2*y + x*y^-1 + a^2", "x^-1*y^2 + (a^2+1)*x + a*y")),
+    (25, ("a*x^2*y + 3*x*y^-1 + 2", "x^-1*y^2 + (2*a+4)*x + a*y")),
+    (27, ("a*x^2*y + 2*x*y^-1 + a^2", "x^-1*y^2 + (a^2+2*a)*x + a*y")),
+)
 
 
 def run_cli(cli, argv):
@@ -98,6 +108,9 @@ def main():
             files.append((f"{wl}-{k}", inst.text, inst.probes[0].text))
     for k, (_, body, _) in enumerate(workloads.KNOWN_FAILURES):
         files.append((f"known-{k}", body, "x + y"))
+    for q, gens in EXTENSION_FIELDS:
+        body = f"ring GF {q}\nvars x y\norder degmin\ngens:\n" + "\n".join(gens) + "\n"
+        files.append((f"gf{q}", body, "x^2*y + a*x^-1*y^2"))
     for name, body, probe in files:
         path = probdir / f"{name}.txt"
         path.write_text(body)

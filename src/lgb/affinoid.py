@@ -23,7 +23,8 @@ per polynomial (exponent, valuation times the denominator, dot product
 with each scaled vertex), so testing t against a T_{i,j} module builds no
 product.  The T_{i,j} generators come from the memoized search
 ``lattice.minimal_elements`` that the Laurent layer's general cone
-modules use too.
+modules use too: only the top start of each line along the cone's first
+generator slides down the generators to a minimal member.
 """
 
 from __future__ import annotations

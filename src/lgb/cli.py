@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 parse error, 2 math or configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from fractions import Fraction
@@ -367,27 +368,30 @@ def _parse_ring(parts, lineno) -> FieldSpec:
     if not parts:
         raise ParseError("empty ring directive", lineno)
     kind = parts[0]
+    if kind == "Q" and len(parts) == 1:
+        return FieldSpec.rational()
+    if kind not in ("Qp", "GF") or len(parts) != 2:
+        raise ParseError("ring must be 'Q', 'Qp p', or 'GF q'", lineno)
     try:
-        if kind == "Q" and len(parts) == 1:
-            return FieldSpec.rational()
-        if kind == "Qp" and len(parts) == 2:
-            return FieldSpec.padic(int(parts[1]))
-        if kind == "GF" and len(parts) == 2:
-            q = int(parts[1])
-            p = next((d for d in range(2, q + 1) if q % d == 0), q)
-            k = 0
-            m = q
-            while m % p == 0 and m > 1:
-                m //= p
-                k += 1
-            if m != 1 or k == 0:
-                raise ParseError(f"{q} is not a prime power", lineno)
-            return FieldSpec.finite(p, k)
-    except FieldError as exc:
-        raise ParseError(str(exc), lineno) from None
+        q = int(parts[1])
     except ValueError:
         raise ParseError("malformed ring directive", lineno) from None
-    raise ParseError("ring must be 'Q', 'Qp p', or 'GF q'", lineno)
+    try:
+        if kind == "Qp":
+            return FieldSpec.padic(q)
+        if q < 2:
+            raise ParseError(f"{q} is not a prime power", lineno)
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k = 0
+        m = q
+        while m % p == 0:
+            m //= p
+            k += 1
+        if m != 1:
+            raise ParseError(f"{q} is not a prime power", lineno)
+        return FieldSpec.finite(p, k)
+    except FieldError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 # -- printing helpers -------------------------------------------------------------

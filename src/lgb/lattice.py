@@ -87,6 +87,14 @@ def minimal_elements(member, generators, starts):
     so it ends where no ``p - h`` is a member: a minimal element below it.
     Slides from nearby starts overlap, so ``member`` is memoized for the
     length of the call; it must be a pure predicate on points.
+
+    The module must be closed under its first generator, ``M + h1 <= M``
+    for ``h1 = generators[0]``, as every T_i and T_{i,j} module is.  Then
+    a start ``p`` whose ``p + h1`` is a start too is skipped untested: the
+    first slide runs along ``h1``, so when ``p`` is a member, ``p + h1`` is
+    one and slides through ``p`` to the same end.  Only the top start of
+    each ``h1``-line is descended from; the elements found are those of
+    descending from every start, and the points tested are a subset.
     """
     memo = {}
 
@@ -96,9 +104,11 @@ def minimal_elements(member, generators, starts):
             hit = memo[p] = member(p)
         return hit
 
+    starts = dict.fromkeys(starts)
+    h1 = generators[0]
     found = set()
     for p in starts:
-        if not test(p):
+        if vadd(p, h1) in starts or not test(p):
             continue
         moved = True
         while moved:

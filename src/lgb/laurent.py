@@ -16,8 +16,9 @@ of polyhedra, is never expanded: membership tests factor by factor, and
 the completeness certificate walks the options depth first, pruning every
 partial system that Fourier-Motzkin proves empty.  The generators come
 from ``lattice.minimal_elements``, the search the polytope layer's T_{i,j}
-modules share: box points slide down the cone generators to minimal
-members, with the integer membership test memoized for one search.
+modules share: from each line of box points along the first cone
+generator, only the top point is tested and slides down the generators to
+a minimal member, with the integer membership test memoized for one search.
 """
 
 from __future__ import annotations

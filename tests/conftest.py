@@ -7,7 +7,7 @@ import pytest
 
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
-from lgb.lattice import build_decomposition
+from lgb.lattice import build_decomposition, vsub
 from lgb.laurent import LaurentRing
 
 
@@ -117,3 +117,36 @@ def orthant_ring(n):
     d = build_decomposition("orthant", n)
     rows = {i: tuple(c.generators[k][k] for k in range(n)) for i, c in enumerate(d.cones)}
     return LaurentRing(FieldSpec.rational(), n, GeneralizedOrder(d, ScoreFunction("custom", n, rows=rows)))
+
+
+def reference_minimal_elements(member, generators, starts):
+    """Sorted minimal elements of a module over the monoid of `generators`,
+    reached from the start points that are members.
+
+    Each member start slides down the generators while it stays a member,
+    so it ends where no ``p - h`` is a member: a minimal element below it.
+    Slides from nearby starts overlap, so ``member`` is memoized for the
+    length of the call; it must be a pure predicate on points.
+    """
+    memo = {}
+
+    def test(p):
+        hit = memo.get(p)
+        if hit is None:
+            hit = memo[p] = member(p)
+        return hit
+
+    found = set()
+    for p in starts:
+        if not test(p):
+            continue
+        moved = True
+        while moved:
+            moved = False
+            for h in generators:
+                q = vsub(p, h)
+                while test(q):
+                    p, q = q, vsub(q, h)
+                    moved = True
+        found.add(p)
+    return sorted(found)

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +243,32 @@ def test_gb_stdout_over_extension_fields(tmp_path, capsys, q, gens, expected):
     path = write(tmp_path, f"ring GF {q}\nvars x y\norder degmin\ngens:\n{gens}")
     assert main(["gb", path]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("q", ["0", "1", "6", "-3"])
+def test_ring_gf_that_is_not_a_prime_power(tmp_path, capsys, q):
+    text = f"ring GF {q}\nvars x y\norder degmin\ngens:\nx + y\n"
+    with pytest.raises(ParseError, match="prime power"):
+        parse_problem(text)
+    assert main(["gb", write(tmp_path, text)]) == 1
+    assert "prime power" in capsys.readouterr().err
+
+
+def test_ring_gf_large_prime_parses_quickly():
+    start = time.perf_counter()
+    problem = parse_problem("ring GF 1000000007\nvars x y\norder degmin\ngens:\nx + y\n")
+    assert time.perf_counter() - start < 1.0
+    assert (problem.ring.field.p, problem.ring.field.k) == (1000000007, 1)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    path = write(tmp_path, "ring Q\nvars x y\norder degmin\ngens:\nx + y\nx^-1*y + y^-1\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgb", "gb", path], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["gb", path]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.splitlines()[:2] == ["x + y", "x^-1*y + y^-1"]

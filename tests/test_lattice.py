@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_fm_feasible
+from conftest import reference_fm_feasible, reference_minimal_elements
+
+from lgb.affinoid import PolytopeContext, build_refined_decomposition
 
 from lgb.lattice import (
     Cone,
@@ -22,11 +24,13 @@ from lgb.lattice import (
     in_integer_span,
     integer_span_basis,
     is_standard_decomposition,
+    minimal_elements,
     rays_from_halfspaces,
     shifted_cone_intersection,
     smith_normal_form,
     validate_decomposition,
     vadd,
+    vscale,
     vsub,
 )
 
@@ -238,3 +242,53 @@ def test_box_points_is_a_generator_in_lexicographic_order():
     pts = list(box_points(3, 2))
     assert pts == sorted(pts) and len(set(pts)) == 125
     assert list(box_points(1, 0)) == [(0,)]
+
+
+def _search_cones():
+    """Standard and orthant cones for n = 2 and 3, and a refined cone of the
+    segment (1,1),(-2,-1) whose first generator (-2,3) is not an axis."""
+    cones = [c for kind in ("standard", "orthant") for n in (2, 3) for c in build_decomposition(kind, n)]
+    ctx = PolytopeContext([(1, 1), (-2, -1)])
+    refined = build_refined_decomposition(ctx, build_decomposition("standard", 2))
+    cones.append(refined.cone((1, 2)))
+    return cones
+
+
+def _recorded_search(search, member, generators, starts):
+    """The result of one search and the points it tested."""
+    tested = []
+
+    def recording(p):
+        tested.append(p)
+        return member(p)
+
+    return search(recording, generators, iter(starts)), tested
+
+
+def test_minimal_elements_agrees_with_the_all_starts_descent():
+    cones = _search_cones()
+    assert cones[-1].generators[0] == (-2, 3)
+    rng = random.Random(20261018)
+    saved = 0
+    for cone in cones:
+        n = cone.n
+        for trial in range(4):
+            # a module over the cone: a union of shifted copies m_k + C
+            shifts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+
+            def member(p, shifts=shifts):
+                return any(cone.contains(vsub(p, m)) for m in shifts)
+
+            witness = shifts[0]
+            for g in cone.generators:
+                witness = vadd(witness, vscale(rng.randint(2, 4), g))
+            box = list(box_points(n, 4))
+            starts = [witness] + box if trial % 2 else box + [witness]
+            found, tested = _recorded_search(minimal_elements, member, cone.generators, starts)
+            expected, ref_tested = _recorded_search(
+                reference_minimal_elements, member, cone.generators, starts
+            )
+            assert found == expected, (cone, shifts)
+            assert set(tested) <= set(ref_tested), (cone, shifts)
+            saved += len(tested) < len(ref_tested)
+    assert saved

@@ -3,11 +3,15 @@ so that two checkouts can be compared byte for byte.
 
   python3 tools/dump_answers.py CHECKOUT OUT
 
-CHECKOUT is the root of an lgb checkout; its ``src`` and ``bench`` are
-imported.  The file holds, for seeds 1 and 7 of the three workloads, every
+CHECKOUT is the root of an lgb checkout; its ``src``, ``bench`` and
+``tests/conftest.py`` are imported.  The file holds, for seeds 1 and 7 of the three workloads, every
 basis (with its pair statistics), criterion verdict, and the quotients and
 remainder of each probe, of 1 and of each generator divided by the basis
-and by the generators; the bases or exceptions of the known failures; then
+and by the generators; for each general-cones basis element, every cone
+module (``ti_set_general(i, 8)`` on the orthant ring, ``tij_generators(
+body, label, 6)`` on a polytope) or the exception it raised; the bases or
+exceptions of the known failures; the bases and every cone module of the
+``ORTHANT_N3`` ideals on the n=3 orthant ring; then
 the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
 ``reduce``, ``member`` and ``info`` on each seed-1 problem file, each
 known failure and each of the ``EXTENSION_FIELDS`` problems over GF(4),
@@ -32,6 +36,13 @@ EXTENSION_FIELDS = (
     (27, ("a*x^2*y + 2*x*y^-1 + a^2", "x^-1*y^2 + (a^2+2*a)*x + a*y")),
 )
 
+#: two-binomial ideals on Q[x^±1, y^±1, z^±1] under the orthant decomposition
+#: with the per-cone score (``conftest.orthant_ring(3)``)
+ORTHANT_N3 = (
+    ("x*y^-1 + 2*z", "y*z - 3*x^-1"),
+    ("x*y - 2", "y*z^-1 + 3*x"),
+)
+
 
 def run_cli(cli, argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
@@ -49,9 +60,11 @@ def main():
     out_path = Path(sys.argv[2])
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, str(checkout / "bench"))
+    sys.path.insert(0, str(checkout / "tests"))
     import workloads
     import worker
-    from lgb import affinoid, cli, reduction
+    from conftest import orthant_ring
+    from lgb import affinoid, cli, groebner, reduction
     from lgb.laurent import format_poly
 
     lines = []
@@ -68,6 +81,19 @@ def main():
             emit(f"{label}: raised {type(exc).__name__}: {exc}")
             return None
 
+    def modules(h, mode):
+        """Every cone module of one basis element, or the exception."""
+        if mode is None:
+            for i in range(len(h.ring.order.decomposition)):
+                res = guarded(f"T_{i}", h.ti_set_general, i, 8)
+                if res is not None:
+                    emit(f"T_{i} {res}")
+        else:
+            for label in mode.labels:
+                res = guarded(f"T_{label}", mode.tij_generators, h.body, label, 6)
+                if res is not None:
+                    emit(f"T_{label} {res}")
+
     for seed in (1, 7):
         for wl in WORKLOADS:
             for inst in workloads.build(wl, seed):
@@ -79,6 +105,8 @@ def main():
                 emit(f"stats {res.stats}")
                 for h in res.basis:
                     emit("basis " + text(h))
+                    if wl == "general-cones":
+                        modules(h, case.mode)
                 emit(f"check {guarded('check', case.check, res.basis)}")
                 for f in case.probes + [case.one] + list(case.gens):
                     for divisors in (res.basis, case.gens):
@@ -99,6 +127,15 @@ def main():
             if res is not None:
                 for h in res.basis:
                     emit("basis " + text(h))
+
+    ring3 = orthant_ring(3)
+    for gens in ORTHANT_N3:
+        emit(f"== orthant n=3 {', '.join(gens)}")
+        res = guarded("gb", groebner.buchberger, [cli.parse_poly(ring3, g) for g in gens])
+        if res is not None:
+            for h in res.basis:
+                emit("basis " + text(h))
+                modules(h, None)
 
     probdir = out_path.parent / (out_path.name + ".problems")
     probdir.mkdir(exist_ok=True)

@@ -8,7 +8,6 @@ import pytest
 from conftest import reference_fm_feasible, reference_minimal_elements
 
 from lgb.affinoid import PolytopeContext, build_refined_decomposition
-
 from lgb.lattice import (
     Cone,
     ConicDecomposition,

@@ -1,6 +1,6 @@
 """Valuation layer: weighted and polytopal term orders, initial forms,
-capped-precision series, and the division/Buchberger instantiations for
-them.
+capped-precision series, and the division adapter through which they run
+the shared division loop and ``groebner``'s one Buchberger engine.
 
 A weight context carries a single rational weight vector r; terms are
 compared valuation first (val(c) - r.e, smaller is greater), ties broken
@@ -30,15 +30,15 @@ generator slides down the generators to a minimal member.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd as _gcd
 
 from lgb.coeffs import INF, Coefficient
 from lgb.gmo import GeneralizedOrder
-from lgb.groebner import GBConfig, GBResult, GBStats, ResourceLimitError
+from lgb.groebner import GBConfig, GBResult, _buchberger, _criterion, _distinct
 from lgb.lattice import (
     CheckResult,
     Cone,
@@ -391,9 +391,6 @@ class WeightMode:
         return hash((self.ring, self.context))
 
     # ------------------------------------------------------------------
-    def term_val(self, term: Term) -> Fraction:
-        return self.context.term_val(term.coef, term.exp)
-
     def compare_terms(self, s: Term, t: Term) -> int:
         return compare_weight(self.context, self.ring.order, s, t)
 
@@ -462,9 +459,6 @@ class PolytopeMode:
         return hash((self.ring, self.context))
 
     # ------------------------------------------------------------------
-    def term_val(self, term: Term) -> Fraction:
-        return self.context.term_val(term.coef, term.exp)
-
     def compare_terms(self, s: Term, t: Term) -> int:
         return compare_polytope(self.context, self.ring.order, s, t)
 
@@ -611,10 +605,6 @@ def lm_polytope(mode: PolytopeMode, f):
     return lt.exp, lt.coef, lt, mode.initial(body, k)
 
 
-def tij_generators(mode: PolytopeMode, f, label, search_radius: int = 6):
-    return mode.tij_generators(_body_of(f), label, search_radius)
-
-
 # -- capped series -------------------------------------------------------------------
 
 class CappedSeries:
@@ -687,27 +677,24 @@ class CappedSeries:
 
 
 class _SeriesDivision:
-    """Adapter binding a mode to the shared division loop for one engine
-    call, with the memo of ``reduction``'s module docstring; ``bound`` is
-    ceil(cap * den) for the cap of the division in progress."""
+    """Adapter binding a mode to the division loop and the Buchberger engine
+    for one engine call, with the memo of ``reduction``'s module docstring;
+    ``bound`` is ceil(cap * den) for the cap of the division in progress."""
 
-    __slots__ = ("mode", "labels", "bound", "_lms")
+    __slots__ = ("mode", "labels", "term_key", "cone_leading", "u_set", "bound", "_lms")
 
     def __init__(self, mode):
         self.mode = mode
         self.labels = mode.labels
+        self.term_key = mode.term_key
+        self.cone_leading = mode.cone_leading
+        self.u_set = mode.u_set
         self.bound = None
         self._lms = {}
-
-    def term_key(self, coef, exp):
-        return self.mode.term_key(coef, exp)
 
     def leading(self, work, keys):
         exp = max(keys, key=keys.__getitem__)
         return Term(work[exp], exp)
-
-    def cone_leading(self, g, label):
-        return self.mode.cone_leading(g, label)
 
     def shifted_lm(self, g, shift):
         return _memoized_lm(self._lms, g, shift, self.mode.shifted_lm)
@@ -728,13 +715,13 @@ def reduce_P(f: CappedSeries, gens):
     back below it, so quotient terms are kept up to cap minus the most
     negative divisor valuation.
     """
-    qdicts, qcap, remainder = _reduce_P(f, list(gens), _SeriesDivision(f.mode))
+    (qdicts, qcap), remainder = _reduce_P(f, list(gens), _SeriesDivision(f.mode))
     return [CappedSeries(f.mode, LaurentPoly(f.mode.ring, q), qcap) for q in qdicts], remainder
 
 
 def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
     """``reduce_P`` with the division adapter of the calling engine function:
-    (quotient term dicts cut at their raised cap, that cap, remainder)."""
+    ((quotient term dicts cut at their raised cap, that cap), remainder)."""
     for g in gens:
         f._check(g)
         if g.is_zero():
@@ -756,7 +743,7 @@ def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
     for e, c in rest.items():
         if ctx.scaled_val(c, e) < division.bound:
             raise ArithmeticError("capped division identity failed to re-verify")
-    return qdicts, qcap, remainder
+    return (qdicts, qcap), remainder
 
 
 def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeries:
@@ -771,76 +758,33 @@ def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeri
     return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
 
 
+def _series_generators(gens):
+    """The distinct series of ``gens``, their input positions and a division
+    adapter; the series must share one precision cap."""
+    basis, positions = _distinct(
+        gens, AffinoidError, "generators must be nonzero at the working precision"
+    )
+    if any(g.cap != basis[0].cap for g in basis):
+        raise AffinoidError("generators must share one precision cap")
+    return basis, positions, _SeriesDivision(basis[0].mode)
+
+
 def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
     """Buchberger's algorithm at a fixed working precision: criterion
     closure means every S-pair remainder consists of terms at or above
     the cap."""
     cfg = cfg or GBConfig()
-    gens = list(gens)
-    if not gens:
-        raise AffinoidError("need at least one generator")
-    mode = gens[0].mode
-    basis = []
-    for g in gens:
-        gens[0]._check(g)
-        if g.is_zero():
-            raise AffinoidError("generators must be nonzero at the working precision")
-        if g.cap != gens[0].cap:
-            raise AffinoidError("generators must share one precision cap")
-        if g not in basis:
-            basis.append(g)
-    division = _SeriesDivision(mode)
-    stats = GBStats()
-    queue = deque((a, b) for a in range(len(basis)) for b in range(a + 1, len(basis)))
-    while queue:
-        a, b = queue.popleft()
-        stats.pairs_processed += 1
-        f, g = basis[a], basis[b]
-        for label in mode.labels:
-            for v in mode.u_set(f.body, g.body, label):
-                s = spair_series(mode, label, f, g, v)
-                if not s.is_zero():
-                    lmf, lcf = mode.cone_leading(f.body, label)
-                    lmg, lcg = mode.cone_leading(g.body, label)
-                    if mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) >= 0:
-                        raise AssertionError(f"S-pair at {v} does not drop below its bound")
-                if s.is_zero():
-                    stats.zero_reductions += 1
-                    continue
-                _, _, r = _reduce_P(s, basis, division)
-                if r.is_zero():
-                    stats.zero_reductions += 1
-                    continue
-                queue.extend((k, len(basis)) for k in range(len(basis)))
-                basis.append(r)
-                if len(basis) > cfg.max_basis:
-                    raise ResourceLimitError(
-                        f"basis exceeded the guard of {cfg.max_basis} elements"
-                    )
+    basis, _, division = _series_generators(gens)
+    spairs = partial(spair_series, division.mode)
+    stats, _ = _buchberger(basis, division, spairs, _reduce_P, _body_of, cfg)
     if cfg.normalize:
         basis = [h * h.leading_term().coef.inv() for h in basis]
     return GBResult(basis, stats, None)
 
 
 def is_groebner_series(H):
-    """Criterion check at the working precision; returns (flag, certificate)."""
-    H = list(H)
-    if not H:
-        raise AffinoidError("need at least one series")
-    mode = H[0].mode
-    division = _SeriesDivision(mode)
-    for a in range(len(H)):
-        for b in range(a + 1, len(H)):
-            for label in mode.labels:
-                for v in mode.u_set(H[a].body, H[b].body, label):
-                    s = spair_series(mode, label, H[a], H[b], v)
-                    if s.is_zero():
-                        continue
-                    lmf, lcf = mode.cone_leading(H[a].body, label)
-                    lmg, lcg = mode.cone_leading(H[b].body, label)
-                    if mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) >= 0:
-                        raise AssertionError(f"S-pair at {v} does not drop below its bound")
-                    _, _, r = _reduce_P(s, H, division)
-                    if not r.is_zero():
-                        return False, (label, a, b, v)
-    return True, None
+    """Criterion check at the working precision; returns (flag, certificate)
+    with the certificate's indices into H."""
+    basis, positions, division = _series_generators(H)
+    spairs = partial(spair_series, division.mode)
+    return _criterion(basis, positions, division, spairs, _reduce_P, _body_of)

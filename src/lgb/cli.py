@@ -412,7 +412,7 @@ def _load(args) -> Problem:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     problem = parse_problem(text)
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         problem.precision = Fraction(args.precision)
     return problem
 
@@ -456,12 +456,11 @@ def cmd_reduce(args) -> int:
 def cmd_member(args) -> int:
     problem = _load(args)
     poly = _require_poly(args, problem)
+    basis = _compute_basis(problem, max_basis=args.max_basis)
     if problem.capped:
-        basis = buchberger_P(problem.series_generators(), GBConfig(max_basis=args.max_basis)).basis
         _, remainder = reduce_P(problem.series(poly), basis)
         member = remainder.is_zero()
     else:
-        basis = buchberger(problem.generators, GBConfig(max_basis=args.max_basis)).basis
         member = reduce(poly, basis).remainder.is_zero()
     print("member: " + ("true" if member else "false"))
     return 0 if member else 3
@@ -538,21 +537,22 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, func, needs_file=True, needs_poly=False):
+    def add(name, func, needs_file=True, needs_poly=False, builds_basis=False):
         p = sub.add_parser(name)
         if needs_file:
             p.add_argument("file", help="problem file")
+            p.add_argument("--precision", default=None, help="override the series cap")
         if needs_poly:
             p.add_argument("--poly", required=True, help="polynomial expression")
-        p.add_argument("--max-basis", type=int, default=500)
-        p.add_argument("--precision", default=None, help="override the series cap")
+        if builds_basis:
+            p.add_argument("--max-basis", type=int, default=500)
         p.set_defaults(func=func)
         return p
 
-    gb = add("gb", cmd_gb)
+    gb = add("gb", cmd_gb, builds_basis=True)
     gb.add_argument("--normalize", action="store_true", help="make leading coefficients 1")
     add("reduce", cmd_reduce, needs_poly=True)
-    add("member", cmd_member, needs_poly=True)
+    add("member", cmd_member, needs_poly=True, builds_basis=True)
     add("check", cmd_check)
     add("info", cmd_info, needs_poly=True)
     add("selftest", cmd_selftest, needs_file=False)

@@ -213,16 +213,6 @@ def make_order(n: int, score: str = "min", decomposition=None, perm=None) -> Gen
     return GeneralizedOrder(decomposition, ScoreFunction(score, n), perm)
 
 
-# -- free-function aliases for the operation surface --------------------------
-
-def gmo_compare(o: GeneralizedOrder, u, v) -> int:
-    return o.compare(u, v)
-
-
-def greatest_tuple_for_cone(o: GeneralizedOrder, i, tuples):
-    return o.greatest_tuple_for_cone(i, tuples)
-
-
 def validate_gmo(o: GeneralizedOrder, sample_radius: int = 4, samples: int = 400, seed: int = 0) -> ValidationReport:
     """Check the score conditions (positivity off the zero set,
     subadditivity, per-cone additivity) and the order axioms on samples."""

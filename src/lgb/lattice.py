@@ -351,9 +351,6 @@ class Cone:
     def contains(self, v) -> bool:
         return all(vdot(h, v) >= 0 for h in self.halfspaces)
 
-    def contains_strict(self, v) -> bool:
-        return all(vdot(h, v) > 0 for h in self.halfspaces)
-
     @property
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.n
@@ -618,20 +615,6 @@ def is_standard_decomposition(d: ConicDecomposition) -> bool:
         a.generators == b.generators and set(a.halfspaces) == set(b.halfspaces)
         for a, b in zip(d.cones, std.cones)
     )
-
-
-# -- free-function aliases for the operation surface --------------------------
-
-def cone_contains(c: Cone, v) -> bool:
-    return c.contains(v)
-
-
-def cone_factorize(c: Cone, s):
-    return c.factorize(s)
-
-
-def shifted_cone_intersection(c: Cone, a, b):
-    return c.shifted_intersection(a, b)
 
 
 # -- validation ----------------------------------------------------------------

@@ -241,9 +241,6 @@ class LaurentPoly:
         lc = self._terms[lm]
         return lm, lc, Term(lc, lm)
 
-    def leading_monomial(self):
-        return self.leading_data()[0]
-
     def shifted_leading_monomial(self, shift):
         """lm(X^shift * f) without building the product."""
         if self.is_zero():

@@ -24,14 +24,15 @@ the capped layer's ``_SeriesDivision``) memoizes ``shifted_lm`` as
 ``{g: {shift: lm}}``.  Each engine call builds one adapter for all of its
 divisions, so the memo dies with the call; held on the polynomial or on a
 long-lived mode, it would keep every shift tried alive with the bases the
-caller retains.
+caller retains.  The adapter also serves ``groebner``'s Buchberger engine,
+which asks it for ``u_set(f, g, label)``, the collision monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lgb.laurent import LaurentPoly, LaurentRing, Term
+from lgb.laurent import LaurentPoly, LaurentRing, Term, u_intersection
 from lgb.lattice import vadd, vsub
 
 
@@ -76,6 +77,9 @@ class PolynomialMode:
 
     def on_fire(self, label, g, shift) -> None:
         pass
+
+    def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
+        return u_intersection(f, g, label)
 
 
 def division_loop(f: LaurentPoly, gens, mode):

@@ -249,7 +249,7 @@ def test_reduce_p_self_and_residual():
         for q, g_ in zip(qs, gens):
             residual = residual - q.body * g_.body
         for e, c in residual.items():
-            assert mode.term_val(Term(c, e)) >= cap
+            assert mode.context.term_val(c, e) >= cap
 
 
 def test_weight_pipeline_degenerates_to_polynomial():
@@ -298,6 +298,32 @@ def test_buchberger_p_singleton_and_closure():
     res2 = buchberger_P([g, h], None)
     flag, cert = is_groebner_series(res2.basis)
     assert flag, cert
+
+
+def test_series_validation_shared_by_gb_and_check():
+    # 1024 = 2^10 is zero at cap 10; both verbs reject it with one message
+    ring = q2_ring()
+    mode = WeightMode(ring, WeightContext((1, 2)))
+    f = CappedSeries(mode, parse_poly(ring, "x - 1"), 10)
+    zero = CappedSeries(mode, parse_poly(ring, "1024"), 10)
+    other_cap = CappedSeries(mode, parse_poly(ring, "y - 1"), 12)
+    for engine in (buchberger_P, is_groebner_series):
+        with pytest.raises(AffinoidError, match="need at least one generator"):
+            engine([])
+        with pytest.raises(AffinoidError, match="nonzero at the working precision"):
+            engine([f, zero])
+        with pytest.raises(AffinoidError, match="share one precision cap"):
+            engine([f, other_cap])
+
+
+def test_is_groebner_series_certificate_names_input_positions():
+    ring = q2_ring()
+    mode = WeightMode(ring, WeightContext((1, 2)))
+    texts = ("4*x*y + 3*x", "4*x*y + 3*x", "-306/5*x^2*y^2 - 25/2*x^-2*y^-1 - 1/6*y^2")
+    gens = [CappedSeries(mode, parse_poly(ring, t), 50) for t in texts]
+    flag, cert = is_groebner_series(gens)
+    assert not flag
+    assert cert[1:3] == (0, 2)
 
 
 def test_multi_vertex_buchberger_closure_random():

@@ -165,6 +165,44 @@ def test_check_verb(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_verb_names_file_positions_of_repeated_generators(tmp_path, capsys):
+    path = write(tmp_path, "ring Q\nvars x y\norder degmin\ngens:\nx - 1\nx - 1\ny - 2\nx*y + 1\n")
+    assert main(["check", path]) == 3
+    out = capsys.readouterr().out
+    assert "generators 1 and 3," in out
+
+
+def test_check_and_gb_agree_on_a_capped_zero_generator(tmp_path, capsys):
+    # 1024 = 2^10 is zero at precision 10
+    path = write(
+        tmp_path, "ring Qp 2\nvars x y\nweight 1 2\norder degmin\nprecision 10\ngens:\nx - 1\n1024\n"
+    )
+    errors = []
+    for verb in ("gb", "check"):
+        assert main([verb, path]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: generators must be nonzero at the working precision\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{path}", "--max-basis", "3"],
+        ["reduce", "{path}", "--poly", "x", "--max-basis", "3"],
+        ["info", "{path}", "--poly", "x", "--max-basis", "3"],
+        ["selftest", "--max-basis", "3"],
+        ["selftest", "--precision", "3"],
+    ],
+    ids=["check", "reduce", "info", "selftest-max-basis", "selftest-precision"],
+)
+def test_options_are_registered_only_where_read(tmp_path, capsys, argv):
+    path = write(tmp_path, "ring Q\nvars x y\norder degmin\ngens:\nx + y\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(path=path) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_polytopal_gb_verb(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -5,8 +5,6 @@ import pytest
 from lgb.gmo import (
     GeneralizedOrder,
     ScoreFunction,
-    gmo_compare,
-    greatest_tuple_for_cone,
     make_order,
     validate_gmo,
 )
@@ -15,10 +13,10 @@ from lgb.lattice import LatticeError, build_decomposition, vadd
 
 def test_compare_quoted_examples():
     degmin = make_order(2, "degmin")
-    assert gmo_compare(degmin, (1, -2), (-1, -2)) > 0
+    assert degmin.compare((1, -2), (-1, -2)) > 0
     mino = make_order(2, "min")
-    assert gmo_compare(mino, (-2, -2), (0, 2)) > 0
-    assert gmo_compare(degmin, (3, -4), (3, -4)) == 0
+    assert mino.compare((-2, -2), (0, 2)) > 0
+    assert degmin.compare((3, -4), (3, -4)) == 0
     assert degmin.greatest_tuple((-2, 3), (1, 2)) == (-2, 3)
 
 
@@ -36,11 +34,11 @@ def test_example_order_of_four_monomials():
 
 def test_greatest_tuple_for_cone():
     degmin = make_order(2, "degmin")
-    assert greatest_tuple_for_cone(degmin, 2, [(1, 3), (-1, 2), (-4, -3)]) == (-4, -3)
-    assert greatest_tuple_for_cone(degmin, 1, [(5, -7)]) == (5, -7)
+    assert degmin.greatest_tuple_for_cone(2, [(1, 3), (-1, 2), (-4, -3)]) == (-4, -3)
+    assert degmin.greatest_tuple_for_cone(1, [(5, -7)]) == (5, -7)
     # all tuples already inside cone 0: agrees with the plain comparison
     tuples = [(1, 2), (3, 0), (0, 0)]
-    assert greatest_tuple_for_cone(degmin, 0, tuples) == degmin.greatest_tuple(tuples)
+    assert degmin.greatest_tuple_for_cone(0, tuples) == degmin.greatest_tuple(tuples)
     with pytest.raises(LatticeError):
         degmin.greatest_tuple_for_cone(0)
 

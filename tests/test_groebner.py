@@ -58,6 +58,24 @@ def test_buchberger_first_quoted_ideal(q_ring3):
         assert reduce(g, res.basis).remainder.is_zero()
 
 
+def test_is_groebner_certificate_names_input_positions(q_ring2):
+    # "x - 1" repeats: the failing pair is input 0 with input 2, not the
+    # de-duplicated list's positions 0 and 1
+    gens = [parse_poly(q_ring2, t) for t in ("x - 1", "x - 1", "y - 2", "x*y + 1")]
+    flag, cert = is_groebner(gens)
+    assert not flag
+    assert cert[1:3] == (0, 2)
+    assert is_groebner(gens[1:])[1][1:3] == (0, 1)
+
+
+def test_generator_validation_shared_by_gb_and_check(q_ring2):
+    for engine in (buchberger, is_groebner):
+        with pytest.raises(RingError, match="need at least one generator"):
+            engine([])
+        with pytest.raises(RingError, match="generators must be nonzero"):
+            engine([parse_poly(q_ring2, "x + y"), q_ring2.zero()])
+
+
 def test_provenance_recorded(q_ring2):
     gens = [parse_poly(q_ring2, "x + y"), parse_poly(q_ring2, "x^-1*y + y^-1")]
     res = buchberger(gens)

@@ -15,8 +15,6 @@ from lgb.lattice import (
     UnsupportedConeError,
     box_points,
     build_decomposition,
-    cone_contains,
-    cone_factorize,
     cone_from_halfspaces,
     fm_feasible,
     hilbert_basis,
@@ -25,7 +23,6 @@ from lgb.lattice import (
     is_standard_decomposition,
     minimal_elements,
     rays_from_halfspaces,
-    shifted_cone_intersection,
     smith_normal_form,
     validate_decomposition,
     vadd,
@@ -59,16 +56,16 @@ def test_standard_n1_degeneration():
 
 def test_cone_contains_examples():
     d = build_decomposition("standard", 2)
-    assert cone_contains(d[0], (1, 2))
-    assert cone_contains(d[1], (-3, 1))
-    assert not cone_contains(d[2], (0, 1))
+    assert d[0].contains((1, 2))
+    assert d[1].contains((-3, 1))
+    assert not d[2].contains((0, 1))
 
 
 def test_cone_factorize_examples():
     d = build_decomposition("standard", 2)
-    assert cone_factorize(d[0], (2, -1)) == ((2, 0), (0, 1))
-    assert cone_factorize(d[2], (0, 1)) == ((0, 0), (0, -1))
-    assert cone_factorize(d[1], (0, 0)) == ((0, 0), (0, 0))
+    assert d[0].factorize((2, -1)) == ((2, 0), (0, 1))
+    assert d[2].factorize((0, 1)) == ((0, 0), (0, -1))
+    assert d[1].factorize((0, 0)) == ((0, 0), (0, 0))
 
 
 def test_cone_factorize_exhaustive_small():
@@ -83,10 +80,10 @@ def test_cone_factorize_exhaustive_small():
 
 def test_shifted_intersection_examples():
     d = build_decomposition("standard", 2)
-    assert shifted_cone_intersection(d[0], (0, 2), (1, 0)) == (1, 2)
-    assert shifted_cone_intersection(d[0], (1, 1), (1, 1)) == (1, 1)
+    assert d[0].shifted_intersection((0, 2), (1, 0)) == (1, 2)
+    assert d[0].shifted_intersection((1, 1), (1, 1)) == (1, 1)
     # derived by the module invariant below, not by the quoted figure
-    assert shifted_cone_intersection(d[2], (1, 2), (-4, -3)) == (-4, -3)
+    assert d[2].shifted_intersection((1, 2), (-4, -3)) == (-4, -3)
 
 
 def test_shifted_intersection_invariant():

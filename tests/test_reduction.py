@@ -114,7 +114,7 @@ def _memo_cases():
     rng = random.Random(77)
     ring = ring_for(FieldSpec.rational(), 2, "degmin")
     polys = [random_poly(ring, rng, terms=4, radius=3) for _ in range(5)]
-    yield "polynomial", PolynomialMode(ring), lambda g, t: g.term_mul(t).leading_monomial(), polys
+    yield "polynomial", PolynomialMode(ring), lambda g, t: g.term_mul(t).leading_data()[0], polys
     wring = q2_ring()
     for name, mode in (
         ("weight (1,2)", WeightMode(wring, WeightContext((1, 2)))),

@@ -7,7 +7,9 @@ CHECKOUT is the root of an lgb checkout; its ``src``, ``bench`` and
 ``tests/conftest.py`` are imported.  The file holds, for seeds 1 and 7 of the three workloads, every
 basis (with its pair statistics), criterion verdict, and the quotients and
 remainder of each probe, of 1 and of each generator divided by the basis
-and by the generators; for each general-cones basis element, every cone
+and by the generators; for every polynomial basis, ``GBResult.combinations``
+(each basis element over the generators), also recomputed with
+``GBConfig(normalize=True)``; for each general-cones basis element, every cone
 module (``ti_set_general(i, 8)`` on the orthant ring, ``tij_generators(
 body, label, 6)`` on a polytope) or the exception it raised; the bases or
 exceptions of the known failures; the bases and every cone module of the
@@ -81,6 +83,18 @@ def main():
             emit(f"{label}: raised {type(exc).__name__}: {exc}")
             return None
 
+    def combinations(gens):
+        """The plain and the normalized basis with each element's combination."""
+        for normalize in (False, True):
+            res = guarded("gb", groebner.buchberger, gens, groebner.GBConfig(normalize=normalize))
+            if res is None:
+                continue
+            emit(f"combinations normalize={normalize}")
+            for h, combo in zip(res.basis, res.combinations):
+                emit("basis " + text(h))
+                for c in combo:
+                    emit("  comb " + text(c))
+
     def modules(h, mode):
         """Every cone module of one basis element, or the exception."""
         if mode is None:
@@ -108,6 +122,8 @@ def main():
                     if wl == "general-cones":
                         modules(h, case.mode)
                 emit(f"check {guarded('check', case.check, res.basis)}")
+                if case.mode is None:
+                    combinations(case.gens)
                 for f in case.probes + [case.one] + list(case.gens):
                     for divisors in (res.basis, case.gens):
                         if isinstance(f, affinoid.CappedSeries):
@@ -131,11 +147,13 @@ def main():
     ring3 = orthant_ring(3)
     for gens in ORTHANT_N3:
         emit(f"== orthant n=3 {', '.join(gens)}")
-        res = guarded("gb", groebner.buchberger, [cli.parse_poly(ring3, g) for g in gens])
+        polys = [cli.parse_poly(ring3, g) for g in gens]
+        res = guarded("gb", groebner.buchberger, polys)
         if res is not None:
             for h in res.basis:
                 emit("basis " + text(h))
                 modules(h, None)
+        combinations(polys)
 
     probdir = out_path.parent / (out_path.name + ".problems")
     probdir.mkdir(exist_ok=True)

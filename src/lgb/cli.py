@@ -413,7 +413,12 @@ def _load(args) -> Problem:
         text = fh.read()
     problem = parse_problem(text)
     if args.precision is not None:
-        problem.precision = Fraction(args.precision)
+        try:
+            problem.precision = Fraction(args.precision)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("precision must be a rational") from None
+        if not problem.capped:
+            raise ParseError("precision requires a weight or polytope directive")
     return problem
 
 

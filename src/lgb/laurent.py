@@ -19,6 +19,8 @@ from ``lattice.minimal_elements``, the search the polytope layer's T_{i,j}
 modules share: from each line of box points along the first cone
 generator, only the top point is tested and slides down the generators to
 a minimal member, with the integer membership test memoized for one search.
+The box widens from the origin only while the certificate fails, and a
+certified set, the module's unique minimal generating set, is kept per cone.
 """
 
 from __future__ import annotations
@@ -305,42 +307,49 @@ class LaurentPoly:
     def ti_set_general(self, i, search_radius: int):
         """Generating set of {t : lm(X^t f) in T_i} as a T_i-module: the
         minimal elements of the factored description of ``_ti_cells``
-        reached from the radius box and the cone witness; raises
-        IncompleteSearchError when the set cannot be certified complete
-        within the radius.  Memoized per (cone, radius); failures are not.
+        reached from the cone witness and the box of radius 0, 1, 2, 4, ...
+        up to ``search_radius``, widened until the certificate proves the set
+        complete; raises IncompleteSearchError when it cannot at
+        ``search_radius``.  Memoized per cone; failures are not.
+
+        This is the answer of the ``search_radius`` box alone: found sets
+        grow with the starts, and a point no generator step lowers is
+        minimal in the whole module, since the cone generators generate T_i,
+        so a certified set is the module's unique minimal generating set.
 
         The certificate proves the described set minus the union of the
-        shifted cones g + T_i empty over the rationals.  It walks one option
-        per factor, then one half-space per generator g to lie outside of,
-        depth first, and prunes every partial system Fourier-Motzkin proves
-        empty: added constraints never make an empty system nonempty."""
+        shifted cones g + T_i empty over the rationals.  It walks one
+        half-space per generator g to lie outside of, then one option per
+        factor, depth first, and prunes every partial system Fourier-Motzkin
+        proves empty: added constraints never make an empty system nonempty."""
         if self.is_zero():
             raise UndefinedLeadingError("the zero polynomial has no cone module")
-        cached = self._cone_cache.get((i, search_radius))
+        cached = self._cone_cache.get(("general", i))
         if cached is not None:
             return list(cached)
         base, factors = _ti_cells(self, i)
         cone = self.ring.order.decomposition[i]
-        starts = itertools.chain(
-            box_points(self.ring.n, search_radius), [self.cone_witness(i)]
-        )
-        minimal = minimal_elements(
-            lambda p: _satisfies(base, factors, p), cone.generators, starts
-        )
+        member = lambda p: _satisfies(base, factors, p)
+        radius, witness = 0, [self.cone_witness(i)]
+        while True:
+            starts = itertools.chain(box_points(self.ring.n, radius), witness)
+            minimal = minimal_elements(member, cone.generators, starts)
+            # outside g + T_i: h.(p - g) <= -1 for one half-space h
+            outside = [[[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal]
+            complete = not _some_choice_feasible(base, outside + factors, self.ring.n)
+            if complete or radius >= search_radius:
+                break
+            radius = min(2 * radius or 1, search_radius)
         for g in minimal:
             if not self.ti_contains(g, i):
                 raise LatticeError(f"polyhedral description disagrees at {g}")
-        # outside g + T_i: h.(p - g) <= -1 for one half-space h
-        levels = factors + [
-            [[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal
-        ]
-        if _some_choice_feasible(base, levels, self.ring.n):
+        if not complete:
             raise IncompleteSearchError(
                 f"generating set not certified complete within radius {search_radius}"
                 if minimal
                 else f"no generators found within radius {search_radius}"
             )
-        self._cone_cache[(i, search_radius)] = minimal
+        self._cone_cache[("general", i)] = minimal
         return list(minimal)
 
     # -- display -----------------------------------------------------------

@@ -1,14 +1,25 @@
 """Shared fixtures and random-instance helpers for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from lgb import laurent
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
-from lgb.lattice import build_decomposition, vsub
-from lgb.laurent import LaurentRing
+from lgb.lattice import (
+    IncompleteSearchError,
+    LatticeError,
+    box_points,
+    build_decomposition,
+    minimal_elements,
+    vdot,
+    vneg,
+    vsub,
+)
+from lgb.laurent import LaurentRing, UndefinedLeadingError
 
 
 def ring_for(field, n, score="degmin", decomposition=None, names=None):
@@ -150,3 +161,35 @@ def reference_minimal_elements(member, generators, starts):
                     moved = True
         found.add(p)
     return sorted(found)
+
+
+def reference_ti_set_general(self, i, search_radius: int):
+    """``LaurentPoly.ti_set_general`` as one search from the whole radius
+    box: the check for the search that widens its box from the origin.
+    It keeps no memo, and it reaches ``_ti_cells``, ``_satisfies`` and
+    ``_some_choice_feasible`` through ``lgb.laurent``, so a test that
+    counts calls there counts this search too."""
+    if self.is_zero():
+        raise UndefinedLeadingError("the zero polynomial has no cone module")
+    base, factors = laurent._ti_cells(self, i)
+    cone = self.ring.order.decomposition[i]
+    starts = itertools.chain(
+        box_points(self.ring.n, search_radius), [self.cone_witness(i)]
+    )
+    minimal = minimal_elements(
+        lambda p: laurent._satisfies(base, factors, p), cone.generators, starts
+    )
+    for g in minimal:
+        if not self.ti_contains(g, i):
+            raise LatticeError(f"polyhedral description disagrees at {g}")
+    # outside g + T_i: h.(p - g) <= -1 for one half-space h
+    levels = factors + [
+        [[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal
+    ]
+    if laurent._some_choice_feasible(base, levels, self.ring.n):
+        raise IncompleteSearchError(
+            f"generating set not certified complete within radius {search_radius}"
+            if minimal
+            else f"no generators found within radius {search_radius}"
+        )
+    return list(minimal)

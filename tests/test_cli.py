@@ -203,6 +203,33 @@ def test_options_are_registered_only_where_read(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, value, message",
+    [
+        ("weight 1 2\n", "abc", "precision must be a rational"),
+        ("weight 1 2\n", "1/0", "precision must be a rational"),
+        ("", "5", "precision requires a weight or polytope directive"),
+    ],
+    ids=["not-rational", "zero-denominator", "no-weight-or-polytope"],
+)
+def test_precision_option_follows_the_directive_rules(tmp_path, capsys, header, value, message):
+    body = "vars x y\norder degmin\n" + header
+    option = write(tmp_path, "ring Qp 2\n" + body + "gens:\nx + 2*y\n", "option.lgb")
+    directive = write(tmp_path, f"ring Qp 2\n{body}precision {value}\ngens:\nx + 2*y\n", "directive.lgb")
+    assert main(["gb", directive]) == 1
+    assert capsys.readouterr().err.startswith(f"parse error: {message}")
+    assert main(["gb", option, "--precision", value]) == 1
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_precision_option_overrides_the_cap(tmp_path, capsys):
+    path = write(tmp_path, "ring Qp 2\nvars x y\nweight 1 2\norder degmin\nprecision 20\ngens:\nx - 1\n1024\n")
+    assert main(["gb", path]) == 0
+    # 1024 = 2^10 is zero at precision 10
+    assert main(["gb", path, "--precision", "10"]) == 2
+    assert capsys.readouterr().err.endswith("error: generators must be nonzero at the working precision\n")
+
+
 def test_polytopal_gb_verb(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_poly, ring_for
+from conftest import orthant_ring, random_poly, ring_for
 from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
 from lgb.groebner import (
@@ -186,6 +186,25 @@ def test_orthant_decomposition_buchberger():
         assert ideal_membership(probe, res.basis, trusted=True) == laurent_membership_oracle(
             probe, gens
         )
+
+
+#: the ``ORTHANT_N3`` ideals of ``tools/dump_answers.py``; each has a zero in
+#: the torus over Q-bar: (i*sqrt(6), 1, 3/(i*sqrt(6))) and (1, 2, -2/3)
+ORTHANT_N3 = (
+    ("x*y^-1 + 2*z", "y*z - 3*x^-1"),
+    ("x*y - 2", "y*z^-1 + 3*x"),
+)
+
+
+@pytest.mark.parametrize("gens", ORTHANT_N3)
+def test_orthant_n3_bases(gens):
+    ring = orthant_ring(3)
+    polys = [parse_poly(ring, g) for g in gens]
+    basis = buchberger(polys).basis
+    assert is_groebner(basis)[0]
+    for g in polys:
+        assert reduce(g, basis).remainder.is_zero()
+    assert not reduce(ring.one(), basis).remainder.is_zero()
 
 
 def test_spair_bound_on_formed_pairs(q_ring2):

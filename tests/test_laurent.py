@@ -3,11 +3,22 @@ import random
 
 import pytest
 
-from conftest import orthant_ring, random_poly, ring_for
+from conftest import orthant_ring, random_poly, reference_ti_set_general, ring_for
+from lgb.affinoid import PolytopeContext, build_refined_decomposition
 from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
-from lgb.gmo import GeneralizedOrder, ScoreFunction
-from lgb.lattice import IncompleteSearchError, box_points, build_decomposition, vadd, vdot, vsub
+from lgb.gmo import GeneralizedOrder, ScoreFunction, validate_gmo
+from lgb.lattice import (
+    Cone,
+    ConicDecomposition,
+    IncompleteSearchError,
+    LatticeError,
+    box_points,
+    build_decomposition,
+    vadd,
+    vdot,
+    vsub,
+)
 from lgb.laurent import (
     LaurentPoly,
     LaurentRing,
@@ -307,21 +318,105 @@ TI_PIN_N3 = [
 
 
 def test_ti_set_general_pinned_n3():
-    f = parse_poly(orthant_ring(3), "x*y^-1 + 2*z")
-    assert [f.ti_set_general(i, 4) for i in range(8)] == TI_PIN_N3
+    ring = orthant_ring(3)
+    for radius in (4, 8):
+        f = parse_poly(ring, "x*y^-1 + 2*z")
+        assert [f.ti_set_general(i, radius) for i in range(8)] == TI_PIN_N3
+
+
+def _search_outcome(search, f, i, radius):
+    """The generators one search returns, or the type and text of the
+    lattice error it raises."""
+    try:
+        return search(f, i, radius)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+def _segment_ring():
+    """Q[x^±1, y^±1] ordered on the refinement of the standard cones by the
+    segment (1,1),(-2,-1).  Its cone (1,2), with Hilbert basis (-2,3),
+    (-1,2), (0,1), is not unimodular, so every cone module raises
+    UnsupportedConeError."""
+    ctx = PolytopeContext([(1, 1), (-2, -1)])
+    refined = build_refined_decomposition(ctx, build_decomposition("standard", 2))
+    assert refined.cone((1, 2)).generators[0] == (-2, 3)
+    order = GeneralizedOrder(refined.decomposition, ScoreFunction("degmin", 2))
+    return LaurentRing(FieldSpec.rational(), 2, order)
+
+
+def _sheared_ring():
+    """Q[x^±1, y^±1] ordered on the standard cones and degmin score moved by
+    the lattice automorphism e1 -> (-2,3), e2 -> (-1,1): unimodular cones
+    whose cone 0 starts, like the refined segment cone, at (-2,3)."""
+
+    def apply(rows, v):
+        return tuple(vdot(r, v) for r in rows)
+
+    forward, dual = ((-2, -1), (3, 1)), ((1, -3), (1, -2))  # dual = inverse transposed
+    std = build_decomposition("standard", 2)
+    cones = [
+        Cone(i, tuple(apply(forward, g) for g in c.generators), tuple(apply(dual, h) for h in c.halfspaces))
+        for i, c in enumerate(std)
+    ]
+    degmin = GeneralizedOrder(std, ScoreFunction("degmin", 2))
+    rows = {i: apply(dual, degmin.linear_form(i)) for i in range(3)}
+    order = GeneralizedOrder(ConicDecomposition(tuple(cones)), ScoreFunction("custom", 2, rows=rows))
+    assert validate_gmo(order).ok and cones[0].generators[0] == (-2, 3)
+    return LaurentRing(FieldSpec.rational(), 2, order)
+
+
+def test_widening_search_agrees_with_the_whole_box_search(monkeypatch):
+    from lgb import laurent
+
+    tests = []
+    real = laurent._satisfies
+
+    def counting(base, factors, p):
+        tests.append(p)
+        return real(base, factors, p)
+
+    monkeypatch.setattr(laurent, "_satisfies", counting)
+    rng = random.Random(20261019)
+    cases = []
+    for ring, ceilings, count in (
+        (orthant_ring(2), range(1, 9), 6),
+        (_sheared_ring(), range(1, 9), 6),
+        (_segment_ring(), (8,), 1),
+        (orthant_ring(3), (4,), 2),
+    ):
+        texts = [str(random_poly(ring, rng, terms=3, radius=3)) for _ in range(count)]
+        cases += [(ring, text, r) for text in texts for r in ceilings]
+    cases += [(orthant_ring(2), "x^9 + y^9 + x^-8*y^-8", r) for r in range(1, 9)]
+    saved = 0
+    kinds = set()
+    for ring, text, radius in cases:
+        for i in range(len(ring.order.decomposition)):
+            # a fresh polynomial per search, so no memo answers for another ceiling
+            del tests[:]
+            got = _search_outcome(LaurentPoly.ti_set_general, parse_poly(ring, text), i, radius)
+            widened = len(tests)
+            del tests[:]
+            expected = _search_outcome(reference_ti_set_general, parse_poly(ring, text), i, radius)
+            assert got == expected, (text, i, radius)
+            saved += widened < len(tests)
+            kinds.add(type(got))
+    assert saved
+    assert kinds == {list, tuple}  # both certified sets and failures were compared
 
 
 def test_ti_set_general_is_memoized(monkeypatch):
     from lgb import laurent
 
     searches = []
-    real = laurent.minimal_elements
+    real = laurent._ti_cells
 
     def counting(*args):
         searches.append(args)
         return real(*args)
 
-    monkeypatch.setattr(laurent, "minimal_elements", counting)
+    # one search may run several box rounds but describes the module once
+    monkeypatch.setattr(laurent, "_ti_cells", counting)
     ring = orthant_ring(2)
     f = parse_poly(ring, "x^2 - 3*y + x^-1*y^-2")
     # callers may change what they get: a miss and a hit both return a copy
@@ -332,13 +427,14 @@ def test_ti_set_general_is_memoized(monkeypatch):
         got[0] = (7, 7)
     assert f.ti_set_general(0, 8) == [(0, 1), (1, 0)]
     assert len(searches) == 1
-    f.ti_set_general(0, 6)  # another radius is another search
-    assert len(searches) == 2
+    # a certified set does not depend on the ceiling: another radius is a hit
+    assert f.ti_set_general(0, 6) == [(0, 1), (1, 0)]
+    assert len(searches) == 1
     # a failure is not cached: each attempt searches again
     g = ring.poly({(9, 0): 1, (0, 9): 1, (-8, -8): 1})
     for _ in range(2):
         with pytest.raises(IncompleteSearchError):
             g.ti_set_general(0, 1)
-    assert len(searches) == 4
+    assert len(searches) == 3
     assert g.ti_set_general(0, 12) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
-    assert len(searches) == 5
+    assert len(searches) == 4

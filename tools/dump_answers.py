@@ -13,7 +13,10 @@ and by the generators; for every polynomial basis, ``GBResult.combinations``
 module (``ti_set_general(i, 8)`` on the orthant ring, ``tij_generators(
 body, label, 6)`` on a polytope) or the exception it raised; the bases or
 exceptions of the known failures; the bases and every cone module of the
-``ORTHANT_N3`` ideals on the n=3 orthant ring; then
+``ORTHANT_N3`` ideals on the n=3 orthant ring; ``ti_set_general(i, r)`` at
+every ceiling r = 0..8 for every cone of ``x^9 + y^9 + x^-8*y^-8`` on the
+n=2 orthant ring and of each ``ORTHANT_N3`` generator, parsed afresh for
+each ceiling so that no memo hides where the search starts to fail; then
 the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
 ``reduce``, ``member`` and ``info`` on each seed-1 problem file, each
 known failure and each of the ``EXTENSION_FIELDS`` problems over GF(4),
@@ -154,6 +157,20 @@ def main():
                 emit("basis " + text(h))
                 modules(h, None)
         combinations(polys)
+
+    ceiling_cases = (
+        (orthant_ring(2), ["x^9 + y^9 + x^-8*y^-8"]),
+        (ring3, [g for gens in ORTHANT_N3 for g in gens]),
+    )
+    for ring, texts in ceiling_cases:
+        for t in texts:
+            emit(f"== ceilings {t}")
+            for radius in range(9):
+                for i in range(len(ring.order.decomposition)):
+                    label = f"T_{i} ceiling {radius}"
+                    res = guarded(label, cli.parse_poly(ring, t).ti_set_general, i, radius)
+                    if res is not None:
+                        emit(f"{label} {res}")
 
     probdir = out_path.parent / (out_path.name + ".problems")
     probdir.mkdir(exist_ok=True)

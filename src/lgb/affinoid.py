@@ -21,10 +21,12 @@ order's key.  ``leading`` and the shared division loop take keyed maxima.
 ``PolytopeMode.shifted_lm`` keys the terms of X^t g from integers cached
 per polynomial (exponent, valuation times the denominator, dot product
 with each scaled vertex), so testing t against a T_{i,j} module builds no
-product.  The T_{i,j} generators come from the memoized search
-``lattice.minimal_elements`` that the Laurent layer's general cone
-modules use too: only the top start of each line along the cone's first
-generator slides down the generators to a minimal member.
+product.  With several vertices, T_{i,j}(f) is described exactly by
+integer cells (``_tij_cells``), and its generators come from the search
+the Laurent layer's general cone modules use too,
+``lattice._certified_generators``: it widens a box from a witness until a
+Fourier-Motzkin certificate proves the set complete, so every module it
+returns is certified.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from math import gcd as _gcd
 
 from lgb.coeffs import INF, Coefficient
@@ -45,10 +46,11 @@ from lgb.lattice import (
     ConicDecomposition,
     IncompleteSearchError,
     ValidationReport,
+    _certified_generators,
+    _satisfies,
     box_points,
     cone_from_halfspaces,
     fm_feasible,
-    minimal_elements,
     rational_rank,
     scale_to_int,
     validate_decomposition,
@@ -56,7 +58,7 @@ from lgb.lattice import (
     vdot,
     vsub,
 )
-from lgb.laurent import LaurentPoly, LaurentRing, Term, format_poly, u_intersection
+from lgb.laurent import LaurentPoly, LaurentRing, Term, _ti_cells, format_poly, u_intersection
 from lgb.reduction import _memoized_lm, division_loop, residual
 
 
@@ -428,7 +430,7 @@ class PolytopeMode:
     """Division machinery for a ring whose order refines a polytope's
     vertex regions."""
 
-    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules")
+    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules", "_interiors")
 
     def __init__(self, ring: LaurentRing, context: PolytopeContext, refined: RefinedDecomposition):
         if context.n != ring.n:
@@ -446,6 +448,7 @@ class PolytopeMode:
         self._initials = {}
         self._term_keys = {}
         self._modules = {}
+        self._interiors = {}
 
     def __eq__(self, other):
         return (
@@ -523,12 +526,14 @@ class PolytopeMode:
 
     # ------------------------------------------------------------------
     def tij_generators(self, f: LaurentPoly, label, search_radius=6):
-        """Generators of T_{i,j}(f): the minimal elements reached from a
-        witness and the radius box by ``lattice.minimal_elements``, each
-        verified directly and memoized on the mode (failures are not).  With
-        several vertices there is no completeness certificate yet: a
-        generator away from the box and the witness would be missed.  One
-        vertex defers to the Laurent modules, memoized per polynomial."""
+        """Generators of T_{i,j}(f), certified complete: the minimal elements
+        of the cells ``_tij_cells`` reached from a witness and a box widened
+        up to ``search_radius`` (``lattice._certified_generators``), each
+        re-checked with ``module_contains``.  The witness is the first member
+        on the walk from the cone witness along an interior direction; with
+        none in 2 * search_radius + 2 steps, IncompleteSearchError.  Memoized
+        on the mode per polynomial and label, whatever the ceiling; failures
+        are not.  One vertex defers to the Laurent modules."""
         if f.is_zero():
             raise AffinoidError("the zero series has no cone module")
         if self.context.nvertices == 1:
@@ -537,44 +542,40 @@ class PolytopeMode:
             if self.ring.standard_cones:
                 return [body.ti_generator(flat)]
             return body.ti_set_general(flat, search_radius)
-        cached = self._modules.get((f, label, search_radius))
+        cached = self._modules.get((f, label))
         if cached is not None:
             return list(cached)
-        cone = self.refined.cone(label)
         member = lambda t: self.module_contains(f, t, label)
-
-        witness = None
-        t0 = f.cone_witness(self.refined.flat_index(label))
+        witness = f.cone_witness(self.refined.flat_index(label))
         interior = self._interior_vector(label)
-        probe = t0
         for _ in range(2 * search_radius + 2):
-            if member(probe):
-                witness = probe
+            if member(witness):
                 break
-            probe = vadd(probe, interior)
-        if witness is None:
+            witness = vadd(witness, interior)
+        else:
             raise IncompleteSearchError(
                 f"no witness for cone {label} within radius {search_radius}"
             )
-
-        starts = chain([witness], box_points(self.ring.n, search_radius))
-        minimal = minimal_elements(member, cone.generators, starts)
-        for g in minimal:
-            if not member(g):
-                raise AffinoidError(f"search produced a non-member {g}")
-        self._modules[(f, label, search_radius)] = minimal
+        base, factors = _tij_cells(self, f, label)
+        minimal = _certified_generators(
+            lambda p: _satisfies(base, factors, p), (base, factors), self.refined.cone(label),
+            witness, search_radius, member,
+        )
+        self._modules[(f, label)] = minimal
         return list(minimal)
 
     def _interior_vector(self, label):
-        i, _ = label
-        cone = self.refined.cone(label)
-        constraints = [(h, Fraction(0), True) for h in cone.halfspaces]
-        constraints += [(h, Fraction(0), True) for h in self.context.vi_halfspaces(i)]
-        for radius in range(1, 8):
-            for p in box_points(self.ring.n, radius):
-                if any(p) and all(vdot(a, p) > 0 for a, _, _ in constraints):
-                    return p
-        raise AffinoidError(f"cone {label} has no interior lattice direction")
+        """The first nonzero point of the boxes of radius 1 to 7 strictly
+        inside the cone and V_i, memoized per label."""
+        if label not in self._interiors:
+            normals = (*self.refined.cone(label).halfspaces, *self.context.vi_halfspaces(label[0]))
+            points = (p for r in range(1, 8) for p in box_points(self.ring.n, r))
+            self._interiors[label] = next(
+                (p for p in points if any(p) and all(vdot(h, p) > 0 for h in normals)), None
+            )
+        if self._interiors[label] is None:
+            raise AffinoidError(f"cone {label} has no interior lattice direction")
+        return self._interiors[label]
 
     def u_set(self, f: LaurentPoly, g: LaurentPoly, label, search_radius=6):
         if self.context.nvertices == 1:
@@ -586,6 +587,31 @@ class PolytopeMode:
         fam_f = [vadd(a, lmf) for a in self.tij_generators(f, label, search_radius)]
         fam_g = [vadd(b, lmg) for b in self.tij_generators(g, label, search_radius)]
         return cone.module_intersection(fam_f, fam_g)
+
+
+def _tij_cells(mode: PolytopeMode, f: LaurentPoly, label):
+    """T_{i,j}(f) as (base, factors), the cell description of
+    ``laurent._ti_cells``.
+
+    A member t has lm(X^t f) = e* + t with e* = lm_label(f) (the module
+    lemma), a point of V_{i,<}: its first attaining vertex is i, and its key
+    num_i.(e* + t) - v(c*) den is linear in t.  The base says e* + t lies in
+    the cone and beats every term e + t at every vertex k != i, strictly for
+    k < i, where the smaller index would win the tie; only the best term at
+    k counts, and e = e* puts e* + t in V_{i,<}.  At k = i the difference is
+    a constant, positive off the initial form in_{r_i}(f) and zero on it,
+    where the order key decides: the factors are those of the Laurent
+    module of in_{r_i}(f) in the cone, whose base is the cone's."""
+    i, _ = label
+    num, den = mode.context._num, mode.context._den
+    base, factors = _ti_cells(mode.initial(f, i), mode.refined.flat_index(label))
+    lm, lc = mode.cone_leading(f, label)
+    top = vdot(num[i - 1], lm) - lc.valuation() * den
+    for k, nk in enumerate(num, 1):
+        if k != i:
+            best = max(vdot(nk, e) - c.valuation() * den for e, c in f.terms_unordered())
+            base.append((vsub(num[i - 1], nk), top - best - (k < i)))
+    return base, factors
 
 
 def _max_term(mode, f: LaurentPoly) -> Term:

@@ -122,6 +122,77 @@ def minimal_elements(member, generators, starts):
     return sorted(found)
 
 
+def _satisfies(base, factors, p):
+    """Whether p satisfies the base and one option of every factor of a
+    cell description: integer inequalities (a, b) meaning a.p + b >= 0."""
+
+    def holds(cons):
+        return all(vdot(a, p) + b >= 0 for a, b in cons)
+
+    return holds(base) and all(any(holds(o) for o in options) for options in factors)
+
+
+def _some_choice_feasible(cons, levels, n):
+    """Whether cons plus one option of every level is feasible over Q for
+    some choice of options, depth first; an infeasible prefix is pruned."""
+    if not fm_feasible([(a, b, False) for a, b in cons], n):
+        return False
+    return not levels or any(
+        _some_choice_feasible(cons + option, levels[1:], n) for option in levels[0]
+    )
+
+
+def _tightened(a, b):
+    """a.p + b >= 0 on lattice points p as (a / g).p + floor(b / g) >= 0,
+    g = gcd(a): the same lattice points, and fewer rational ones."""
+    g = gcd(*a)
+    return (tuple(x // g for x in a), b // g) if g > 1 else (a, b)
+
+
+def _certified_generators(member, cells, cone, witness, search_radius, verify):
+    """Sorted generators of a cone module given exactly by the cell
+    description ``cells = (base, factors)`` (see ``_satisfies``), whose
+    points ``member`` tests: the minimal elements reached from ``witness``
+    and the box of radius 0, 1, 2, 4, ... up to ``search_radius``, widened
+    until the certificate proves the set complete.  Each generator is
+    re-checked with ``verify``, and a disagreement raises LatticeError;
+    IncompleteSearchError when the set is not certified at
+    ``search_radius``.
+
+    This is the answer of the ``search_radius`` box alone: found sets grow
+    with the starts, and a point no generator step lowers is minimal in the
+    whole module, since the cone generators generate the cone, so a
+    certified set is the module's unique minimal generating set.
+
+    The certificate proves the described set minus the union of the shifted
+    cones g + C empty over the rationals.  It walks one half-space per
+    generator g to lie outside of, then one option per factor, depth first,
+    and prunes every partial system Fourier-Motzkin proves empty: added
+    constraints never make an empty system nonempty."""
+    base = [_tightened(a, b) for a, b in cells[0]]
+    factors = [[[_tightened(a, b) for a, b in o] for o in options] for options in cells[1]]
+    radius = 0
+    while True:
+        starts = itertools.chain(box_points(cone.n, radius), [witness])
+        minimal = minimal_elements(member, cone.generators, starts)
+        # outside g + C: h.(p - g) <= -1 for one half-space h
+        outside = [[[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal]
+        complete = not _some_choice_feasible(base, outside + factors, cone.n)
+        if complete or radius >= search_radius:
+            break
+        radius = min(2 * radius or 1, search_radius)
+    for g in minimal:
+        if not verify(g):
+            raise LatticeError(f"polyhedral description disagrees at {g}")
+    if not complete:
+        raise IncompleteSearchError(
+            f"generating set not certified complete within radius {search_radius}"
+            if minimal
+            else f"no generators found within radius {search_radius}"
+        )
+    return minimal
+
+
 # -- exact integer/rational linear algebra -----------------------------------
 
 def int_det(rows):
@@ -364,21 +435,25 @@ class Cone:
         return self._cache["uni"]
 
     def _coords(self, s):
-        """Coordinates of s in the generator basis (unimodular cones only)."""
-        if not self.is_unimodular:
-            raise UnsupportedConeError(
-                f"cone {self.id} is not simplicial unimodular"
-            )
+        """Coordinates of s in the generator basis (unimodular cones only),
+        by the inverse of the generator matrix G computed once: its adjugate
+        over det G = +-1, entry (i, k) the signed minor of G without
+        coordinate k and generator i, times det G."""
         inv = self._cache.get("inv")
         if inv is None:
-            n = self.n
-            mat = [[Fraction(self.generators[j][i]) for j in range(n)] for i in range(n)]
-            cols = [solve_rational(mat, tuple(1 if i == k else 0 for i in range(n))) for k in range(n)]
-            if any(c.denominator != 1 for col in cols for c in col):
-                raise AssertionError(f"cone {self.id} has a non-integral inverse")
-            inv = tuple(tuple(int(cols[k][i]) for k in range(n)) for i in range(n))
-            self._cache["inv"] = inv
-        return tuple(sum(a * b for a, b in zip(row, s)) for row in inv)
+            if not self.is_unimodular:
+                raise UnsupportedConeError(f"cone {self.id} is not simplicial unimodular")
+            gens = self.generators
+            det = int_det([list(g) for g in gens])
+            inv = self._cache["inv"] = tuple(
+                tuple(
+                    det * (-1) ** (i + k)
+                    * int_det([g[:k] + g[k + 1:] for c, g in enumerate(gens) if c != i])
+                    for k in range(self.n)
+                )
+                for i in range(self.n)
+            )
+        return tuple(vdot(row, s) for row in inv)
 
     def factorize(self, s):
         """Split s = u - v with u, v in the cone, via generator coordinates."""

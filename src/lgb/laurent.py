@@ -15,8 +15,8 @@ base and one option of every factor.  The product of the factors, a union
 of polyhedra, is never expanded: membership tests factor by factor, and
 the completeness certificate walks the options depth first, pruning every
 partial system that Fourier-Motzkin proves empty.  The generators come
-from ``lattice.minimal_elements``, the search the polytope layer's T_{i,j}
-modules share: from each line of box points along the first cone
+from ``lattice._certified_generators``, the search the polytope layer's
+T_{i,j} modules share: from each line of box points along the first cone
 generator, only the top point is tested and slides down the generators to
 a minimal member, with the integer membership test memoized for one search.
 The box widens from the origin only while the certificate fails, and a
@@ -25,7 +25,6 @@ certified set, the module's unique minimal generating set, is kept per cone.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -33,12 +32,10 @@ from typing import NamedTuple
 from lgb.coeffs import Coefficient, FieldSpec
 from lgb.gmo import GeneralizedOrder
 from lgb.lattice import (
-    IncompleteSearchError,
     LatticeError,
-    box_points,
-    fm_feasible,
+    _certified_generators,
+    _satisfies,
     is_standard_decomposition,
-    minimal_elements,
     vadd,
     vdot,
     vneg,
@@ -309,46 +306,20 @@ class LaurentPoly:
         minimal elements of the factored description of ``_ti_cells``
         reached from the cone witness and the box of radius 0, 1, 2, 4, ...
         up to ``search_radius``, widened until the certificate proves the set
-        complete; raises IncompleteSearchError when it cannot at
-        ``search_radius``.  Memoized per cone; failures are not.
-
-        This is the answer of the ``search_radius`` box alone: found sets
-        grow with the starts, and a point no generator step lowers is
-        minimal in the whole module, since the cone generators generate T_i,
-        so a certified set is the module's unique minimal generating set.
-
-        The certificate proves the described set minus the union of the
-        shifted cones g + T_i empty over the rationals.  It walks one
-        half-space per generator g to lie outside of, then one option per
-        factor, depth first, and prunes every partial system Fourier-Motzkin
-        proves empty: added constraints never make an empty system nonempty."""
+        complete (``lattice._certified_generators``); raises
+        IncompleteSearchError when it cannot at ``search_radius``.  A
+        certified set is the module's unique minimal generating set, so it
+        is memoized per cone; failures are not."""
         if self.is_zero():
             raise UndefinedLeadingError("the zero polynomial has no cone module")
         cached = self._cone_cache.get(("general", i))
         if cached is not None:
             return list(cached)
         base, factors = _ti_cells(self, i)
-        cone = self.ring.order.decomposition[i]
-        member = lambda p: _satisfies(base, factors, p)
-        radius, witness = 0, [self.cone_witness(i)]
-        while True:
-            starts = itertools.chain(box_points(self.ring.n, radius), witness)
-            minimal = minimal_elements(member, cone.generators, starts)
-            # outside g + T_i: h.(p - g) <= -1 for one half-space h
-            outside = [[[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal]
-            complete = not _some_choice_feasible(base, outside + factors, self.ring.n)
-            if complete or radius >= search_radius:
-                break
-            radius = min(2 * radius or 1, search_radius)
-        for g in minimal:
-            if not self.ti_contains(g, i):
-                raise LatticeError(f"polyhedral description disagrees at {g}")
-        if not complete:
-            raise IncompleteSearchError(
-                f"generating set not certified complete within radius {search_radius}"
-                if minimal
-                else f"no generators found within radius {search_radius}"
-            )
+        minimal = _certified_generators(
+            lambda p: _satisfies(base, factors, p), (base, factors), self.ring.order.decomposition[i],
+            self.cone_witness(i), search_radius, lambda g: self.ti_contains(g, i),
+        )
         self._cone_cache[("general", i)] = minimal
         return list(minimal)
 
@@ -420,25 +391,6 @@ def _ti_cells(f: LaurentPoly, i):
         options.append(inside + [(a, b)])
         factors.append(options)
     return base, factors
-
-
-def _some_choice_feasible(cons, levels, n):
-    """Whether cons plus one option of every level is feasible over Q for
-    some choice of options, depth first; an infeasible prefix is pruned."""
-    if not fm_feasible([(a, b, False) for a, b in cons], n):
-        return False
-    return not levels or any(
-        _some_choice_feasible(cons + option, levels[1:], n) for option in levels[0]
-    )
-
-
-def _satisfies(base, factors, p):
-    """Whether p satisfies the base and one option of every factor."""
-
-    def holds(cons):
-        return all(vdot(a, p) + b >= 0 for a, b in cons)
-
-    return holds(base) and all(any(holds(o) for o in options) for options in factors)
 
 
 def u_intersection(f: LaurentPoly, g: LaurentPoly, i, search_radius: int = 8):

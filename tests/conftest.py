@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from lgb import laurent
+from lgb import lattice, laurent
+from lgb.affinoid import AffinoidError
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
 from lgb.lattice import (
@@ -15,6 +16,7 @@ from lgb.lattice import (
     box_points,
     build_decomposition,
     minimal_elements,
+    vadd,
     vdot,
     vneg,
     vsub,
@@ -166,9 +168,9 @@ def reference_minimal_elements(member, generators, starts):
 def reference_ti_set_general(self, i, search_radius: int):
     """``LaurentPoly.ti_set_general`` as one search from the whole radius
     box: the check for the search that widens its box from the origin.
-    It keeps no memo, and it reaches ``_ti_cells``, ``_satisfies`` and
-    ``_some_choice_feasible`` through ``lgb.laurent``, so a test that
-    counts calls there counts this search too."""
+    It keeps no memo, and it reaches ``_ti_cells`` and ``_satisfies``
+    through ``lgb.laurent``, so a test that counts calls there counts this
+    search too."""
     if self.is_zero():
         raise UndefinedLeadingError("the zero polynomial has no cone module")
     base, factors = laurent._ti_cells(self, i)
@@ -186,10 +188,42 @@ def reference_ti_set_general(self, i, search_radius: int):
     levels = factors + [
         [[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal
     ]
-    if laurent._some_choice_feasible(base, levels, self.ring.n):
+    if lattice._some_choice_feasible(base, levels, self.ring.n):
         raise IncompleteSearchError(
             f"generating set not certified complete within radius {search_radius}"
             if minimal
             else f"no generators found within radius {search_radius}"
         )
+    return list(minimal)
+
+
+def reference_tij_generators(self, f, label, search_radius=6):
+    """``PolytopeMode.tij_generators`` on several vertices as one search from
+    the whole radius box, with no memo and no completeness certificate: the
+    check for the certified search that widens its box from the witness.
+    Its membership test is ``PolytopeMode.module_contains``."""
+    if f.is_zero():
+        raise AffinoidError("the zero series has no cone module")
+    cone = self.refined.cone(label)
+    member = lambda t: self.module_contains(f, t, label)
+
+    witness = None
+    t0 = f.cone_witness(self.refined.flat_index(label))
+    interior = self._interior_vector(label)
+    probe = t0
+    for _ in range(2 * search_radius + 2):
+        if member(probe):
+            witness = probe
+            break
+        probe = vadd(probe, interior)
+    if witness is None:
+        raise IncompleteSearchError(
+            f"no witness for cone {label} within radius {search_radius}"
+        )
+
+    starts = itertools.chain([witness], box_points(self.ring.n, search_radius))
+    minimal = minimal_elements(member, cone.generators, starts)
+    for g in minimal:
+        if not member(g):
+            raise AffinoidError(f"search produced a non-member {g}")
     return list(minimal)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly, ring_for
+from conftest import random_poly, reference_tij_generators, ring_for
 from lgb.affinoid import (
     AffinoidError,
     CappedSeries,
@@ -28,7 +28,7 @@ from lgb.coeffs import INF, FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import buchberger
 from lgb.laurent import LaurentRing, Term
-from lgb.lattice import box_points, build_decomposition, vadd
+from lgb.lattice import LatticeError, _satisfies, box_points, build_decomposition, vadd, vdot
 from lgb.oracle import brute_valP
 from lgb import affinoid, reduction
 from lgb.reduction import reduce
@@ -38,9 +38,9 @@ def q2_ring(n=2, score="degmin"):
     return ring_for(FieldSpec.padic(2), n, score)
 
 
-def polytope_mode(vertices):
+def polytope_mode(vertices, base="standard"):
     ctx = PolytopeContext(vertices)
-    refined = build_refined_decomposition(ctx, build_decomposition("standard", 2))
+    refined = build_refined_decomposition(ctx, build_decomposition(base, 2))
     order = GeneralizedOrder(refined.decomposition, ScoreFunction("degmin", 2))
     ring = LaurentRing(FieldSpec.padic(2), 2, order, ("x", "y"))
     return ring, PolytopeMode(ring, ctx, refined)
@@ -565,13 +565,14 @@ def test_reducer_fires_at_its_cone_leading_monomial(directive):
 
 def test_tij_generators_are_memoized(monkeypatch):
     searches = []
-    real = affinoid.minimal_elements
+    real = affinoid._tij_cells
 
     def counting(*args):
         searches.append(args)
         return real(*args)
 
-    monkeypatch.setattr(affinoid, "minimal_elements", counting)
+    # one search may run several box rounds but describes the module once
+    monkeypatch.setattr(affinoid, "_tij_cells", counting)
     ring, mode = polytope_mode(BENCH_POLYTOPES[0])
     f = parse_poly(ring, "x^-1*y^2 - 2*x")
     # callers may change what they get: a miss and a hit both return a copy
@@ -584,25 +585,127 @@ def test_tij_generators_are_memoized(monkeypatch):
     # an equal polynomial built separately hits the same entry
     assert mode.tij_generators(parse_poly(ring, "x^-1*y^2 - 2*x"), (1, 1), 6) == [(1, -2)]
     assert len(searches) == 1
+    # a certified set does not depend on the ceiling: another one is a hit
+    assert mode.tij_generators(f, (1, 1), 0) == [(1, -2)]
+    assert len(searches) == 1
     assert mode.tij_generators(f, (1, 2), 6) == [(1, -2)]
     assert len(searches) == 2
     # a failure is not cached: each attempt searches again
-    boom = []
-
-    def failing(*args):
-        boom.append(args)
-        raise affinoid.IncompleteSearchError("search refused")
-
-    monkeypatch.setattr(affinoid, "minimal_elements", failing)
-    g = parse_poly(ring, "2*x + y")
+    ring, mode = polytope_mode(SEGMENT, "orthant")
+    g = parse_poly(ring, "2*y^-3 - 8/3*x*y^-2")
     for _ in range(2):
-        with pytest.raises(affinoid.IncompleteSearchError):
-            mode.tij_generators(g, (2, 1), 6)
-    assert len(boom) == 2
-    monkeypatch.setattr(affinoid, "minimal_elements", counting)
-    assert mode.tij_generators(g, (2, 1), 6) == [(-1, -2)]
-    assert mode.tij_generators(g, (2, 1), 6) == [(-1, -2)]
-    assert len(searches) == 3
+        with pytest.raises(affinoid.IncompleteSearchError, match="within radius 1"):
+            mode.tij_generators(g, (2, 2), 1)
+    assert len(searches) == 4
+    found = mode.tij_generators(g, (2, 2), 8)
+    assert len(found) > 1 and len(searches) == 5
+    assert mode.tij_generators(g, (2, 2), 1) == found
+    assert len(searches) == 5
+
+
+# the segment (1,0),(0,1) on the orthant cones: a valid order whose six
+# cone modules have several generators, found only by a widening box
+SEGMENT = ((1, 0), (0, 1))
+
+
+def _tij_ring(k):
+    """(ring, mode) of the k-th general-cones polytope, or for k = 4 of
+    SEGMENT on the orthant cones."""
+    return polytope_mode(SEGMENT, "orthant") if k == 4 else polytope_mode(BENCH_POLYTOPES[k])
+
+
+def test_tij_cells_agree_with_module_contains():
+    """The cell description holds exactly the members: t satisfies it iff
+    lm(X^t f) lands in the cone and in V_{i,<}."""
+    for ring, mode in map(_tij_ring, range(5)):
+        rng = random.Random(str(mode.refined.labels))
+        texts = list(TIJ_POLYS) + [str(random_poly(ring, rng, terms=3, radius=3)) for _ in range(4)]
+        for text in texts:
+            f = parse_poly(ring, text)
+            for label in mode.labels:
+                base, factors = affinoid._tij_cells(mode, f, label)
+                for t in box_points(2, 6):
+                    assert _satisfies(base, factors, t) == mode.module_contains(f, t, label), (
+                        text, label, t,
+                    )
+
+
+def _tij_outcome(search, mode, f, label, radius):
+    """The generators one search returns, or the type and text of the
+    lattice error it raises."""
+    try:
+        return search(mode, f, label, radius)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+def test_widening_tij_search_agrees_with_the_whole_box_search(monkeypatch):
+    from lgb import lattice
+
+    tests, rounds = [], []
+    real_member, real_satisfies = PolytopeMode.module_contains, affinoid._satisfies
+    real_minimal = lattice.minimal_elements
+
+    def member(self, f, t, label):
+        tests.append(t)
+        return real_member(self, f, t, label)
+
+    def satisfies(base, factors, p):
+        tests.append(p)
+        return real_satisfies(base, factors, p)
+
+    def minimal(*args):
+        rounds.append(args)
+        return real_minimal(*args)
+
+    monkeypatch.setattr(PolytopeMode, "module_contains", member)
+    monkeypatch.setattr(affinoid, "_satisfies", satisfies)
+    monkeypatch.setattr(lattice, "minimal_elements", minimal)
+    cases = []
+    for k in range(5):
+        ring, mode = _tij_ring(k)
+        rng = random.Random(20261019 + k)
+        texts = list(TIJ_POLYS) + [str(random_poly(ring, rng, terms=3, radius=3)) for _ in range(4)]
+        if k == 2:
+            # T_{(2,2)} = (-2,-6) + C: certified only once the cell row
+            # -2*t1 - 3 >= 0 is tightened to -t1 - 2 >= 0 (t1 = -3/2 is
+            # outside the module but passes the untightened row)
+            texts.append("x^-1*y^3 - 9*x*y^3")
+        ceilings = (6, 8) if k == 4 else range(7)
+        cases += [(k, mode.labels, text, r) for text in texts for r in ceilings]
+    saved = widened = 0
+    for k, labels, text, radius in cases:
+        for label in labels:
+            # a fresh mode per search, so no memo answers for another ceiling
+            ring, mode = _tij_ring(k)
+            del tests[:], rounds[:]
+            got = _tij_outcome(PolytopeMode.tij_generators, mode, parse_poly(ring, text), label, radius)
+            count = len(tests)
+            widened += len(rounds) > 1
+            ring, mode = _tij_ring(k)
+            del tests[:]
+            expected = _tij_outcome(reference_tij_generators, mode, parse_poly(ring, text), label, radius)
+            assert got == expected, (k, text, label, radius)
+            saved += count < len(tests)
+    assert saved and widened
+
+
+def test_interior_vector_is_memoized_per_label(monkeypatch):
+    """The walk to a witness starts from the same direction: the first
+    nonzero point of the boxes of radius 1 to 7 strictly inside the cone
+    and V_i, computed once per label."""
+    for ring, mode in map(_tij_ring, range(5)):
+        for label in mode.labels:
+            cone = mode.refined.cone(label)
+            normals = cone.halfspaces + mode.context.vi_halfspaces(label[0])
+            expected = next(
+                p for r in range(1, 8) for p in box_points(2, r)
+                if any(p) and all(vdot(h, p) > 0 for h in normals)
+            )
+            assert mode._interior_vector(label) == expected
+        monkeypatch.setattr(affinoid, "box_points", None)
+        assert [mode._interior_vector(label) for label in mode.labels]
+        monkeypatch.undo()
 
 
 # the vertex lists of the four general-cones polytopes and of the known

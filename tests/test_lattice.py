@@ -112,6 +112,24 @@ def test_factorize_requires_unimodular():
         Cone(0, ((2, 0), (0, 1)), ((1, 0), (0, 1)))
 
 
+def test_cone_inverse_times_generators_is_the_identity():
+    """The integer inverse behind ``_coords`` takes each generator to its
+    unit coordinate vector, on the built-in cones (n = 2, 3) and on the
+    refined cones of the four general-cones polytopes."""
+    from test_affinoid import BENCH_POLYTOPES
+
+    decompositions = [build_decomposition(k, n) for k in ("standard", "orthant") for n in (2, 3)]
+    std = build_decomposition("standard", 2)
+    decompositions += [
+        build_refined_decomposition(PolytopeContext(v), std).decomposition for v in BENCH_POLYTOPES
+    ]
+    for d in decompositions:
+        for cone in d:
+            n = cone.n
+            identity = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+            assert [cone._coords(g) for g in cone.generators] == identity, cone
+
+
 def test_smith_normal_form():
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[2, 0], [0, 2]]) == [2, 2]

@@ -11,12 +11,16 @@ and by the generators; for every polynomial basis, ``GBResult.combinations``
 (each basis element over the generators), also recomputed with
 ``GBConfig(normalize=True)``; for each general-cones basis element, every cone
 module (``ti_set_general(i, 8)`` on the orthant ring, ``tij_generators(
-body, label, 6)`` on a polytope) or the exception it raised; the bases or
-exceptions of the known failures; the bases and every cone module of the
+body, label, 6)`` on a polytope) or the exception it raised, and on a
+polytope ``tij_generators(body, label, r)`` at every ceiling r = 0..6 on a
+fresh mode; the bases or exceptions of the known failures; the bases and every cone module of the
 ``ORTHANT_N3`` ideals on the n=3 orthant ring; ``ti_set_general(i, r)`` at
 every ceiling r = 0..8 for every cone of ``x^9 + y^9 + x^-8*y^-8`` on the
 n=2 orthant ring and of each ``ORTHANT_N3`` generator, parsed afresh for
-each ceiling so that no memo hides where the search starts to fail; then
+each ceiling so that no memo hides where the search starts to fail;
+``tij_generators(f, label, r)`` at r = 0..6, on a fresh mode for each
+ceiling, for each of ``test_affinoid.TIJ_POLYS`` on each of
+``test_affinoid.BENCH_POLYTOPES``; then
 the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
 ``reduce``, ``member`` and ``info`` on each seed-1 problem file, each
 known failure and each of the ``EXTENSION_FIELDS`` problems over GF(4),
@@ -69,6 +73,7 @@ def main():
     import workloads
     import worker
     from conftest import orthant_ring
+    from test_affinoid import BENCH_POLYTOPES, TIJ_POLYS, polytope_mode
     from lgb import affinoid, cli, groebner, reduction
     from lgb.laurent import format_poly
 
@@ -98,6 +103,17 @@ def main():
                 for c in combo:
                     emit("  comb " + text(c))
 
+    def tij_ceilings(mode, body):
+        """T_{i,j} of one polynomial at every ceiling 0..6, each ceiling on a
+        fresh mode so that no memo hides where the search starts to fail."""
+        for radius in range(7):
+            fresh = affinoid.PolytopeMode(mode.ring, mode.context, mode.refined)
+            for label in fresh.labels:
+                name = f"T_{label} ceiling {radius}"
+                res = guarded(name, fresh.tij_generators, body, label, radius)
+                if res is not None:
+                    emit(f"{name} {res}")
+
     def modules(h, mode):
         """Every cone module of one basis element, or the exception."""
         if mode is None:
@@ -110,6 +126,7 @@ def main():
                 res = guarded(f"T_{label}", mode.tij_generators, h.body, label, 6)
                 if res is not None:
                     emit(f"T_{label} {res}")
+            tij_ceilings(mode, h.body)
 
     for seed in (1, 7):
         for wl in WORKLOADS:
@@ -171,6 +188,12 @@ def main():
                     res = guarded(label, cli.parse_poly(ring, t).ti_set_general, i, radius)
                     if res is not None:
                         emit(f"{label} {res}")
+
+    for vertices in BENCH_POLYTOPES:
+        ring, mode = polytope_mode(vertices)
+        for t in TIJ_POLYS:
+            emit(f"== tij ceilings {vertices} {t}")
+            tij_ceilings(mode, cli.parse_poly(ring, t))
 
     probdir = out_path.parent / (out_path.name + ".problems")
     probdir.mkdir(exist_ok=True)

@@ -327,7 +327,8 @@ def build_refined_decomposition(ctx: PolytopeContext, base: ConicDecomposition) 
     """Refine the vertex regions into pointed cones: a region that is
     already pointed and full-dimensional is kept whole; otherwise it is
     intersected with the base cones and the full-dimensional pointed
-    pieces are kept."""
+    pieces are kept.  With one vertex the pieces are the base cones
+    themselves, shared with ``base``."""
     n = ctx.n
     if base.n != n:
         raise AffinoidError("base decomposition dimension disagrees")
@@ -350,16 +351,10 @@ def build_refined_decomposition(ctx: PolytopeContext, base: ConicDecomposition) 
             if not fm_feasible([(h, Fraction(0), True) for h in combined], n):
                 continue
             j += 1
-            if single:
-                cone = Cone(cone_id, b.generators, b.halfspaces)
-            else:
-                cone = cone_from_halfspaces(cone_id, combined, n)
+            cone = b if single else cone_from_halfspaces(cone_id, combined, n)
             entries.append((i, j, cone))
             cone_id += 1
-    if single:
-        flat = base
-    else:
-        flat = ConicDecomposition(tuple(c for _, _, c in entries), "refined")
+    flat = base if single else ConicDecomposition(tuple(c for _, _, c in entries), "refined")
     for i, j, cone in entries:
         for g in cone.generators:
             if any(vdot(h, g) < 0 for h in ctx.vi_halfspaces(i)):

@@ -12,6 +12,10 @@ Problem files name a ring, variables, an order, optional ``weight`` or
     gens:
     2*x + y
 
+An expression is parsed into one term dict, zero coefficients dropped at
+every step as LaurentPoly arithmetic drops them, and becomes one
+LaurentPoly at the end.
+
 Exit codes: 0 success, 1 parse error, 2 math or configuration error,
 3 negative membership or failed basis check.
 """
@@ -39,7 +43,7 @@ from lgb.affinoid import (
 from lgb.coeffs import FieldError, FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import GBConfig, ResourceLimitError, buchberger, is_groebner
-from lgb.lattice import LatticeError, build_decomposition
+from lgb.lattice import LatticeError, build_decomposition, vadd
 from lgb.laurent import LaurentPoly, LaurentRing, RingError, format_exponent, format_poly
 from lgb.reduction import reduce
 
@@ -82,13 +86,36 @@ def _tokenize(text, line=None):
     return tokens
 
 
+def _add(a, b):
+    """Sum of two term dicts, in LaurentPoly.__add__'s term order."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _mul(a, b):
+    """Product of two term dicts, in LaurentPoly.__mul__'s term order."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = vadd(e1, e2)
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
 class _ExprParser:
+    """Recursive descent with one term dict per parse: every rule returns
+    {exponent: nonzero Coefficient} in LaurentPoly's term order (so ``len``
+    of a base counts its terms), and ``parse`` builds one LaurentPoly."""
+
     def __init__(self, ring: LaurentRing, text: str, line=None):
         self.ring = ring
-        self.text = text
         self.line = line
         self.tokens = _tokenize(text, line)
         self.pos = 0
+        self.origin = (0,) * ring.n
 
     def peek(self):
         return self.tokens[self.pos]
@@ -107,9 +134,9 @@ class _ExprParser:
         kind, val, _ = self.peek()
         if kind != "end":
             self.error(f"trailing input {val!r}")
-        return value
+        return LaurentPoly(self.ring, value)
 
-    def expr(self) -> LaurentPoly:
+    def expr(self) -> dict:
         sign = 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
@@ -117,27 +144,29 @@ class _ExprParser:
             sign = -1 if val == "-" else 1
         value = self.term()
         if sign < 0:
-            value = -value
+            value = {e: -c for e, c in value.items()}
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                value = value - rhs if val == "-" else value + rhs
+                if val == "-":
+                    rhs = {e: -c for e, c in rhs.items()}
+                value = _add(value, rhs)
             else:
                 return value
 
-    def term(self) -> LaurentPoly:
+    def term(self) -> dict:
         value = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                value = value * self.factor()
+                value = _mul(value, self.factor())
             else:
                 return value
 
-    def factor(self) -> LaurentPoly:
+    def factor(self) -> dict:
         base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -158,12 +187,11 @@ class _ExprParser:
         self.take()
         return sign * val
 
-    def power(self, base: LaurentPoly, exp: int) -> LaurentPoly:
+    def power(self, base: dict, exp: int) -> dict:
         if abs(exp) > (10 ** 6 if len(base) <= 1 else 256):
             self.error("exponent out of range")
         if len(base) == 1:
             ((e, c),) = base.items()
-            scaled = tuple(exp * x for x in e)
             coef = self.ring.field.one()
             step = c if exp >= 0 else c.inv()
             remaining = abs(exp)
@@ -172,25 +200,28 @@ class _ExprParser:
                     coef = coef * step
                 step = step * step
                 remaining >>= 1
-            return self.ring.monomial(scaled, coef)
+            return {tuple(exp * x for x in e): coef}
         if exp < 0:
             self.error("negative powers apply only to single terms")
-        out = self.ring.one()
+        out = self.constant(self.ring.field.one())
         square = base
         remaining = exp
         while remaining:
             if remaining & 1:
-                out = out * square
+                out = _mul(out, square)
             remaining >>= 1
             if remaining:
-                square = square * square
+                square = _mul(square, square)
         return out
 
-    def atom(self) -> LaurentPoly:
+    def constant(self, c) -> dict:
+        return {} if c.is_zero() else {self.origin: c}
+
+    def atom(self) -> dict:
         kind, val, _ = self.peek()
+        field = self.ring.field
         if kind == "num":
             self.take()
-            numerator = val
             kind, nxt, _ = self.peek()
             if kind == "op" and nxt == "/":
                 self.take()
@@ -200,16 +231,15 @@ class _ExprParser:
                 self.take()
                 if den == 0:
                     self.error("zero denominator")
-                return self.ring.one() * self.ring.field.from_fraction(
-                    Fraction(numerator, den)
-                )
-            return self.ring.one() * self.ring.field.from_int(numerator)
+                return self.constant(field.from_fraction(Fraction(val, den)))
+            return self.constant(field.from_int(val))
         if kind == "name":
             self.take()
             if val in self.ring.names:
-                return self.ring.variable(self.ring.names.index(val))
-            if val == "a" and self.ring.field.is_finite and self.ring.field.k > 1:
-                return self.ring.one() * self.ring.field.generator()
+                i = self.ring.names.index(val)
+                return {self.origin[:i] + (1,) + self.origin[i + 1:]: field.one()}
+            if val == "a" and field.is_finite and field.k > 1:
+                return {self.origin: field.generator()}
             self.error(f"unknown name {val!r}")
         if kind == "op" and val == "(":
             self.take()

@@ -651,9 +651,24 @@ class ConicDecomposition:
         raise LatticeError(f"{v} is not covered by the decomposition")
 
 
+_DECOMPOSITIONS = {}
+
+
 def build_decomposition(kind: str, n: int) -> ConicDecomposition:
     """The built-in decompositions: ``standard`` (n+1 cones) or ``orthant``
-    (2^n sign cones, Gray-code indexed)."""
+    (2^n sign cones, Gray-code indexed).
+
+    The result is shared and immutable: one per (kind, n), built and checked
+    on the first call.  Cones are frozen and ``Cone._cache`` holds only
+    values derived from the cone (unimodularity, inverse, positive
+    functional, generation memo).  Invalid arguments raise on every call."""
+    d = _DECOMPOSITIONS.get((kind, type(n), n))
+    if d is None:
+        d = _DECOMPOSITIONS[kind, type(n), n] = _new_decomposition(kind, n)
+    return d
+
+
+def _new_decomposition(kind, n):
     if n < 1:
         raise LatticeError("dimension must be positive")
     e = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]

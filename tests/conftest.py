@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from lgb import lattice, laurent
 from lgb.affinoid import AffinoidError
+from lgb.cli import ParseError
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
 from lgb.lattice import (
@@ -21,7 +23,7 @@ from lgb.lattice import (
     vneg,
     vsub,
 )
-from lgb.laurent import LaurentRing, UndefinedLeadingError
+from lgb.laurent import LaurentPoly, LaurentRing, UndefinedLeadingError
 
 
 def ring_for(field, n, score="degmin", decomposition=None, names=None):
@@ -227,3 +229,178 @@ def reference_tij_generators(self, f, label, search_radius=6):
         if not member(g):
             raise AffinoidError(f"search produced a non-member {g}")
     return list(minimal)
+
+
+# -- the expression parser before term dicts -----------------------------------
+# verbatim but for the name of parse_poly: every step builds a LaurentPoly;
+# tests/test_cli.py checks that lgb.cli.parse_poly agrees with it on terms,
+# term order, and the type, text, line and column of every error
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+\-/]))")
+
+
+def _tokenize(text, line=None):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            stray = text[pos:].lstrip()
+            if not stray:
+                break
+            raise ParseError(f"unexpected character {stray[0]!r}", line, pos + 1)
+        num, name, op = m.groups()
+        col = m.start(m.lastindex) + 1
+        if num is not None:
+            tokens.append(("num", int(num), col))
+        elif name is not None:
+            tokens.append(("name", name, col))
+        else:
+            tokens.append(("op", op, col))
+        pos = m.end()
+    tokens.append(("end", None, len(text) + 1))
+    return tokens
+
+
+class _ExprParser:
+    def __init__(self, ring: LaurentRing, text: str, line=None):
+        self.ring = ring
+        self.text = text
+        self.line = line
+        self.tokens = _tokenize(text, line)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, self.line, tok[2])
+
+    def parse(self) -> LaurentPoly:
+        value = self.expr()
+        kind, val, _ = self.peek()
+        if kind != "end":
+            self.error(f"trailing input {val!r}")
+        return value
+
+    def expr(self) -> LaurentPoly:
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+            sign = -1 if val == "-" else 1
+        value = self.term()
+        if sign < 0:
+            value = -value
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                rhs = self.term()
+                value = value - rhs if val == "-" else value + rhs
+            else:
+                return value
+
+    def term(self) -> LaurentPoly:
+        value = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self) -> LaurentPoly:
+        base = self.atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.take()
+            exp = self.signed_int()
+            return self.power(base, exp)
+        return base
+
+    def signed_int(self) -> int:
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.take()
+            sign = -1
+        kind, val, _ = self.peek()
+        if kind != "num":
+            self.error("expected an integer exponent")
+        self.take()
+        return sign * val
+
+    def power(self, base: LaurentPoly, exp: int) -> LaurentPoly:
+        if abs(exp) > (10 ** 6 if len(base) <= 1 else 256):
+            self.error("exponent out of range")
+        if len(base) == 1:
+            ((e, c),) = base.items()
+            scaled = tuple(exp * x for x in e)
+            coef = self.ring.field.one()
+            step = c if exp >= 0 else c.inv()
+            remaining = abs(exp)
+            while remaining:
+                if remaining & 1:
+                    coef = coef * step
+                step = step * step
+                remaining >>= 1
+            return self.ring.monomial(scaled, coef)
+        if exp < 0:
+            self.error("negative powers apply only to single terms")
+        out = self.ring.one()
+        square = base
+        remaining = exp
+        while remaining:
+            if remaining & 1:
+                out = out * square
+            remaining >>= 1
+            if remaining:
+                square = square * square
+        return out
+
+    def atom(self) -> LaurentPoly:
+        kind, val, _ = self.peek()
+        if kind == "num":
+            self.take()
+            numerator = val
+            kind, nxt, _ = self.peek()
+            if kind == "op" and nxt == "/":
+                self.take()
+                kind, den, _ = self.peek()
+                if kind != "num":
+                    self.error("expected a denominator")
+                self.take()
+                if den == 0:
+                    self.error("zero denominator")
+                return self.ring.one() * self.ring.field.from_fraction(
+                    Fraction(numerator, den)
+                )
+            return self.ring.one() * self.ring.field.from_int(numerator)
+        if kind == "name":
+            self.take()
+            if val in self.ring.names:
+                return self.ring.variable(self.ring.names.index(val))
+            if val == "a" and self.ring.field.is_finite and self.ring.field.k > 1:
+                return self.ring.one() * self.ring.field.generator()
+            self.error(f"unknown name {val!r}")
+        if kind == "op" and val == "(":
+            self.take()
+            inner = self.expr()
+            kind, val, _ = self.peek()
+            if kind != "op" or val != ")":
+                self.error("expected ')'")
+            self.take()
+            return inner
+        self.error("expected a number, a name, or '('")
+
+
+def reference_parse_poly(ring: LaurentRing, text: str, line=None) -> LaurentPoly:
+    return _ExprParser(ring, text, line).parse()

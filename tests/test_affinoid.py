@@ -288,6 +288,16 @@ def test_single_vertex_matches_weight_pipeline():
         assert rw.stats == rp.stats
 
 
+@pytest.mark.parametrize("kind, n", [("standard", 2), ("orthant", 2), ("standard", 3)])
+def test_single_vertex_refinement_reuses_the_base_cones(kind, n):
+    base = build_decomposition(kind, n)
+    refined = build_refined_decomposition(PolytopeContext([(1, 2, 3)[:n]]), base)
+    assert refined.decomposition is base
+    assert all(cone is b for (_, _, cone), b in zip(refined.entries, base.cones, strict=True))
+    assert refined.labels == tuple((1, j) for j in range(1, len(base) + 1))
+    assert [refined.flat_index(label) for label in refined.labels] == [b.id for b in base.cones]
+
+
 def test_buchberger_p_singleton_and_closure():
     ctx, _, ring, mode = example71()
     cap = Fraction(15)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_poly, ring_for
+from conftest import random_poly, reference_parse_poly, ring_for
 from lgb.cli import ParseError, main, parse_poly, parse_problem
 from lgb.coeffs import FieldSpec
 from lgb.laurent import format_poly
@@ -82,15 +82,113 @@ def test_power_bounds(q_ring2):
             parse_poly(q_ring2, bad)
 
 
-def test_parser_fuzz_never_crashes(q_ring2):
+def fuzz_texts():
     rng = random.Random(5150)
     alphabet = "xy a+-*/^()0123456789"
-    for _ in range(600):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 18)))
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 18))) for _ in range(600)]
+
+
+def test_parser_fuzz_never_crashes(q_ring2):
+    for text in fuzz_texts():
         try:
             parse_poly(q_ring2, text)
         except (ParseError, ZeroDivisionError):
             pass
+
+
+#: expressions whose zeros decide the path through ``power`` or its bounds
+ZERO_AND_BOUND_TEXTS = (
+    "(x + y - y)^-1", "(x - x)^-1", "(x - x)^0", "(x - x)^3", "0^-1", "(0*x)^-1",
+    "(x + y - x - y)^2", "(2*x + y - y)^-2", "(7*x + y)^-1", "(x + 7*y - 7*y)^-3",
+    "(3*x + y)^-1", "(x + y)^3*(x - y)", "((x + y)^3 - y^3)^-1", "(x + y)^4*(x + y)^2",
+    "(x + y - y)^1000000", "(x + y - y)^1000001", "(x + y)^256", "(x + y)^257",
+    "(x + y - y)^-1000000", "(a*x + y)^9 - (a*x)^9", "(1/7)*x", "7/7", "a^-1", "z + 1",
+)
+
+
+def nested_texts(count):
+    """Seeded expressions with nested parentheses, mostly well formed, a
+    third of them with one character inserted, deleted or replaced."""
+    rng = random.Random(1807)
+    alphabet = "xyaz0/()+-*^ 123"
+
+    def expr(depth):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                roll = rng.random()
+                if depth < 3 and roll < 0.25:
+                    atom = "(" + expr(depth + 1) + ")"
+                elif roll < 0.6:
+                    atom = str(rng.randint(0, 9))
+                    if rng.random() < 0.3:
+                        atom += f"/{rng.randint(0, 9)}"
+                else:
+                    atom = rng.choice("az" if rng.random() < 0.03 else "xy")
+                if rng.random() < 0.3:
+                    atom += "^" + rng.choice(("", "-")) + str(rng.randint(0, 4))
+                factors.append(atom)
+            terms.append(rng.choice(("*", " * ")).join(factors))
+        text = rng.choice(("", "-", "+")) + terms[0]
+        for term in terms[1:]:
+            text += rng.choice((" + ", " - ", "+", "-")) + term
+        return text
+
+    texts = []
+    for _ in range(count):
+        text = expr(0)
+        if rng.random() < 1 / 3:
+            k = rng.randrange(len(text) + 1)
+            edit = rng.choice(("insert", "delete", "replace"))
+            cut = k + (edit != "insert")
+            text = text[:k] + ("" if edit == "delete" else rng.choice(alphabet)) + text[cut:]
+        texts.append(text)
+    return texts
+
+
+def parse_outcome(parse, ring, text, line):
+    """The terms in storage order, or the type, text and position of the error."""
+    try:
+        poly = parse(ring, text, line)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return poly, list(poly.terms_unordered())
+
+
+def assert_parsers_agree(ring, texts):
+    kinds = set()
+    for k, text in enumerate(texts):
+        line = k % 5 or None
+        got = parse_outcome(parse_poly, ring, text, line)
+        want = parse_outcome(reference_parse_poly, ring, text, line)
+        assert got == want, (text, line)
+        kinds.add(want[0].__name__ if isinstance(want[0], type) else "parsed")
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "field", [FieldSpec.rational(), FieldSpec.finite(7), FieldSpec.finite(3, 2)], ids=["Q", "GF7", "GF9"]
+)
+def test_parser_agrees_with_the_reference_parser(field):
+    """Equal terms in the same storage order, or the same exception with the
+    same text, line and column, as the parser that built every step as a
+    LaurentPoly (``conftest.reference_parse_poly``)."""
+    ring = ring_for(field, 2, "degmin")
+    kinds = assert_parsers_agree(ring, fuzz_texts() + list(ZERO_AND_BOUND_TEXTS) + nested_texts(5000))
+    assert {"parsed", "ParseError"} <= kinds
+
+
+def test_parser_agrees_with_the_reference_on_workload_texts(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    for seed in (1, 7):
+        for name in ("std-cones", "general-cones", "capped-series"):
+            for inst in workloads.build(name, seed):
+                ring = parse_problem(inst.text).ring
+                texts = inst.text.split("gens:\n", 1)[1].splitlines()
+                assert assert_parsers_agree(ring, texts + [p.text for p in inst.probes]) == {"parsed"}
 
 
 @pytest.mark.parametrize(

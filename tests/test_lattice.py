@@ -1,7 +1,11 @@
 import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,50 @@ def test_standard_cone_counts():
     assert len(build_decomposition("orthant", 3)) == 8
     with pytest.raises(LatticeError):
         build_decomposition("standard", 0)
+
+
+def test_build_decomposition_is_shared_and_errors_are_not():
+    for kind, n in (("standard", 1), ("standard", 2), ("standard", 3), ("orthant", 2)):
+        assert build_decomposition(kind, n) is build_decomposition(kind, n)
+    for kind, n in (("bogus", 2), ("standard", 0), ("orthant", -1)):
+        for _ in range(3):
+            with pytest.raises(LatticeError):
+                build_decomposition(kind, n)
+    # 2.0 == 2, but a float dimension stays an error after the int one is shared
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            build_decomposition("standard", 2.0)
+
+
+def test_cones_are_checked_once_per_decomposition():
+    """In a fresh process, so that decompositions built by earlier tests
+    cannot hide or add a check: rings, orders, problems and one-vertex
+    refinements over a (kind, n) build its cones once."""
+    script = """
+from lgb import lattice
+from lgb.affinoid import PolytopeContext, build_refined_decomposition
+from lgb.cli import parse_problem
+from lgb.gmo import make_order
+checked = []
+check = lattice.Cone.__post_init__
+lattice.Cone.__post_init__ = lambda cone: checked.append(cone) or check(cone)
+for _ in range(3):
+    for kind, n in (("standard", 2), ("standard", 3), ("orthant", 2)):
+        lattice.is_standard_decomposition(lattice.build_decomposition(kind, n))
+        make_order(n, "degmin")
+    for directive in ("", "weight 1 2", "polytope (1,2)"):
+        parse_problem(f"ring Qp 2\\nvars x y\\n{directive}\\norder degmin\\ngens:\\nx + y\\n")
+    ctx = PolytopeContext(((1, 2),))
+    build_refined_decomposition(ctx, lattice.build_decomposition("orthant", 2))
+print(len(checked))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(3 + 4 + 4)]
 
 
 def test_standard_halfspaces_n2():

@@ -25,12 +25,17 @@ the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
 ``reduce``, ``member`` and ``info`` on each seed-1 problem file, each
 known failure and each of the ``EXTENSION_FIELDS`` problems over GF(4),
 GF(8), GF(25) and GF(27), which no workload reaches (written to the
-directory ``OUT.problems``), and of ``selftest``.  Compare two checkouts
-with ``cmp``.
+directory ``OUT.problems``), and of ``selftest``; last, the parser's
+answers: for each expression of ``EXPRESSIONS`` and of a seeded corpus,
+over Q, GF(7) and GF(9), its terms in storage order, or the exception type
+and text (a ``ParseError`` with its line and column), and the same for
+``parse_problem`` on each of ``PROBLEMS``.  Compare two checkouts with
+``cmp``.
 """
 
 import contextlib
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -51,6 +56,61 @@ ORTHANT_N3 = (
     ("x*y^-1 + 2*z", "y*z - 3*x^-1"),
     ("x*y - 2", "y*z^-1 + 3*x"),
 )
+
+#: one expression per parser error and per zero-dropping or bound rule
+EXPRESSIONS = (
+    "", "   ", "x +", "2*", "x^y", "w + 1", "(x + y", "x/y", "x y", "3 $ x", "x^", "x^-",
+    "1/", "1/0", "1/7", "7/7", "(x + y)^-1", "(x + y - y)^-1", "(x - x)^-1", "(x - x)^0",
+    "0^-1", "(0*x)^-1", "(2*x*y^2)^-1", "x^1000000", "x^1000001", "(x + y)^256",
+    "(x + y)^257", "(x + y - y)^1000000", "(x + y - y)^1000001", "(3*x + y)^-1",
+    "(7*x + y)^-1", "((x + y)^3 - y^3)^-1", "(x + y)^4*(x - y)^2", "a*x + a^2", "a^-1",
+    "z", "-(-x) - -y", "+x", "--x", "x*(y", "x)", "(x)(y)", "2/3*x^-2*y + (1/2)*y^-1",
+)
+
+#: problem files with one fault each
+PROBLEMS = (
+    "vars x\norder min\ngens:\nx\n",
+    "ring Q\nring Q\nvars x\norder min\ngens:\nx\n",
+    "ring Q\nvars x y\norder lex\ngens:\nx\n",
+    "ring Q\nvars a\norder min\ngens:\na\n",
+    "ring Q\nvars x x\norder min\ngens:\nx\n",
+    "ring Q\nvars\norder min\ngens:\nx\n",
+    "ring Q\norder min\ngens:\nx\n",
+    "ring Q\nvars x\ngens:\nx\n",
+    "ring\nvars x\norder min\ngens:\nx\n",
+    "ring GF 6\nvars x\norder min\ngens:\nx\n",
+    "ring GF 1\nvars x\norder min\ngens:\nx\n",
+    "ring GF 3 2\nvars x\norder min\ngens:\nx\n",
+    "ring Qp 4\nvars x\norder min\ngens:\nx\n",
+    "ring Qp two\nvars x\norder min\ngens:\nx\n",
+    "ring R\nvars x\norder min\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\nweight 1 1\npolytope (1,1) (0,1)\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\nweight 1 b\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\nweight\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\nweight 1 2 3\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\npolytope 1,1\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\npolytope (1,b)\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\npolytope (1,1,1)\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\npolytope (0,0) (0,0)\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\nprecision 5\ngens:\nx\n",
+    "ring Qp 2\nvars x y\norder degmin\nweight 1 2\nprecision\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\nfoo 1\ngens:\nx\n",
+    "ring Q\nvars x y\norder degmin\ngens:\nx + y\n\n  # note\nx - x\n",
+    "ring Q\nvars x y\norder degmin\ngens:\nx + y\nx^-1 + (y\n",
+    "ring GF 7\nvars x y\norder degmin\ngens:\n1/7*x + y\n",
+    "ring GF 9\nvars x y\norder min\ngens:\n(a*x + y)^9 - (a*x)^9\nx^2 + z\n",
+    "ring Q\nvars x y\norder degmin\ngens:\n",
+)
+
+
+def random_expressions(count):
+    """Seeded strings over the expression alphabet, with 'z' and nesting."""
+    rng = random.Random(2718)
+    alphabet = "xyaz+-*/^()0123456789 "
+    return [
+        "(" * rng.randint(0, 2) + "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
+        for _ in range(count)
+    ]
 
 
 def run_cli(cli, argv):
@@ -220,6 +280,26 @@ def main():
     code, out, _ = run_cli(cli, ["selftest"])
     emit(f"== selftest -> {code}")
     emit(out)
+
+    def parsed(fn, *args):
+        """What a parse gives: the terms in storage order, or the error."""
+        try:
+            res = fn(*args)
+        except cli.ParseError as exc:
+            return f"ParseError: {exc} (line {exc.line}, column {exc.col})"
+        except Exception as exc:  # the failure type is the answer
+            return f"raised {type(exc).__name__}: {exc}"
+        poly = res.generators if isinstance(res, cli.Problem) else [res]
+        return " ; ".join(text(f) for f in poly)
+
+    for q in ("Q", "GF 7", "GF 9"):
+        emit(f"== expressions over {q}")
+        ring = cli.parse_problem(f"ring {q}\nvars x y\norder degmin\ngens:\nx\n").ring
+        for k, t in enumerate(EXPRESSIONS + tuple(random_expressions(1000))):
+            emit(f"{t!r} -> {parsed(cli.parse_poly, ring, t, k % 4 or None)}")
+    emit("== problem files")
+    for body in PROBLEMS:
+        emit(f"{body!r} -> {parsed(cli.parse_problem, body)}")
     out_path.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} lines written to {out_path}")
 

@@ -20,7 +20,15 @@ from lgb.lattice import (
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order, validate_gmo
 from lgb.laurent import LaurentPoly, LaurentRing, RingError, u_intersection
 from lgb.reduction import ReductionResult, reduce
-from lgb.groebner import GBConfig, GBResult, buchberger, ideal_membership, is_groebner, spair
+from lgb.groebner import (
+    GBConfig,
+    GBResult,
+    buchberger,
+    ideal_membership,
+    is_groebner,
+    same_ideal,
+    spair,
+)
 from lgb.affinoid import (
     CappedSeries,
     PolytopeContext,
@@ -58,6 +66,7 @@ __all__ = [
     "buchberger",
     "ideal_membership",
     "is_groebner",
+    "same_ideal",
     "spair",
     "CappedSeries",
     "PolytopeContext",

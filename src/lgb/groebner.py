@@ -9,6 +9,33 @@ loop and one criterion check.  A nonzero S-pair must lie strictly below
 lc_f*lc_g*X^v under the adapter's ``term_key``.  ``buchberger`` expands
 the loop's record of how each element arose into ``GBResult.combinations``
 and re-verifies the combination identity exactly.
+
+The exact check (``is_groebner``) skips S-pairs by a chain criterion over
+collision modules (Gebauer and Moeller, J. Symb. Comput. 1988; proofs by
+t-representations as in Becker and Weispfenning, *Groebner Bases*, 1993).
+Write M_i(h) = lm_i(h) + T_i(h), U_i(x, y) for the generators of the
+intersection of M_i(x) and M_i(y), and S(x, y, w) for the S-pair at w.
+Fix a cone i and a generator v, and let E = {h : v in M_i(h)}.  An edge
+(x, y) of E is free when some w != v in U_i(x, y) has v in w + C_i.  The
+S-pair (a, b, i, v) is skipped when free edges and earlier S-pairs at the
+same (i, v) that reduced to zero connect a and b in E.  Why this is sound:
+
+- With m_h = X^(v - lm_i(h)) * h / lc_i(h), S(x, y, v) = lc_x*lc_y*(m_x - m_y),
+  so S(a, b, v) is a sum, along the path, of constant multiples of
+  S(x, y, v) = X^(v - w) * S(x, y, w), with w = v on a tied edge and
+  v - w in C_i minus 0 on a free one.
+- The order is compatible with multiplication inside a cone and has
+  1 < X^c for c in C_i minus 0.  So w < v, and X^(v - w) times a
+  representation of S(x, y, w) below w lies below v, the same step by
+  which the exhaustive criterion passes from U_i to U_i + C_i.  Divided
+  S-pairs reduced to zero; a skipped one rests on those and on S-pairs at
+  smaller w; induction on v gives each a representation below its v.
+
+A failing S-pair ends the scan after the skipped ones before it are
+divided in canonical order (pairs, cones, generators), so the certificate
+is the exhaustive scan's.  ``is_groebner_series`` keeps the exhaustive
+scan: a residue at or above the cap, shifted by c in C_i, can fall below
+it, so reducing to zero there is no representation below v.
 """
 
 from __future__ import annotations
@@ -80,23 +107,32 @@ def _distinct(gens, error, nonzero):
     return list(first), list(first.values())
 
 
+def _spair(division, make_spair, body, label, f, g, v):
+    """S(label, f, g, v), checked to lie below lc_f*lc_g*X^v, or None when
+    it is zero."""
+    s = make_spair(label, f, g, v)
+    terms = body(s).terms_unordered()
+    if not terms:
+        return None
+    key = division.term_key
+    _, lcf = division.cone_leading(body(f), label)
+    _, lcg = division.cone_leading(body(g), label)
+    if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
+        raise AssertionError(f"S-pair at {v} does not drop below its bound")
+    return s
+
+
 def _spairs(division, make_spair, body, f, g, stats):
     """The nonzero S-pairs (label, v, S) of f and g, in label then collision
-    order, each checked to lie below lc_f*lc_g*X^v; zero ones are counted
-    in ``stats``.  ``body`` maps an element to its polynomial."""
-    key = division.term_key
+    order (see ``_spair``); zero ones are counted in ``stats``.  ``body``
+    maps an element to its polynomial."""
     bf, bg = body(f), body(g)
     for label in division.labels:
         for v in division.u_set(bf, bg, label):
-            s = make_spair(label, f, g, v)
-            terms = body(s).terms_unordered()
-            if not terms:
+            s = _spair(division, make_spair, body, label, f, g, v)
+            if s is None:
                 stats.zero_reductions += 1
                 continue
-            _, lcf = division.cone_leading(bf, label)
-            _, lcg = division.cone_leading(bg, label)
-            if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
-                raise AssertionError(f"S-pair at {v} does not drop below its bound")
             yield label, v, s
 
 
@@ -125,16 +161,99 @@ def _buchberger(basis, division, make_spair, divide, body, cfg: GBConfig):
     return stats, records
 
 
-def _criterion(basis, positions, division, make_spair, divide, body):
+def _criterion(basis, positions, division, make_spair, divide, body, chain=None):
     """(flag, certificate): whether every S-pair of ``basis`` reduces to
     zero; the certificate names the first failing (label, a, b, v), with
-    a and b the input positions."""
+    a and b the input positions.  ``chain`` (a ``_Chain``) skips S-pairs by
+    the chain criterion of the module docstring; the skipped ones before a
+    failing S-pair are divided before it is reported."""
+
+    def fails(a, b, label, v):
+        s = _spair(division, make_spair, body, label, basis[a], basis[b], v)
+        if s is None:
+            return False
+        _, r = divide(s, basis, division)
+        return not r.is_zero()
+
+    skipped = []
     for a, b in combinations(range(len(basis)), 2):
-        for label, v, s in _spairs(division, make_spair, body, basis[a], basis[b], GBStats()):
-            _, r = divide(s, basis, division)
-            if not r.is_zero():
-                return False, (label, positions[a], positions[b], v)
+        for label in division.labels:
+            if chain is None:
+                collisions = division.u_set(body(basis[a]), body(basis[b]), label)
+            else:
+                collisions = chain.u_set(a, b, label)
+            for v in collisions:
+                if chain is not None and chain.connected(a, b, label, v):
+                    skipped.append((a, b, label, v))
+                    continue
+                if fails(a, b, label, v):
+                    a, b, label, v = next((p for p in skipped if fails(*p)), (a, b, label, v))
+                    return False, (label, positions[a], positions[b], v)
     return True, None
+
+
+class _Chain:
+    """Chain-criterion state of one exact criterion check: per (label, v),
+    a union-find over E = {h : v in M_label(h)}, seeded with the free edges
+    (module docstring), and the collision generators per index pair."""
+
+    __slots__ = ("basis", "mode", "_groups", "_u")
+
+    def __init__(self, basis, mode: PolynomialMode):
+        self.basis = basis
+        self.mode = mode
+        self._groups = {}
+        self._u = {}
+
+    def u_set(self, x, y, label):
+        """U_label of basis[x] and basis[y], x < y, memoized for the check."""
+        key = (x, y, label)
+        u = self._u.get(key)
+        if u is None:
+            u = self._u[key] = self.mode.u_set(self.basis[x], self.basis[y], label)
+        return u
+
+    def connected(self, a, b, label, v) -> bool:
+        """Whether S(a, b, label, v) may be skipped; if not, the S-pair is
+        taken to reduce to zero and joins a and b (a failing one ends the
+        scan)."""
+        parent = self._groups.get((label, v))
+        if parent is None:
+            parent = self._group(a, b, label, v)
+            if parent is None:
+                return False
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            return True
+        parent[ra] = rb
+        return False
+
+    def _group(self, a, b, label, v):
+        """The union-find of (label, v) over its free edges, or None when no
+        element besides a and b has v in its module (nothing to chain)."""
+        mode = self.mode
+        cone = mode.ring.order.decomposition[label]
+        members = [
+            h for h, g in enumerate(self.basis)
+            if h == a or h == b
+            or cone.contains(mode.shifted_lm(g, vsub(v, mode.cone_leading(g, label)[0])))
+        ]
+        if len(members) == 2:
+            return None
+        parent = {h: h for h in members}
+        for x, y in combinations(members, 2):
+            if any(w != v and cone.contains(vsub(v, w)) for w in self.u_set(x, y, label)):
+                parent[_find(parent, x)] = _find(parent, y)
+        self._groups[(label, v)] = parent
+        return parent
+
+
+def _find(parent, x):
+    """The root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _expand_provenance(inputs, basis, records):
@@ -182,17 +301,36 @@ def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
 
 def is_groebner(H):
     """Criterion check: every S-pair at every collision monomial of every
-    cone reduces to zero.  Returns (flag, certificate); the certificate
-    names the first failing (cone, f-index, g-index, v), indices into H."""
+    cone reduces to zero, those the chain criterion skips (module
+    docstring) included.  Returns (flag, certificate); the certificate
+    names the first failing (cone, f-index, g-index, v), indices into H,
+    in the order of the exhaustive scan."""
     basis, positions = _distinct(H, RingError, "generators must be nonzero")
     mode = PolynomialMode(basis[0].ring)
-    return _criterion(basis, positions, mode, spair, _reduce, lambda h: h)
+    chain = _Chain(basis, mode)
+    return _criterion(basis, positions, mode, spair, _reduce, lambda h: h, chain)
+
+
+def _require_groebner(G):
+    ok, cert = is_groebner(G)
+    if not ok:
+        raise RingError(f"not a Groebner basis; first failing S-pair {cert}")
 
 
 def ideal_membership(f: LaurentPoly, G, trusted: bool = False) -> bool:
     """Whether f lies in the ideal generated by the Groebner basis G."""
     if not trusted:
-        ok, cert = is_groebner(G)
-        if not ok:
-            raise RingError(f"not a Groebner basis; first failing S-pair {cert}")
+        _require_groebner(G)
     return reduce(f, list(G)).remainder.is_zero()
+
+
+def same_ideal(A, B) -> bool:
+    """Whether the Groebner bases A and B generate the same ideal: each
+    element of either reduces to zero by the other.  Raises RingError when
+    either fails the criterion check, since division by a non-basis
+    decides no membership."""
+    _require_groebner(A)
+    _require_groebner(B)
+    return all(ideal_membership(f, B, trusted=True) for f in A) and all(
+        ideal_membership(f, A, trusted=True) for f in B
+    )

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgb import lattice, laurent
+from lgb import groebner, lattice, laurent
 from lgb.affinoid import AffinoidError
 from lgb.cli import ParseError
 from lgb.coeffs import FieldSpec
@@ -24,6 +24,7 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentPoly, LaurentRing, UndefinedLeadingError
+from lgb.reduction import PolynomialMode, _reduce
 
 
 def ring_for(field, n, score="degmin", decomposition=None, names=None):
@@ -404,3 +405,40 @@ class _ExprParser:
 
 def reference_parse_poly(ring: LaurentRing, text: str, line=None) -> LaurentPoly:
     return _ExprParser(ring, text, line).parse()
+
+
+# -- the exhaustive criterion check --------------------------------------------
+# verbatim but for names and the dropped zero-pair counter: every S-pair at
+# every collision generator of every cone is divided; tests/test_groebner.py
+# checks that lgb.groebner.is_groebner, which skips S-pairs by the chain
+# criterion, agrees with it on verdict and certificate
+
+def _reference_spairs(division, make_spair, body, f, g):
+    key = division.term_key
+    bf, bg = body(f), body(g)
+    for label in division.labels:
+        for v in division.u_set(bf, bg, label):
+            s = make_spair(label, f, g, v)
+            terms = body(s).terms_unordered()
+            if not terms:
+                continue
+            _, lcf = division.cone_leading(bf, label)
+            _, lcg = division.cone_leading(bg, label)
+            if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
+                raise AssertionError(f"S-pair at {v} does not drop below its bound")
+            yield label, v, s
+
+
+def _reference_criterion(basis, positions, division, make_spair, divide, body):
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        for label, v, s in _reference_spairs(division, make_spair, body, basis[a], basis[b]):
+            _, r = divide(s, basis, division)
+            if not r.is_zero():
+                return False, (label, positions[a], positions[b], v)
+    return True, None
+
+
+def reference_is_groebner(H):
+    basis, positions = groebner._distinct(H, laurent.RingError, "generators must be nonzero")
+    mode = PolynomialMode(basis[0].ring)
+    return _reference_criterion(basis, positions, mode, groebner.spair, _reduce, lambda h: h)

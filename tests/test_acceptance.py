@@ -31,7 +31,7 @@ from lgb.affinoid import (
 from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order, validate_gmo
-from lgb.groebner import buchberger, ideal_membership, is_groebner
+from lgb.groebner import buchberger, ideal_membership, is_groebner, same_ideal
 from lgb.laurent import LaurentRing, Term
 from lgb.lattice import box_points, build_decomposition, vsub
 from lgb.oracle import brute_ti, brute_valP, laurent_membership_oracle
@@ -97,12 +97,6 @@ def test_criterion_03_division_fixture():
             acc = acc + q * g
         assert acc == f
         assert elapsed < 0.010
-
-
-def _ideal_equal(basis_a, basis_b):
-    return all(reduce(p, basis_b).remainder.is_zero() for p in basis_a) and all(
-        reduce(p, basis_a).remainder.is_zero() for p in basis_b
-    )
 
 
 def test_criterion_04_buchberger_fixtures():
@@ -171,7 +165,7 @@ def test_criterion_04_buchberger_fixtures():
             assert is_groebner(result.basis)[0]
             for g in gens:
                 assert reduce(g, result.basis).remainder.is_zero()
-            assert _ideal_equal(result.basis, printed)
+            assert same_ideal(result.basis, printed)
 
 
 def test_criterion_05_ti_general_equals_brute():

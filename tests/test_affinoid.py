@@ -336,6 +336,29 @@ def test_is_groebner_series_certificate_names_input_positions():
     assert cert[1:3] == (0, 2)
 
 
+def test_is_groebner_series_forms_every_spair(monkeypatch):
+    """The capped check is exhaustive: one S-pair per collision generator
+    of every pair and label, none skipped (see ``groebner``)."""
+    ring = q2_ring()
+    mode = WeightMode(ring, WeightContext((1, 2)))
+    gens = [CappedSeries(mode, parse_poly(ring, t), 20) for t in ("x*y + 4", "2*x + y", "x^2 - 8*y")]
+    basis = buchberger_P(gens).basis
+    expected = sum(
+        len(mode.u_set(f.body, g.body, label))
+        for k, f in enumerate(basis) for g in basis[k + 1:] for label in mode.labels
+    )
+    calls = []
+    spair_series = affinoid.spair_series
+
+    def counted(*args):
+        calls.append(args)
+        return spair_series(*args)
+
+    monkeypatch.setattr(affinoid, "spair_series", counted)
+    assert is_groebner_series(basis) == (True, None)
+    assert len(basis) > 2 and expected > len(basis) and len(calls) == expected
+
+
 def test_multi_vertex_buchberger_closure_random():
     rng = random.Random(31337)
     ctx, refined, ring, mode = example71()

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import orthant_ring, random_poly, ring_for
-from lgb.cli import parse_poly
+from conftest import orthant_ring, random_poly, reference_is_groebner, ring_for
+from lgb import groebner
+from lgb.cli import parse_poly, parse_problem
 from lgb.coeffs import FieldSpec
 from lgb.groebner import (
     GBConfig,
@@ -11,6 +13,7 @@ from lgb.groebner import (
     buchberger,
     ideal_membership,
     is_groebner,
+    same_ideal,
     spair,
 )
 from lgb.laurent import RingError, u_intersection
@@ -281,3 +284,52 @@ def test_extension_field_bases_pinned(p, k):
     res = buchberger([parse_poly(ring, g) for g in gens])
     assert [str(h) for h in res.basis] == expected
     assert is_groebner(res.basis)[0]
+
+
+def _subsets(basis):
+    """The basis, each leave-one-out subset and each proper prefix."""
+    yield basis
+    for k in range(len(basis)):
+        yield basis[:k] + basis[k + 1:]
+    for k in range(1, len(basis)):
+        yield basis[:k]
+
+
+def test_chain_criterion_agrees_with_the_exhaustive_check(monkeypatch):
+    """Same verdict and certificate as the exhaustive scan
+    (``conftest.reference_is_groebner``) on the std-cones fixture and q2min
+    bases at seed 1 and on their leave-one-out and prefix subsets."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    skips = []
+    connected = groebner._Chain.connected
+
+    def counted(self, *spair):
+        skips.append(connected(self, *spair))
+        return skips[-1]
+
+    monkeypatch.setattr(groebner._Chain, "connected", counted)
+    verdicts = []
+    for inst in workloads.build("std-cones", 1):
+        if inst.family not in ("fixture", "q2min"):
+            continue
+        basis = buchberger(parse_problem(inst.text).generators).basis
+        for subset in _subsets(basis):
+            got = is_groebner(subset)
+            assert got == reference_is_groebner(subset), (inst.name, len(subset))
+            verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+    assert any(skips)
+
+
+def test_same_ideal(q_ring2):
+    gens = [parse_poly(q_ring2, "x^2 + y"), parse_poly(q_ring2, "x*y - 1")]
+    basis = buchberger(gens).basis
+    normalized = buchberger(gens, GBConfig(normalize=True)).basis
+    assert same_ideal(basis, normalized)
+    assert same_ideal(basis, list(reversed(basis)))
+    other = buchberger([parse_poly(q_ring2, "x^2 + y")]).basis
+    assert not same_ideal(basis, other)
+    with pytest.raises(RingError, match="not a Groebner basis"):
+        same_ideal(gens, basis)

@@ -9,9 +9,11 @@ basis (with its pair statistics), criterion verdict, and the quotients and
 remainder of each probe, of 1 and of each generator divided by the basis
 and by the generators; for every polynomial basis, ``GBResult.combinations``
 (each basis element over the generators), also recomputed with
-``GBConfig(normalize=True)``; for each general-cones basis element, every cone
-module (``ti_set_general(i, 8)`` on the orthant ring, ``tij_generators(
-body, label, 6)`` on a polytope) or the exception it raised, and on a
+``GBConfig(normalize=True)``, and at seed 1 the verdict and certificate of
+``is_groebner`` on the basis without each one of its elements; for each
+general-cones basis element, every cone module (``ti_set_general(i, 8)``
+on the orthant ring, ``tij_generators(body, label, 6)`` on a polytope)
+or the exception it raised, and on a
 polytope ``tij_generators(body, label, r)`` at every ceiling r = 0..6 on a
 fresh mode; the bases or exceptions of the known failures; the bases and every cone module of the
 ``ORTHANT_N3`` ideals on the n=3 orthant ring; ``ti_set_general(i, r)`` at
@@ -204,6 +206,11 @@ def main():
                 emit(f"check {guarded('check', case.check, res.basis)}")
                 if case.mode is None:
                     combinations(case.gens)
+                    if seed == 1:
+                        for k in range(len(res.basis)):
+                            subset = res.basis[:k] + res.basis[k + 1:]
+                            verdict = guarded("check", groebner.is_groebner, subset)
+                            emit(f"check without {k} {verdict}")
                 for f in case.probes + [case.one] + list(case.gens):
                     for divisors in (res.basis, case.gens):
                         if isinstance(f, affinoid.CappedSeries):

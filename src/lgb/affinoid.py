@@ -323,12 +323,27 @@ class RefinedDecomposition:
         return ValidationReport(checks)
 
 
+_REFINED = {}
+
+
 def build_refined_decomposition(ctx: PolytopeContext, base: ConicDecomposition) -> RefinedDecomposition:
     """Refine the vertex regions into pointed cones: a region that is
     already pointed and full-dimensional is kept whole; otherwise it is
     intersected with the base cones and the full-dimensional pointed
     pieces are kept.  With one vertex the pieces are the base cones
-    themselves, shared with ``base``."""
+    themselves, shared with ``base``.
+
+    The result is shared, as ``lattice.build_decomposition``'s is: one per
+    (vertices, base), built and checked on the first call; errors are not
+    memoized."""
+    key = (ctx.vertices, base)
+    refined = _REFINED.get(key)
+    if refined is None:
+        refined = _REFINED[key] = _new_refined_decomposition(ctx, base)
+    return refined
+
+
+def _new_refined_decomposition(ctx, base):
     n = ctx.n
     if base.n != n:
         raise AffinoidError("base decomposition dimension disagrees")

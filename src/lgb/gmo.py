@@ -87,6 +87,9 @@ class ScoreFunction:
         return decomposition[idx].contains(v)
 
 
+_LINEAR_FORMS = {}
+
+
 class GeneralizedOrder:
     """A generalized monomial order: decomposition + score + lex tie-break."""
 
@@ -174,9 +177,19 @@ class GeneralizedOrder:
 
     # ------------------------------------------------------------------
     def linear_form(self, i):
-        """The linear form of the score on cone i, derived and verified."""
-        if i in self._linear_forms:
-            return self._linear_forms[i]
+        """The linear form of the score on cone i, derived and verified once
+        per (decomposition, score, i) and shared by every order over them;
+        errors are not memoized."""
+        form = self._linear_forms.get(i)
+        if form is None:
+            key = (self.decomposition, self.score, i)
+            form = _LINEAR_FORMS.get(key)
+            if form is None:
+                form = _LINEAR_FORMS[key] = self._new_linear_form(i)
+            self._linear_forms[i] = form
+        return form
+
+    def _new_linear_form(self, i):
         cone = self.decomposition[i]
         n = self.n
         if self.score.kind == "custom":
@@ -202,7 +215,6 @@ class GeneralizedOrder:
                 s = vadd(a, b)
                 if vdot(form, s) != self.phi(s):
                     raise LatticeError(f"score is not linear on cone {i}")
-        self._linear_forms[i] = form
         return form
 
 

@@ -33,9 +33,27 @@ same (i, v) that reduced to zero connect a and b in E.  Why this is sound:
 
 A failing S-pair ends the scan after the skipped ones before it are
 divided in canonical order (pairs, cones, generators), so the certificate
-is the exhaustive scan's.  ``is_groebner_series`` keeps the exhaustive
-scan: a residue at or above the cap, shifted by c in C_i, can fall below
-it, so reducing to zero there is no representation below v.
+is the exhaustive scan's.
+
+The Laurent loop (``buchberger``) skips S-pairs by the same chain, with E
+growing with the basis: when (i, v) is next asked, its union-find takes
+in each new element h with v in M_i(h), with the free edges of h.  Why
+the output is still a Groebner basis:
+
+- A pair the loop does not skip joins a and b, and the loop processes it.
+  Either S(a, b, v) reduces to zero, or S = sum q_k*g_k + 1*r, where each
+  X^t*g_k of a quotient term has its leading monomial at most lm(S), and
+  so has r, with lm(S) < v; r joins the basis.  Either way S(a, b, v) has
+  a representation below v by the final basis.
+- Free edges depend only on their two elements, and the loop processes or
+  skips every S-pair of the final basis, those at w < v included.  So the
+  argument above holds on the final basis: induction on v gives every
+  S-pair a representation below its v, which is the hypothesis of the
+  exhaustive criterion.
+
+``buchberger_P`` and ``is_groebner_series`` keep the exhaustive scan: a
+residue at or above the cap, shifted by c in C_i, can fall below it, so
+reducing to zero there is no representation below v.
 """
 
 from __future__ import annotations
@@ -65,8 +83,15 @@ class GBConfig:
 
 @dataclass
 class GBStats:
+    """Counters of one Buchberger run.  ``pairs_processed`` counts index
+    pairs (a, b) taken from the queue, each with one S-pair per collision
+    generator of each cone.  ``zero_reductions`` counts S-pairs that are
+    zero or divide to zero, and ``spairs_skipped`` S-pairs the chain
+    criterion skips (Laurent layer only)."""
+
     pairs_processed: int = 0
     zero_reductions: int = 0
+    spairs_skipped: int = 0
 
 
 @dataclass
@@ -122,31 +147,39 @@ def _spair(division, make_spair, body, label, f, g, v):
     return s
 
 
-def _spairs(division, make_spair, body, f, g, stats):
-    """The nonzero S-pairs (label, v, S) of f and g, in label then collision
-    order (see ``_spair``); zero ones are counted in ``stats``.  ``body``
-    maps an element to its polynomial."""
-    bf, bg = body(f), body(g)
+def _collisions(division, body, basis, a, b, chain):
+    """(label, v, skip) for each collision generator v of basis[a] and
+    basis[b], label by label in collision order; ``skip`` says whether
+    ``chain`` (a ``_Chain``, or None for an exhaustive scan) skips the
+    S-pair.  ``body`` maps an element to its polynomial."""
     for label in division.labels:
-        for v in division.u_set(bf, bg, label):
-            s = _spair(division, make_spair, body, label, f, g, v)
-            if s is None:
-                stats.zero_reductions += 1
-                continue
-            yield label, v, s
+        if chain is None:
+            for v in division.u_set(body(basis[a]), body(basis[b]), label):
+                yield label, v, False
+        else:
+            for v in chain.u_set(a, b, label):
+                yield label, v, chain.connected(a, b, label, v)
 
 
-def _buchberger(basis, division, make_spair, divide, body, cfg: GBConfig):
+def _buchberger(basis, division, make_spair, divide, body, cfg: GBConfig, chain=None):
     """Close ``basis`` (validated, extended in place) under S-pair
-    remainders; returns the stats and, per added element,
-    ``(a, b, label, v, quotients)``."""
+    remainders, skipping S-pairs by ``chain`` (see ``_collisions``);
+    returns the stats and, per added element, ``(a, b, label, v,
+    quotients)``."""
     stats = GBStats()
     records = []
     queue = deque(combinations(range(len(basis)), 2))
     while queue:
         a, b = queue.popleft()
         stats.pairs_processed += 1
-        for label, v, s in _spairs(division, make_spair, body, basis[a], basis[b], stats):
+        for label, v, skip in _collisions(division, body, basis, a, b, chain):
+            if skip:
+                stats.spairs_skipped += 1
+                continue
+            s = _spair(division, make_spair, body, label, basis[a], basis[b], v)
+            if s is None:
+                stats.zero_reductions += 1
+                continue
             quotients, r = divide(s, basis, division)
             if r.is_zero():
                 stats.zero_reductions += 1
@@ -177,25 +210,21 @@ def _criterion(basis, positions, division, make_spair, divide, body, chain=None)
 
     skipped = []
     for a, b in combinations(range(len(basis)), 2):
-        for label in division.labels:
-            if chain is None:
-                collisions = division.u_set(body(basis[a]), body(basis[b]), label)
-            else:
-                collisions = chain.u_set(a, b, label)
-            for v in collisions:
-                if chain is not None and chain.connected(a, b, label, v):
-                    skipped.append((a, b, label, v))
-                    continue
-                if fails(a, b, label, v):
-                    a, b, label, v = next((p for p in skipped if fails(*p)), (a, b, label, v))
-                    return False, (label, positions[a], positions[b], v)
+        for label, v, skip in _collisions(division, body, basis, a, b, chain):
+            if skip:
+                skipped.append((a, b, label, v))
+            elif fails(a, b, label, v):
+                a, b, label, v = next((p for p in skipped if fails(*p)), (a, b, label, v))
+                return False, (label, positions[a], positions[b], v)
     return True, None
 
 
 class _Chain:
-    """Chain-criterion state of one exact criterion check: per (label, v),
-    a union-find over E = {h : v in M_label(h)}, seeded with the free edges
-    (module docstring), and the collision generators per index pair."""
+    """Chain-criterion state of one Laurent Buchberger run or criterion
+    check: per (label, v), a union-find over E = {h : v in M_label(h)},
+    seeded with the free edges (module docstring), and the collision
+    generators per index pair.  The loop appends to ``basis``; a union-find
+    takes in the new elements of E the next time it is asked."""
 
     __slots__ = ("basis", "mode", "_groups", "_u")
 
@@ -206,7 +235,7 @@ class _Chain:
         self._u = {}
 
     def u_set(self, x, y, label):
-        """U_label of basis[x] and basis[y], x < y, memoized for the check."""
+        """U_label of basis[x] and basis[y], x < y, memoized for the call."""
         key = (x, y, label)
         u = self._u.get(key)
         if u is None:
@@ -214,14 +243,12 @@ class _Chain:
         return u
 
     def connected(self, a, b, label, v) -> bool:
-        """Whether S(a, b, label, v) may be skipped; if not, the S-pair is
-        taken to reduce to zero and joins a and b (a failing one ends the
-        scan)."""
-        parent = self._groups.get((label, v))
+        """Whether S(a, b, label, v) may be skipped; if not, the caller
+        processes the S-pair, and it joins a and b (a failing one ends the
+        check)."""
+        parent = self._group(a, b, label, v)
         if parent is None:
-            parent = self._group(a, b, label, v)
-            if parent is None:
-                return False
+            return False
         ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return True
@@ -229,22 +256,30 @@ class _Chain:
         return False
 
     def _group(self, a, b, label, v):
-        """The union-find of (label, v) over its free edges, or None when no
-        element besides a and b has v in its module (nothing to chain)."""
-        mode = self.mode
-        cone = mode.ring.order.decomposition[label]
-        members = [
-            h for h, g in enumerate(self.basis)
+        """The union-find of (label, v) over E and its free edges, brought
+        up to the current basis, or None while no element besides a and b
+        has v in its module (nothing to chain)."""
+        mode, basis = self.mode, self.basis
+        parent, start = self._groups.get((label, v), (None, 0))
+        if start == len(basis):
+            return parent
+        new = [
+            h for h in range(start, len(basis))
             if h == a or h == b
-            or cone.contains(mode.shifted_lm(g, vsub(v, mode.cone_leading(g, label)[0])))
+            or mode.module_contains(basis[h], vsub(v, mode.cone_leading(basis[h], label)[0]), label)
         ]
-        if len(members) == 2:
-            return None
-        parent = {h: h for h in members}
-        for x, y in combinations(members, 2):
-            if any(w != v and cone.contains(vsub(v, w)) for w in self.u_set(x, y, label)):
-                parent[_find(parent, x)] = _find(parent, y)
-        self._groups[(label, v)] = parent
+        if parent is None:
+            if len(new) == 2:
+                return None
+            parent = {}
+        self._groups[(label, v)] = (parent, len(basis))
+        cone = mode.ring.order.decomposition[label]
+        for y in new:
+            members = list(parent)
+            parent[y] = y
+            for x in members:
+                if any(w != v and cone.contains(vsub(v, w)) for w in self.u_set(x, y, label)):
+                    parent[_find(parent, x)] = _find(parent, y)
         return parent
 
 
@@ -283,13 +318,15 @@ def _expand_provenance(inputs, basis, records):
 
 
 def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
-    """Buchberger's algorithm; the output contains the generators as given
-    and every criterion S-pair of the output reduces to zero by it."""
+    """Buchberger's algorithm, skipping S-pairs by the chain criterion
+    (module docstring); the output contains the generators as given and
+    every criterion S-pair of the output reduces to zero by it."""
     cfg = cfg or GBConfig()
     basis, _ = _distinct(gens, RingError, "generators must be nonzero")
     inputs = list(basis)
     mode = PolynomialMode(basis[0].ring)
-    stats, records = _buchberger(basis, mode, spair, _reduce, lambda h: h, cfg)
+    chain = _Chain(basis, mode)
+    stats, records = _buchberger(basis, mode, spair, _reduce, lambda h: h, cfg, chain)
     combos = _expand_provenance(inputs, basis, records)
     if cfg.normalize:
         for k, h in enumerate(basis):

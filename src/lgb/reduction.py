@@ -78,6 +78,15 @@ class PolynomialMode:
     def on_fire(self, label, g, shift) -> None:
         pass
 
+    def module_contains(self, g: LaurentPoly, t, label) -> bool:
+        """Whether t lies in T_label(g), tested against the module's cached
+        generators: ``ti_generator`` on standard cones, else
+        ``ti_set_general`` at the radius ``u_intersection`` uses."""
+        cone = self.ring.order.decomposition[label]
+        if self.ring.standard_cones:
+            return cone.contains(vsub(t, g.ti_generator(label)))
+        return any(cone.contains(vsub(t, gen)) for gen in g.ti_set_general(label, 8))
+
     def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
         return u_intersection(f, g, label)
 

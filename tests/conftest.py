@@ -1,5 +1,6 @@
 """Shared fixtures and random-instance helpers for the test suite."""
 
+import collections
 import itertools
 import random
 import re
@@ -442,3 +443,50 @@ def reference_is_groebner(H):
     basis, positions = groebner._distinct(H, laurent.RingError, "generators must be nonzero")
     mode = PolynomialMode(basis[0].ring)
     return _reference_criterion(basis, positions, mode, groebner.spair, _reduce, lambda h: h)
+
+
+# -- the exhaustive Buchberger loop --------------------------------------------
+# verbatim but for names: every S-pair at every collision generator of every
+# cone of every queued pair is formed and divided; tests/test_groebner.py
+# checks that lgb.groebner.buchberger, which skips S-pairs by the chain
+# criterion, returns Groebner bases of the same ideals
+
+def _reference_loop_spairs(division, make_spair, body, f, g, stats):
+    bf, bg = body(f), body(g)
+    for label in division.labels:
+        for v in division.u_set(bf, bg, label):
+            s = groebner._spair(division, make_spair, body, label, f, g, v)
+            if s is None:
+                stats.zero_reductions += 1
+                continue
+            yield label, v, s
+
+
+def _reference_buchberger(basis, division, make_spair, divide, body, cfg):
+    stats = groebner.GBStats()
+    records = []
+    queue = collections.deque(itertools.combinations(range(len(basis)), 2))
+    while queue:
+        a, b = queue.popleft()
+        stats.pairs_processed += 1
+        for label, v, s in _reference_loop_spairs(division, make_spair, body, basis[a], basis[b], stats):
+            quotients, r = divide(s, basis, division)
+            if r.is_zero():
+                stats.zero_reductions += 1
+                continue
+            records.append((a, b, label, v, quotients))
+            queue.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+            if len(basis) > cfg.max_basis:
+                raise groebner.ResourceLimitError(
+                    f"basis exceeded the guard of {cfg.max_basis} elements"
+                )
+    return stats, records
+
+
+def reference_buchberger(gens):
+    """(basis, stats) of the exhaustive loop on the distinct generators."""
+    basis, _ = groebner._distinct(gens, laurent.RingError, "generators must be nonzero")
+    mode = PolynomialMode(basis[0].ring)
+    stats, _ = _reference_buchberger(basis, mode, groebner.spair, _reduce, lambda h: h, groebner.GBConfig())
+    return basis, stats

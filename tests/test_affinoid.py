@@ -298,6 +298,17 @@ def test_single_vertex_refinement_reuses_the_base_cones(kind, n):
     assert [refined.flat_index(label) for label in refined.labels] == [b.id for b in base.cones]
 
 
+def test_refined_decomposition_is_shared_and_errors_are_not():
+    for vertices in ((1, 2),), ((1, 1), (-2, -1)), ((0, 0), (3, 1)):
+        for kind in ("standard", "orthant"):
+            base = build_decomposition(kind, 2)
+            first = build_refined_decomposition(PolytopeContext(vertices), base)
+            assert build_refined_decomposition(PolytopeContext(vertices), base) is first
+    for _ in range(2):
+        with pytest.raises(AffinoidError, match="dimension"):
+            build_refined_decomposition(PolytopeContext([(1, 1)]), build_decomposition("standard", 3))
+
+
 def test_buchberger_p_singleton_and_closure():
     ctx, _, ring, mode = example71()
     cap = Fraction(15)
@@ -769,10 +780,12 @@ def test_polytope_setup_feasibility_matches_fraction_elimination(monkeypatch):
 
     monkeypatch.setattr(lattice, "fm_feasible", checked)
     monkeypatch.setattr(affinoid, "fm_feasible", checked)
+    # the unmemoized builder, so that refinements other tests built still
+    # ask every question here
     for vertices in SETUP_POLYTOPES:
         ctx = PolytopeContext(vertices)
         for base in ("standard", "orthant"):
-            build_refined_decomposition(ctx, build_decomposition(base, 2))
+            affinoid._new_refined_decomposition(ctx, build_decomposition(base, 2))
     # in a pointed cone every candidate ray is extreme, so the ray
     # enumeration asks no feasibility question; its output is unchanged
     # from the version that filtered candidates with fm_feasible
@@ -784,7 +797,7 @@ def test_polytope_setup_feasibility_matches_fraction_elimination(monkeypatch):
     rays = [lattice.rays_from_halfspaces(hs, n) for hs, n in cones]
     assert callers == {
         "_in_convex_hull": {False},
-        "build_refined_decomposition": {True, False},
+        "_new_refined_decomposition": {True, False},
     }
     assert rays == [
         [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)],

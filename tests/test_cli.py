@@ -11,6 +11,7 @@ import pytest
 from conftest import random_poly, reference_parse_poly, ring_for
 from lgb.cli import ParseError, main, parse_poly, parse_problem
 from lgb.coeffs import FieldSpec
+from lgb.groebner import same_ideal
 from lgb.laurent import format_poly
 
 
@@ -368,17 +369,21 @@ def test_missing_file(capsys):
 
 
 @pytest.mark.parametrize(
-    "q, gens, expected",
+    "q, gens, expected, previous",
     [
         (
             4,
             "a*x^2*y + x*y^-1 + 1\nx^-1*y^2 + (a+1)*x + a*y\n",
             "a*x^2*y + x*y^-1 + 1\nx^-1*y^2 + (a+1)*x + a*y\na*y^3 + (a+1)*x^-1*y + (a+1)\n"
             "x + a*x^-1*y^-1\nx^-4*y^-4 + (a+1)*y\na*y + a*x^-1*y^-1\n(a+1)*x^-3*y^-3 + a\n",
+            None,
         ),
         (
             8,
             "a*x^2*y + x*y^-1 + a^2\nx^-1*y^2 + (a^2+1)*x + a*y\n",
+            "a*x^2*y + x*y^-1 + a^2\nx^-1*y^2 + (a^2+1)*x + a*y\na*y^3 + a*x^-1*y + a\n"
+            "(a^2+1)*x^-3*y^-2 + x + a*x^-1*y^-1\n(a+1)*x + a^2*y + a*x^-1*y^-1\n"
+            "(a^2+1)*x^-4*y^-4 + a*y + (a^2+a)*x^-1*y^-1\n(a+1)*x^-2*y^-1 + a*x^-3*y^-3 + (a^2+a)\n",
             "a*x^2*y + x*y^-1 + a^2\nx^-1*y^2 + (a^2+1)*x + a*y\na*y^3 + a*x^-1*y + a\n"
             "(a^2+1)*x^-3*y^-2 + x + a*x^-1*y^-1\n(a+1)*x + a^2*y + a*x^-1*y^-1\n"
             "(a^2+a+1)*x^-4*y^-4 + y + (a+1)*x^-1*y^-1\na*x^-2*y^-1 + (a^2+1)*x^-3*y^-3 + a^2\n",
@@ -386,6 +391,9 @@ def test_missing_file(capsys):
         (
             25,
             "a*x^2*y + 3*x*y^-1 + 2\nx^-1*y^2 + (2*a+4)*x + a*y\n",
+            "a*x^2*y + 3*x*y^-1 + 2\nx^-1*y^2 + (2*a+4)*x + a*y\n4*a*y^3 + (2*a+2)*x^-1*y + (4*a+3)\n"
+            "2*x^-3*y^-2 + (2*a+3)*x + x^-1*y^-1\n(a+3)*x + (a+1)*y + (4*a+4)*x^-1*y^-1\n"
+            "a*x^-4*y^-4 + (4*a+3)*y + (a+2)*x^-1*y^-1\n(4*a+3)*x^-2*y^-1 + (3*a+3)*x^-3*y^-3 + (2*a+4)\n",
             "a*x^2*y + 3*x*y^-1 + 2\nx^-1*y^2 + (2*a+4)*x + a*y\n4*a*y^3 + (2*a+2)*x^-1*y + (4*a+3)\n"
             "2*x^-3*y^-2 + (2*a+3)*x + x^-1*y^-1\n(a+3)*x + (a+1)*y + (4*a+4)*x^-1*y^-1\n"
             "2*x^-4*y^-4 + (4*a+2)*y + (a+3)*x^-1*y^-1\n(2*a+3)*x^-2*y^-1 + x^-3*y^-3 + (a+4)\n",
@@ -396,16 +404,27 @@ def test_missing_file(capsys):
             "a*x^2*y + 2*x*y^-1 + a^2\nx^-1*y^2 + (a^2+2*a)*x + a*y\n2*a*y^3 + a*x^-1*y + (a^2+a+1)\n"
             "(a^2+2*a)*x^-3*y^-2 + (2*a^2+a+2)*x + (2*a^2+2)*x^-1*y^-1\n"
             "(2*a^2+2)*x + 2*a^2*y + (a^2+a+1)*x^-1*y^-1\n"
+            "(a^2+2*a)*x^-4*y^-4 + (a^2+2*a+2)*y + x^-1*y^-1\n"
+            "a*x^-2*y^-1 + (a^2+a+1)*x^-3*y^-3 + (a+1)\n",
+            "a*x^2*y + 2*x*y^-1 + a^2\nx^-1*y^2 + (a^2+2*a)*x + a*y\n2*a*y^3 + a*x^-1*y + (a^2+a+1)\n"
+            "(a^2+2*a)*x^-3*y^-2 + (2*a^2+a+2)*x + (2*a^2+2)*x^-1*y^-1\n"
+            "(2*a^2+2)*x + 2*a^2*y + (a^2+a+1)*x^-1*y^-1\n"
             "(a+2)*x^-4*y^-4 + (a^2+a+1)*y + (2*a^2+1)*x^-1*y^-1\n"
             "(a^2+2)*x^-2*y^-1 + (2*a^2+a)*x^-3*y^-3 + (2*a^2+a+1)\n",
         ),
     ],
     ids=["GF4", "GF8", "GF25", "GF27"],
 )
-def test_gb_stdout_over_extension_fields(tmp_path, capsys, q, gens, expected):
-    path = write(tmp_path, f"ring GF {q}\nvars x y\norder degmin\ngens:\n{gens}")
-    assert main(["gb", path]) == 0
+def test_gb_stdout_over_extension_fields(tmp_path, capsys, q, gens, expected, previous):
+    """The printed basis; where the chain criterion in the loop changed it,
+    the same ideal as the exhaustive loop's ``previous`` one."""
+    text = f"ring GF {q}\nvars x y\norder degmin\ngens:\n{gens}"
+    assert main(["gb", write(tmp_path, text)]) == 0
     assert capsys.readouterr().out == expected
+    if previous is not None:
+        ring = parse_problem(text).ring
+        basis = [parse_poly(ring, h) for h in expected.splitlines()]
+        assert same_ideal(basis, [parse_poly(ring, h) for h in previous.splitlines()])
 
 
 @pytest.mark.parametrize("q", ["0", "1", "6", "-3"])

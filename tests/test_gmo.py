@@ -184,3 +184,21 @@ def test_key_agrees_with_compare(n, kind):
         if order.compare(e, best) > 0:
             best = e
     assert order.max_exponent(exps) == best
+
+
+def test_linear_forms_are_shared_and_errors_are_not():
+    from lgb.affinoid import PolytopeContext, build_refined_decomposition
+
+    for n, score in ((2, "degmin"), (3, "min")):
+        first, second = make_order(n, score), make_order(n, score)
+        for i in range(n + 1):
+            assert second.linear_form(i) is first.linear_form(i)
+    # degmin is not linear on the triangle's whole vertex regions
+    triangle = build_refined_decomposition(
+        PolytopeContext([(0, 0), (1, 0), (0, 1)]), build_decomposition("standard", 2)
+    ).decomposition
+    for _ in range(2):
+        order = GeneralizedOrder(triangle, ScoreFunction("degmin", 2))
+        for _ in range(2):
+            with pytest.raises(LatticeError, match="not linear on cone 0"):
+                order.linear_form(0)

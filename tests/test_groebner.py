@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import orthant_ring, random_poly, reference_is_groebner, ring_for
+from conftest import (
+    orthant_ring,
+    random_poly,
+    reference_buchberger,
+    reference_is_groebner,
+    ring_for,
+)
 from lgb import groebner
 from lgb.cli import parse_poly, parse_problem
 from lgb.coeffs import FieldSpec
@@ -224,7 +230,8 @@ def test_spair_bound_on_formed_pairs(q_ring2):
 
 
 #: one two-generator ideal over each extension field besides GF(9), with its
-#: printed basis
+#: printed basis and, where the chain criterion in the loop changed it, the
+#: basis the exhaustive loop printed, kept as a ``same_ideal`` reference
 EXTENSION_FIELD_BASES = {
     (2, 2): (
         ("a*x^2*y + x*y^-1 + 1", "x^-1*y^2 + (a+1)*x + a*y"),
@@ -237,9 +244,19 @@ EXTENSION_FIELD_BASES = {
             "a*y + a*x^-1*y^-1",
             "(a+1)*x^-3*y^-3 + a",
         ],
+        None,
     ),
     (2, 3): (
         ("a*x^2*y + x*y^-1 + a^2", "x^-1*y^2 + (a^2+1)*x + a*y"),
+        [
+            "a*x^2*y + x*y^-1 + a^2",
+            "x^-1*y^2 + (a^2+1)*x + a*y",
+            "a*y^3 + a*x^-1*y + a",
+            "(a^2+1)*x^-3*y^-2 + x + a*x^-1*y^-1",
+            "(a+1)*x + a^2*y + a*x^-1*y^-1",
+            "(a^2+1)*x^-4*y^-4 + a*y + (a^2+a)*x^-1*y^-1",
+            "(a+1)*x^-2*y^-1 + a*x^-3*y^-3 + (a^2+a)",
+        ],
         [
             "a*x^2*y + x*y^-1 + a^2",
             "x^-1*y^2 + (a^2+1)*x + a*y",
@@ -258,12 +275,30 @@ EXTENSION_FIELD_BASES = {
             "4*a*y^3 + (2*a+2)*x^-1*y + (4*a+3)",
             "2*x^-3*y^-2 + (2*a+3)*x + x^-1*y^-1",
             "(a+3)*x + (a+1)*y + (4*a+4)*x^-1*y^-1",
+            "a*x^-4*y^-4 + (4*a+3)*y + (a+2)*x^-1*y^-1",
+            "(4*a+3)*x^-2*y^-1 + (3*a+3)*x^-3*y^-3 + (2*a+4)",
+        ],
+        [
+            "a*x^2*y + 3*x*y^-1 + 2",
+            "x^-1*y^2 + (2*a+4)*x + a*y",
+            "4*a*y^3 + (2*a+2)*x^-1*y + (4*a+3)",
+            "2*x^-3*y^-2 + (2*a+3)*x + x^-1*y^-1",
+            "(a+3)*x + (a+1)*y + (4*a+4)*x^-1*y^-1",
             "2*x^-4*y^-4 + (4*a+2)*y + (a+3)*x^-1*y^-1",
             "(2*a+3)*x^-2*y^-1 + x^-3*y^-3 + (a+4)",
         ],
     ),
     (3, 3): (
         ("a*x^2*y + 2*x*y^-1 + a^2", "x^-1*y^2 + (a^2+2*a)*x + a*y"),
+        [
+            "a*x^2*y + 2*x*y^-1 + a^2",
+            "x^-1*y^2 + (a^2+2*a)*x + a*y",
+            "2*a*y^3 + a*x^-1*y + (a^2+a+1)",
+            "(a^2+2*a)*x^-3*y^-2 + (2*a^2+a+2)*x + (2*a^2+2)*x^-1*y^-1",
+            "(2*a^2+2)*x + 2*a^2*y + (a^2+a+1)*x^-1*y^-1",
+            "(a^2+2*a)*x^-4*y^-4 + (a^2+2*a+2)*y + x^-1*y^-1",
+            "a*x^-2*y^-1 + (a^2+a+1)*x^-3*y^-3 + (a+1)",
+        ],
         [
             "a*x^2*y + 2*x*y^-1 + a^2",
             "x^-1*y^2 + (a^2+2*a)*x + a*y",
@@ -277,13 +312,19 @@ EXTENSION_FIELD_BASES = {
 }
 
 
+def extension_field_ring(p, k):
+    return ring_for(FieldSpec.finite(p, k), 2, "degmin", names=("x", "y"))
+
+
 @pytest.mark.parametrize("p, k", list(EXTENSION_FIELD_BASES), ids=["GF4", "GF8", "GF25", "GF27"])
 def test_extension_field_bases_pinned(p, k):
-    ring = ring_for(FieldSpec.finite(p, k), 2, "degmin", names=("x", "y"))
-    gens, expected = EXTENSION_FIELD_BASES[(p, k)]
+    ring = extension_field_ring(p, k)
+    gens, expected, previous = EXTENSION_FIELD_BASES[(p, k)]
     res = buchberger([parse_poly(ring, g) for g in gens])
     assert [str(h) for h in res.basis] == expected
     assert is_groebner(res.basis)[0]
+    if previous is not None:
+        assert same_ideal(res.basis, [parse_poly(ring, h) for h in previous])
 
 
 def _subsets(basis):
@@ -321,6 +362,43 @@ def test_chain_criterion_agrees_with_the_exhaustive_check(monkeypatch):
             verdicts.append(got[0])
     assert True in verdicts and False in verdicts
     assert any(skips)
+
+
+def _loop_cases():
+    """(name, generators) of the std-cones fixture, q2min and f9 instances
+    and the general-cones orthant ideals at seed 1, of ``ORTHANT_N3`` and
+    of the extension-field ideals."""
+    import workloads
+
+    for inst in workloads.build("std-cones", 1):
+        if inst.family in ("fixture", "q2min", "f9"):
+            yield inst.name, parse_problem(inst.text).generators
+    ring2 = orthant_ring(2)
+    for inst in workloads.build("general-cones", 1):
+        if inst.family == "orth":
+            yield inst.name, [parse_poly(ring2, g) for g in inst.text.split("gens:\n", 1)[1].splitlines()]
+    ring3 = orthant_ring(3)
+    for gens in ORTHANT_N3:
+        yield gens, [parse_poly(ring3, g) for g in gens]
+    for (p, k), (gens, _, _) in EXTENSION_FIELD_BASES.items():
+        ring = extension_field_ring(p, k)
+        yield (p, k), [parse_poly(ring, g) for g in gens]
+
+
+def test_chain_criterion_in_the_loop_keeps_the_ideal(monkeypatch):
+    """Every basis of the pruned loop passes the exhaustive check
+    (``conftest.reference_is_groebner``) and generates the ideal of the
+    exhaustive loop's basis (``conftest.reference_buchberger``)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    skipped = changed = 0
+    for name, gens in _loop_cases():
+        res = buchberger(gens)
+        assert reference_is_groebner(res.basis) == (True, None), name
+        expected, _ = reference_buchberger(gens)
+        assert same_ideal(res.basis, expected), name
+        skipped += res.stats.spairs_skipped
+        changed += res.basis != expected
+    assert skipped and changed
 
 
 def test_same_ideal(q_ring2):

@@ -27,6 +27,13 @@ the Laurent layer's general cone modules use too,
 ``lattice._certified_generators``: it widens a box from a witness until a
 Fourier-Motzkin certificate proves the set complete, so every module it
 returns is certified.
+
+``spair_series`` builds an S-pair in one pass over the two supports into
+one term dict and one ``CappedSeries``, cutting as the composition of
+``term_mul`` and subtraction does: each shifted multiple at its own cap,
+then the sum at the smaller cap.  Cutting only the sum would keep a term
+that lies at or above the cap in one multiple and below it in the other
+with both parts, and change its coefficient.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentPoly, LaurentRing, Term, _ti_cells, format_poly, u_intersection
-from lgb.reduction import _memoized_lm, division_loop, residual
+from lgb.reduction import _memoized, division_loop, residual
 
 
 class AffinoidError(ValueError):
@@ -714,10 +721,11 @@ class CappedSeries:
 
 class _SeriesDivision:
     """Adapter binding a mode to the division loop and the Buchberger engine
-    for one engine call, with the memo of ``reduction``'s module docstring;
-    ``bound`` is ceil(cap * den) for the cap of the division in progress."""
+    for one engine call, with the memo and the reducer table of
+    ``reduction``'s module docstring; ``bound`` is ceil(cap * den) for the
+    cap of the division in progress."""
 
-    __slots__ = ("mode", "labels", "term_key", "cone_leading", "u_set", "bound", "_lms")
+    __slots__ = ("mode", "labels", "term_key", "cone_leading", "u_set", "bound", "_lms", "_leads")
 
     def __init__(self, mode):
         self.mode = mode
@@ -727,16 +735,19 @@ class _SeriesDivision:
         self.u_set = mode.u_set
         self.bound = None
         self._lms = {}
+        self._leads = {}
 
     def leading(self, work, keys):
         exp = max(keys, key=keys.__getitem__)
         return Term(work[exp], exp)
 
     def shifted_lm(self, g, shift):
-        return _memoized_lm(self._lms, g, shift, self.mode.shifted_lm)
+        return _memoized(self._lms, g, shift, self.mode.shifted_lm)
 
-    def past_cap(self, term: Term) -> bool:
-        return self.mode.context.scaled_val(term.coef, term.exp) >= self.bound
+    def past_cap(self, key) -> bool:
+        """Whether the term of ``term_key`` key lies at or above the cap:
+        -key[0] is its valuation times the common denominator."""
+        return -key[0] >= self.bound
 
     def on_fire(self, label, g, shift) -> None:
         pass
@@ -783,15 +794,26 @@ def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
 
 
 def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeries:
-    """S-pair of two series at a collision monomial of a cone label."""
+    """S-pair of two series at a collision monomial of a cone label, built
+    in one pass and cut as the module docstring says."""
     f._check(g)
     lmf, lcf = mode.cone_leading(f.body, label)
     lmg, lcg = mode.cone_leading(g.body, label)
-    if not mode.module_contains(f.body, vsub(v, lmf), label) or not mode.module_contains(
-        g.body, vsub(v, lmg), label
-    ):
+    tf, tg = vsub(v, lmf), vsub(v, lmg)
+    if not mode.module_contains(f.body, tf, label) or not mode.module_contains(g.body, tg, label):
         raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
-    return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
+    ctx = mode.context
+    scaled_val = ctx.scaled_val
+    terms = {}
+    for h, shift, coef in ((f, tf, lcg), (g, tg, -lcf)):
+        bound = math.ceil(h.cap * ctx._den)
+        for e, c in h.body.terms_unordered():
+            e = vadd(e, shift)
+            c = c * coef
+            if scaled_val(c, e) < bound:
+                old = terms.get(e)
+                terms[e] = c if old is None else old + c
+    return CappedSeries(mode, LaurentPoly(mode.ring, terms), min(f.cap, g.cap))
 
 
 def _series_generators(gens):

@@ -273,6 +273,10 @@ class Problem:
                 raise ParseError("polytope dimension does not match vars")
             refined = build_refined_decomposition(ctx, order_decomp)
             order = GeneralizedOrder(refined.decomposition, ScoreFunction(score, n))
+            # the score must be linear on every refined cone; an invalid
+            # order fails here with LatticeError, before any S-pair
+            for k in range(len(refined.decomposition.cones)):
+                order.linear_form(k)
             self.ring = LaurentRing(field, n, order, names)
             self.mode = PolytopeMode(self.ring, ctx, refined)
             self.context = ctx

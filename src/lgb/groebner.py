@@ -10,6 +10,12 @@ lc_f*lc_g*X^v under the adapter's ``term_key``.  ``buchberger`` expands
 the loop's record of how each element arose into ``GBResult.combinations``
 and re-verifies the combination identity exactly.
 
+An S-pair lc_g*X^(v - lm_f)*f - lc_f*X^(v - lm_g)*g is built in one pass
+over the two supports into one term dict (``spair`` here,
+``affinoid.spair_series`` in the capped layer), with no intermediate
+polynomial per multiple.  Its bound check reads lc_f and lc_g from the
+adapter's reducer table (``reduction``).
+
 The exact check (``is_groebner``) skips S-pairs by a chain criterion over
 collision modules (Gebauer and Moeller, J. Symb. Comput. 1988; proofs by
 t-representations as in Becker and Weispfenning, *Groebner Bases*, 1993).
@@ -63,8 +69,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from lgb.laurent import LaurentPoly, RingError
-from lgb.lattice import vsub
-from lgb.reduction import PolynomialMode, _reduce, reduce
+from lgb.lattice import vadd, vsub
+from lgb.reduction import PolynomialMode, _memoized, _reduce, reduce
 
 
 class ResourceLimitError(RuntimeError):
@@ -112,9 +118,17 @@ def spair(i, f: LaurentPoly, g: LaurentPoly, v) -> LaurentPoly:
     f._check(g)
     lmf, lcf, _ = f.cone_leading_data(i)
     lmg, lcg, _ = g.cone_leading_data(i)
-    if not f.ti_contains(vsub(v, lmf), i) or not g.ti_contains(vsub(v, lmg), i):
+    tf, tg = vsub(v, lmf), vsub(v, lmg)
+    if not f.ti_contains(tf, i) or not g.ti_contains(tg, i):
         raise RingError(f"{v} is not a collision monomial for cone {i}")
-    return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
+    terms = {vadd(e, tf): c * lcg for e, c in f.terms_unordered()}
+    neg = -lcf
+    for e, c in g.terms_unordered():
+        e = vadd(e, tg)
+        c = c * neg
+        old = terms.get(e)
+        terms[e] = c if old is None else old + c
+    return LaurentPoly(f.ring, terms)
 
 
 def _distinct(gens, error, nonzero):
@@ -140,8 +154,8 @@ def _spair(division, make_spair, body, label, f, g, v):
     if not terms:
         return None
     key = division.term_key
-    _, lcf = division.cone_leading(body(f), label)
-    _, lcg = division.cone_leading(body(g), label)
+    _, lcf = _memoized(division._leads, body(f), label, division.cone_leading)
+    _, lcg = _memoized(division._leads, body(g), label, division.cone_leading)
     if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
         raise AssertionError(f"S-pair at {v} does not drop below its bound")
     return s

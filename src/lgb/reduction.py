@@ -10,7 +10,10 @@ leading term without introducing a larger one.
 The work polynomial is a mutable ``{exp: coef}`` map with a parallel
 ``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
 step takes a keyed maximum and subtracts ``coef * X^shift * g`` in place;
-no immutable polynomial is rebuilt per step.
+no immutable polynomial is rebuilt per step.  The cap test reads the
+leading term's key: in the capped layer ``-key[0]`` is the term's
+valuation times the common denominator, so ``past_cap(key)`` compares it
+with the cap and nothing is recomputed per step.
 
 A reducer fires only when lm(X^shift g) is the current leading exponent,
 with shift = that exponent minus lm_label(g), so it always cancels at
@@ -21,11 +24,17 @@ which counts reducer fires through it.
 The same (g, shift) test recurs within a division and across the divisions
 of one Buchberger run, so the division adapter (``PolynomialMode`` here,
 the capped layer's ``_SeriesDivision``) memoizes ``shifted_lm`` as
-``{g: {shift: lm}}``.  Each engine call builds one adapter for all of its
-divisions, so the memo dies with the call; held on the polynomial or on a
-long-lived mode, it would keep every shift tried alive with the bases the
-caller retains.  The adapter also serves ``groebner``'s Buchberger engine,
-which asks it for ``u_set(f, g, label)``, the collision monomials.
+``{g: {shift: lm}}``.  It also keeps the reducer table ``{g: {label:
+(lm, lc)}}`` of each divisor's cone leading data, which the loop and
+``groebner``'s S-pair bound check read.  The table is filled lazily, one
+(g, label) on first use: the loop asks only the labels it scans before a
+reducer fires, and a cone whose leading data cannot be computed must
+fail only a division that reaches it.  Each engine call builds one
+adapter for all of its divisions, so the memo and the table die with the
+call; held on the polynomial or on a long-lived mode, they would keep
+every shift tried alive with the bases the caller retains.  The adapter
+also serves ``groebner``'s Buchberger engine, which asks it for
+``u_set(f, g, label)``, the collision monomials.
 """
 
 from __future__ import annotations
@@ -36,27 +45,34 @@ from lgb.laurent import LaurentPoly, LaurentRing, Term, u_intersection
 from lgb.lattice import vadd, vsub
 
 
-def _memoized_lm(lms, g, shift, compute):
-    """``lms[g][shift]``, set to ``compute(g, shift)`` on first use."""
-    memo = lms.get(g)
-    if memo is None:
-        memo = lms[g] = {}
-    lm = memo.get(shift)
-    if lm is None:
-        lm = memo[shift] = compute(g, shift)
-    return lm
+def _row(table, g):
+    """``table[g]``, an empty dict on first use."""
+    row = table.get(g)
+    if row is None:
+        row = table[g] = {}
+    return row
+
+
+def _memoized(table, g, arg, compute):
+    """``table[g][arg]``, set to ``compute(g, arg)`` on first use."""
+    row = _row(table, g)
+    value = row.get(arg)
+    if value is None:
+        value = row[arg] = compute(g, arg)
+    return value
 
 
 class PolynomialMode:
     """Division strategy for plain Laurent polynomials under the ring order,
     built once per engine call (see the module docstring)."""
 
-    __slots__ = ("ring", "labels", "_lms")
+    __slots__ = ("ring", "labels", "_lms", "_leads")
 
     def __init__(self, ring: LaurentRing):
         self.ring = ring
         self.labels = tuple(range(len(ring.order.decomposition.cones)))
         self._lms = {}
+        self._leads = {}
 
     def term_key(self, coef, exp):
         return self.ring.order.key(exp)
@@ -70,9 +86,9 @@ class PolynomialMode:
         return lm, lc
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        return _memoized_lm(self._lms, g, shift, LaurentPoly.shifted_leading_monomial)
+        return _memoized(self._lms, g, shift, LaurentPoly.shifted_leading_monomial)
 
-    def past_cap(self, term: Term) -> bool:
+    def past_cap(self, key) -> bool:
         return False
 
     def on_fire(self, label, g, shift) -> None:
@@ -99,25 +115,28 @@ def division_loop(f: LaurentPoly, gens, mode):
     """
     ring = f.ring
     zero = ring.field.zero()
-    term_key = mode.term_key
+    term_key, cone_leading = mode.term_key, mode.cone_leading
+    rows = [_row(mode._leads, g) for g in gens]
     quotients = [dict() for _ in gens]
     remainder = {}
     work = dict(f.terms_unordered())
     keys = {e: term_key(c, e) for e, c in work.items()}
     while work:
         lt = mode.leading(work, keys)
-        if mode.past_cap(lt):
+        if mode.past_cap(keys[lt.exp]):
             break
         for label in mode.labels:
             for k, g in enumerate(gens):
-                lm_g, lc_g = mode.cone_leading(g, label)
-                shift = vsub(lt.exp, lm_g)
+                lead = rows[k].get(label)
+                if lead is None:
+                    lead = rows[k][label] = cone_leading(g, label)
+                shift = vsub(lt.exp, lead[0])
                 if mode.shifted_lm(g, shift) == lt.exp:
                     break
             else:
                 continue
             mode.on_fire(label, g, shift)
-            coef = lt.coef / lc_g
+            coef = lt.coef / lead[1]
             acc = quotients[k]
             acc[shift] = acc.get(shift, zero) + coef
             neg = -coef

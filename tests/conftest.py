@@ -490,3 +490,31 @@ def reference_buchberger(gens):
     mode = PolynomialMode(basis[0].ring)
     stats, _ = _reference_buchberger(basis, mode, groebner.spair, _reduce, lambda h: h, groebner.GBConfig())
     return basis, stats
+
+
+# -- the S-pairs as compositions of polynomial operations ----------------------
+# verbatim but for names: lgb.groebner.spair and lgb.affinoid.spair_series
+# when they composed term_mul and subtraction, each step a new polynomial
+# or series cut at its cap; tests/test_groebner.py and tests/test_affinoid.py
+# check that the one-pass versions agree with them
+
+def reference_spair(i, f: LaurentPoly, g: LaurentPoly, v) -> LaurentPoly:
+    """S(i, f, g, v) at a collision monomial v of the cone-i leading data."""
+    f._check(g)
+    lmf, lcf, _ = f.cone_leading_data(i)
+    lmg, lcg, _ = g.cone_leading_data(i)
+    if not f.ti_contains(vsub(v, lmf), i) or not g.ti_contains(vsub(v, lmg), i):
+        raise laurent.RingError(f"{v} is not a collision monomial for cone {i}")
+    return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
+
+
+def reference_spair_series(mode, label, f, g, v):
+    """S-pair of two series at a collision monomial of a cone label."""
+    f._check(g)
+    lmf, lcf = mode.cone_leading(f.body, label)
+    lmg, lcg = mode.cone_leading(g.body, label)
+    if not mode.module_contains(f.body, vsub(v, lmf), label) or not mode.module_contains(
+        g.body, vsub(v, lmg), label
+    ):
+        raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
+    return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly, reference_tij_generators, ring_for
+from conftest import random_coeff, random_poly, reference_spair_series, reference_tij_generators, ring_for
 from lgb.affinoid import (
     AffinoidError,
     CappedSeries,
@@ -28,7 +28,7 @@ from lgb.coeffs import INF, FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import buchberger
 from lgb.laurent import LaurentRing, Term
-from lgb.lattice import LatticeError, _satisfies, box_points, build_decomposition, vadd, vdot
+from lgb.lattice import LatticeError, _satisfies, box_points, build_decomposition, vadd, vdot, vsub
 from lgb.oracle import brute_valP
 from lgb import affinoid, reduction
 from lgb.reduction import reduce
@@ -540,6 +540,86 @@ def test_term_key_orders_like_compare(vertices):
             if best is None or compare(Term(coef, exp), best) > 0:
                 best = Term(coef, exp)
         assert mode.leading(f) == best
+
+
+def _shifted_multiples(mode, label, f, g, v):
+    """The term valuations of lc_g*X^(v - lm_f)*f and lc_f*X^(v - lm_g)*g,
+    each {exponent: valuation}, for series or polynomial bodies f and g."""
+    f, g = affinoid._body_of(f), affinoid._body_of(g)
+    out = []
+    for h, other in ((f, g), (g, f)):
+        lm, _ = mode.cone_leading(h, label)
+        _, lc = mode.cone_leading(other, label)
+        shifted = h.term_mul(vsub(v, lm), lc)
+        out.append({e: mode.context.term_val(c, e) for e, c in shifted.terms_unordered()})
+    return out
+
+
+def _straddling_caps(mode, f, g):
+    """Caps at which a term of an S-pair of the bodies f and g lies at the
+    cap in one shifted multiple and below it in the other."""
+    caps = set()
+    for label in mode.labels:
+        for v in mode.u_set(f, g, label):
+            a, b = _shifted_multiples(mode, label, f, g, v)
+            caps.update(max(a[e], b[e]) for e in a.keys() & b.keys() if a[e] != b[e])
+    return caps
+
+
+def _one_sided_terms(mode, label, f, g, v):
+    """How many exponents of S(f, g, v) get a term at or above its own cap
+    from one shifted multiple and a term below its cap from the other."""
+    a, b = _shifted_multiples(mode, label, f, g, v)
+    return sum((a[e] >= f.cap) != (b[e] >= g.cap) for e in a.keys() & b.keys())
+
+
+def _spread_poly(ring, rng):
+    """A random polynomial whose coefficients spread over 2-adic valuations
+    -1..8."""
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        e = tuple(rng.randint(-2, 2) for _ in range(ring.n))
+        terms[e] = random_coeff(ring, rng) * ring.field.from_int(2 ** rng.randint(0, 5))
+    return ring.poly(terms)
+
+
+@pytest.mark.parametrize("vertices", [None, ((1, 2),)] + list(BENCH_POLYTOPES))
+def test_one_pass_spair_series_matches_the_composition(vertices):
+    """spair_series equals the term_mul/subtraction composition, which cuts
+    each shifted multiple at its own cap and the sum at the smaller one: at
+    every collision generator of every cone, with equal and unequal caps,
+    and at caps where a term of S lies at or above the cap in one multiple
+    only."""
+    if vertices is None:
+        mode = WeightMode(q2_ring(), WeightContext((1, 2)))
+    else:
+        _, mode = polytope_mode(vertices)
+    rng = random.Random(f"spair {vertices}")
+    formed = one_sided = 0
+    for _ in range(30):
+        fb, gb = _spread_poly(mode.ring, rng), _spread_poly(mode.ring, rng)
+        try:
+            caps = sorted(_straddling_caps(mode, fb, gb))[:4]
+        except LatticeError:  # a module the search cannot certify
+            continue
+        caps.append(Fraction(rng.randint(2, 12), rng.choice((1, 2))))
+        for cap in caps:
+            for fcap, gcap in ((cap, cap), (cap, cap + 1), (cap + 1, cap)):
+                f, g = CappedSeries(mode, fb, fcap), CappedSeries(mode, gb, gcap)
+                if f.is_zero() or g.is_zero():
+                    continue
+                for label in mode.labels:
+                    try:
+                        collisions = mode.u_set(f.body, g.body, label)
+                    except LatticeError:
+                        continue
+                    for v in collisions:
+                        s = affinoid.spair_series(mode, label, f, g, v)
+                        ref = reference_spair_series(mode, label, f, g, v)
+                        assert (s.body, s.cap, s.mode.ring) == (ref.body, ref.cap, ref.mode.ring)
+                        formed += 1
+                        one_sided += _one_sided_terms(mode, label, f, g, v)
+    assert formed >= 200 and one_sided >= 20, (formed, one_sided)
 
 
 def _drop_one_quotient_term(real):

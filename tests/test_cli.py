@@ -340,6 +340,48 @@ def test_polytopal_gb_verb(tmp_path, capsys):
     assert out == "y + 2*x"
 
 
+TRIANGLE = (
+    "ring Qp 2\nvars x y\npolytope (0,0) (1,0) (0,1)\norder degmin\nprecision 10\n"
+    "gens:\n3*x^-1*y - x^-1\nx*y^-1 + 2/3*x\n"
+)
+
+
+@pytest.mark.parametrize(
+    "verb", [["gb"], ["gb", "--normalize"], ["reduce"], ["member"], ["check"], ["info"]],
+    ids=lambda verb: " ".join(verb),
+)
+def test_invalid_polytope_order_fails_at_set_up(tmp_path, capsys, verb):
+    # degmin is not linear on the triangle's whole vertex region V_1, so the
+    # problem is refused when it is built, before any S-pair or division
+    argv = [*verb, write(tmp_path, TRIANGLE)]
+    if verb[0] in ("reduce", "member", "info"):
+        argv += ["--poly", "x + y"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: score is not linear on cone 0\n"
+
+
+def test_reduce_reads_only_the_cone_leading_data_it_scans(tmp_path, capsys):
+    # cone 1 of this segment's refinement is not unimodular, so its leading
+    # data cannot be computed; every step of this division fires on cone 0
+    # until the cap, so it never scans cone 1 and succeeds
+    path = write(
+        tmp_path,
+        "ring Qp 2\nvars x y\npolytope (1,1) (-2,-1)\norder degmin\nprecision 10\n"
+        "gens:\n2*x + y\nx*y + 4\n",
+    )
+    assert main(["reduce", path, "--poly", "x + y"]) == 0
+    assert capsys.readouterr().out == (
+        "0\n"
+        "-x*y^-1 + 1 + 2*x^2*y^-2 - 4*x^3*y^-3 + 8*x^4*y^-4 - 16*x^5*y^-5 + 32*x^6*y^-6"
+        " - 64*x^7*y^-7 + 128*x^8*y^-8 - 256*x^9*y^-9 + 512*x^10*y^-10 + 1024*x^11*y^-11\n"
+        "0\n"
+    )
+    assert main(["gb", path]) == 2
+    assert capsys.readouterr().err == "error: cone 1 is not simplicial unimodular\n"
+
+
 def test_weight_mode_verbs(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -8,6 +8,7 @@ from conftest import (
     random_poly,
     reference_buchberger,
     reference_is_groebner,
+    reference_spair,
     ring_for,
 )
 from lgb import groebner
@@ -227,6 +228,35 @@ def test_spair_bound_on_formed_pairs(q_ring2):
                 s = spair(i, f, g, v)
                 if not s.is_zero():
                     assert order.compare(s.leading_data()[0], v) < 0
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        ring_for(FieldSpec.rational(), 2, "degmin"),
+        ring_for(FieldSpec.rational(), 2, "min"),
+        ring_for(FieldSpec.rational(), 3, "degmin"),
+        ring_for(FieldSpec.padic(2), 2, "degmin"),
+        orthant_ring(2),
+    ],
+    ids=["Q-degmin", "Q-min", "Q-n3", "Q2", "Q-orthant"],
+)
+def test_one_pass_spair_matches_the_composition(ring):
+    """spair equals the term_mul/subtraction composition at every collision
+    generator of every cone, cancelling S-pairs included."""
+    rng = random.Random(str(ring.order))
+    formed = zero = 0
+    for _ in range(12):
+        f = random_poly(ring, rng, terms=3, radius=2)
+        g = random_poly(ring, rng, terms=3, radius=2)
+        for h in (g, f, f * parse_poly(ring, "x - 1")):
+            for i in range(len(ring.order.decomposition)):
+                for v in u_intersection(f, h, i):
+                    s = spair(i, f, h, v)
+                    assert s == reference_spair(i, f, h, v)
+                    formed += 1
+                    zero += s.is_zero()
+    assert formed >= 40 and 0 < zero < formed
 
 
 #: one two-generator ideal over each extension field besides GF(9), with its

@@ -197,3 +197,76 @@ def test_division_adapter_lives_for_one_engine_call(monkeypatch, q_ring2):
     # one adapter per call, each gone once its call has returned
     assert len(refs) == 2 and len(series_refs) == 2
     assert all(ref() is None for ref in refs + series_refs)
+
+
+# -- the surfaces bench/spans.py counts -----------------------------------------
+# reduction.steps, reducer_tries and reducer_fires count calls of the
+# adapters' leading, shifted_lm and on_fire, and groebner.spairs counts
+# calls of groebner.spair and affinoid.spair_series; the literals below were
+# taken from the engine before S-pairs were built in one pass and the loop
+# read a reducer table, so neither may change what a counter counts
+
+COUNTED_PROBLEMS = {
+    # std-cones: the quoted GF(9) fixture
+    "fixture-gf9": "ring GF 9\nvars x y\norder degmin\ngens:\n"
+    "x^2*y + y^-6\nx^3*y^-2 + x^-6*y\nx^-2*y + x^-1*y^-2\n",
+    # capped-series: design ideal cap-1 at seed 1, on the one-vertex polytope
+    "cap-1-vertex": "ring Qp 2\nvars x y\npolytope (1,2)\norder degmin\nprecision 50\ngens:\n"
+    "(-25/2)*x^-2*y^-1 + (-1/6)*y^2 + (-306/5)*x^2*y^2\n(3)*x + (4)*x*y\n",
+}
+
+COUNTED_CALLS = {
+    "fixture-gf9": {
+        ("gb", "leading"): 128, ("gb", "shifted_lm"): 1450, ("gb", "on_fire"): 114,
+        ("gb", "spair"): 33,
+        ("check", "leading"): 104, ("check", "shifted_lm"): 1134, ("check", "on_fire"): 104,
+        ("check", "spair"): 27,
+    },
+    "cap-1-vertex": {
+        ("gb", "leading"): 67, ("gb", "shifted_lm"): 339, ("gb", "on_fire"): 60,
+        ("gb", "spair"): 18,
+        ("check", "leading"): 64, ("check", "shifted_lm"): 310, ("check", "on_fire"): 63,
+        ("check", "spair"): 18,
+    },
+}
+
+
+def _count_calls(monkeypatch, text):
+    """{(verb, surface): calls} of one gb and one check of a problem file."""
+    from lgb import affinoid, groebner
+    from lgb.cli import parse_problem
+
+    counts = {}
+    verb = [None]
+
+    def counting(owner, name, surface):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            key = (verb[0], surface)
+            counts[key] = counts.get(key, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for cls in (PolynomialMode, _SeriesDivision):
+        for name in ("leading", "shifted_lm", "on_fire"):
+            counting(cls, name, name)
+    counting(groebner, "spair", "spair")
+    counting(affinoid, "spair_series", "spair")
+    problem = parse_problem(text)
+    verb[0] = "gb"
+    if problem.capped:
+        basis = affinoid.buchberger_P(problem.series_generators()).basis
+        verb[0] = "check"
+        assert affinoid.is_groebner_series(basis)[0]
+    else:
+        basis = groebner.buchberger(problem.generators).basis
+        verb[0] = "check"
+        assert groebner.is_groebner(basis)[0]
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_PROBLEMS))
+def test_counted_surfaces_keep_their_call_counts(monkeypatch, name):
+    assert _count_calls(monkeypatch, COUNTED_PROBLEMS[name]) == COUNTED_CALLS[name]

@@ -10,12 +10,14 @@ remainder of each probe, of 1 and of each generator divided by the basis
 and by the generators; for every polynomial basis, ``GBResult.combinations``
 (each basis element over the generators), also recomputed with
 ``GBConfig(normalize=True)``, and at seed 1 the verdict and certificate of
-``is_groebner`` on the basis without each one of its elements; for each
+``is_groebner`` on the basis without each one of its elements, and every
+S-pair of the basis, ``spair`` or ``spair_series`` at each collision
+generator of each cone for each pair of basis elements, with its cap; for each
 general-cones basis element, every cone module (``ti_set_general(i, 8)``
 on the orthant ring, ``tij_generators(body, label, 6)`` on a polytope)
 or the exception it raised, and on a
 polytope ``tij_generators(body, label, r)`` at every ceiling r = 0..6 on a
-fresh mode; the bases or exceptions of the known failures; the bases and every cone module of the
+fresh mode; the bases or exceptions (at parse or in ``buchberger_P``) of the known failures; the bases and every cone module of the
 ``ORTHANT_N3`` ideals on the n=3 orthant ring; ``ti_set_general(i, r)`` at
 every ceiling r = 0..8 for every cone of ``x^9 + y^9 + x^-8*y^-8`` on the
 n=2 orthant ring and of each ``ORTHANT_N3`` generator, parsed afresh for
@@ -37,8 +39,10 @@ and text (a ``ParseError`` with its line and column), and the same for
 
 import contextlib
 import io
+import itertools
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 WORKLOADS = ("std-cones", "general-cones", "capped-series")
@@ -176,6 +180,25 @@ def main():
                 if res is not None:
                     emit(f"{name} {res}")
 
+    def spairs(basis, mode):
+        """Every S-pair of a basis: per pair, cone and collision generator,
+        the S-pair with its cap, or the exception."""
+        for a, b in itertools.combinations(range(len(basis)), 2):
+            f, g = basis[a], basis[b]
+            if mode is None:
+                division = reduction.PolynomialMode(f.ring)
+                make, fb, gb = groebner.spair, f, g
+            else:
+                division = mode
+                make, fb, gb = partial(affinoid.spair_series, mode), f.body, g.body
+            for label in division.labels:
+                collisions = guarded(f"U_{label} {a} {b}", division.u_set, fb, gb, label)
+                for v in collisions or ():
+                    s = guarded(f"spair {a} {b} {label} {v}", make, label, f, g, v)
+                    if s is not None:
+                        cap = getattr(s, "cap", None)
+                        emit(f"spair {a} {b} {label} {v} cap {cap} " + text(s))
+
     def modules(h, mode):
         """Every cone module of one basis element, or the exception."""
         if mode is None:
@@ -204,6 +227,8 @@ def main():
                     if wl == "general-cones":
                         modules(h, case.mode)
                 emit(f"check {guarded('check', case.check, res.basis)}")
+                if seed == 1:
+                    spairs(res.basis, case.mode)
                 if case.mode is None:
                     combinations(case.gens)
                     if seed == 1:
@@ -225,7 +250,9 @@ def main():
                             emit("quo " + text(q))
         for name, body, _ in workloads.KNOWN_FAILURES:
             emit(f"== known {name}")
-            problem = cli.parse_problem(body)
+            problem = guarded("parse", cli.parse_problem, body)
+            if problem is None:
+                continue
             res = guarded("gb", affinoid.buchberger_P, problem.series_generators())
             if res is not None:
                 for h in res.basis:

@@ -17,7 +17,15 @@ Each mode gives a term a sort key, ``term_key(coef, exp)``, largest term
 first: minus the valuation times the common denominator of the weight or
 the vertices (an integer, since coefficient valuations are integers), for
 a polytope minus the first attaining vertex index, then the generalized
-order's key.  ``leading`` and the shared division loop take keyed maxima.
+order's key.  This key is the mode's one term order: ``leading`` and the
+shared division loop take keyed maxima, ``CappedSeries.__str__`` prints by
+it, and ``lm_polytope`` reads the first attaining vertex from it.
+Valuations and initial forms (``val_weight``, ``val_polytope``,
+``initial_at_vertex``) compute with ``scaled_val`` and the per-vertex
+integer dots; a ``Fraction`` is built only for a value handed back to the
+caller (``term_val``, the ``val_*`` valuations).  There is no pairwise
+term comparator and no per-vertex ``Fraction`` valuation beside them.
+
 ``PolytopeMode.shifted_lm`` keys the terms of X^t g from integers cached
 per polynomial (exponent, valuation times the denominator, dot product
 with each scaled vertex), so testing t against a T_{i,j} module builds no
@@ -45,7 +53,6 @@ from functools import partial
 from math import gcd as _gcd
 
 from lgb.coeffs import INF, Coefficient
-from lgb.gmo import GeneralizedOrder
 from lgb.groebner import GBConfig, GBResult, _buchberger, _criterion, _distinct
 from lgb.lattice import (
     CheckResult,
@@ -111,8 +118,6 @@ class WeightContext:
         return coef.valuation() * self._den - vdot(self._num, exp)
 
     def term_val(self, coef: Coefficient, exp) -> Fraction:
-        if len(exp) != len(self._num):
-            raise AffinoidError("exponent dimension does not match the weight")
         return Fraction(self.scaled_val(coef, exp), self._den)
 
 
@@ -120,27 +125,22 @@ def _body_of(f):
     return f.body if isinstance(f, CappedSeries) else f
 
 
+def _least(body: LaurentPoly, scaled):
+    """(least scaled(coef, exp) over the terms of a nonzero body, the terms
+    attaining it as a LaurentPoly)."""
+    vals = {e: scaled(c, e) for e, c in body.terms_unordered()}
+    best = min(vals.values())
+    kept = {e: c for e, c in body.terms_unordered() if vals[e] == best}
+    return best, LaurentPoly(body.ring, kept)
+
+
 def val_weight(ctx: WeightContext, f):
     """(valuation, initial form) of f under the weight; (+inf, 0) for zero."""
     body = _body_of(f)
     if body.is_zero():
         return INF, body
-    best = None
-    for exp, coef in body.terms_unordered():
-        v = ctx.term_val(coef, exp)
-        if best is None or v < best:
-            best = v
-    initial = {e: c for e, c in body.terms_unordered() if ctx.term_val(c, e) == best}
-    return best, LaurentPoly(body.ring, initial)
-
-
-def compare_weight(ctx: WeightContext, order: GeneralizedOrder, s: Term, t: Term) -> int:
-    """Valuation-first term comparison; equal only on unit multiples."""
-    vs = ctx.term_val(s.coef, s.exp)
-    vt = ctx.term_val(t.coef, t.exp)
-    if vs != vt:
-        return -1 if vs > vt else 1
-    return order.compare(s.exp, t.exp)
+    best, initial = _least(body, ctx.scaled_val)
+    return Fraction(best, ctx._den), initial
 
 
 # -- polytope contexts -----------------------------------------------------------
@@ -198,20 +198,6 @@ class PolytopeContext:
         return f"PolytopeContext({self.vertices})"
 
     # ------------------------------------------------------------------
-    def vertex_val(self, i: int, coef: Coefficient, exp) -> Fraction:
-        """Valuation of a term at vertex i (1-based)."""
-        dot = sum(a * b for a, b in zip(self._num[i - 1], exp))
-        return coef.valuation() - Fraction(dot, self._den)
-
-    def term_val_indices(self, coef: Coefficient, exp):
-        """(val_P, sorted attaining 1-based indices) of a term."""
-        if len(exp) != self.n:
-            raise AffinoidError("exponent dimension does not match the polytope")
-        dots = [sum(a * b for a, b in zip(v, exp)) for v in self._num]
-        top = max(dots)
-        best = coef.valuation() - Fraction(top, self._den)
-        return best, tuple(i + 1 for i, d in enumerate(dots) if d == top)
-
     def scaled_val(self, coef: Coefficient, exp) -> int:
         """The term valuation times the common denominator of the vertices."""
         return coef.valuation() * self._den - max(vdot(v, exp) for v in self._num)
@@ -261,23 +247,11 @@ def val_polytope(ctx: PolytopeContext, f):
     body = _body_of(f)
     if body.is_zero():
         return INF, ()
-    per_vertex = []
-    for i in range(1, ctx.nvertices + 1):
-        per_vertex.append(min(ctx.vertex_val(i, c, e) for e, c in body.terms_unordered()))
+    den = ctx._den
+    terms = [(c.valuation() * den, e) for e, c in body.terms_unordered()]
+    per_vertex = [min(v - vdot(r, e) for v, e in terms) for r in ctx._num]
     best = min(per_vertex)
-    return best, tuple(i + 1 for i, v in enumerate(per_vertex) if v == best)
-
-
-def compare_polytope(ctx: PolytopeContext, order: GeneralizedOrder, s: Term, t: Term) -> int:
-    """Three-stage comparison: valuation (smaller is greater), smallest
-    attaining index (smaller is greater), then the generalized order."""
-    vs, inds = ctx.term_val_indices(s.coef, s.exp)
-    vt, indt = ctx.term_val_indices(t.coef, t.exp)
-    if vs != vt:
-        return -1 if vs > vt else 1
-    if min(inds) != min(indt):
-        return -1 if min(inds) > min(indt) else 1
-    return order.compare(s.exp, t.exp)
+    return Fraction(best, den), tuple(k for k, v in enumerate(per_vertex, 1) if v == best)
 
 
 def initial_at_vertex(ctx: PolytopeContext, f, i: int) -> LaurentPoly:
@@ -285,9 +259,8 @@ def initial_at_vertex(ctx: PolytopeContext, f, i: int) -> LaurentPoly:
     body = _body_of(f)
     if body.is_zero():
         return body
-    best = min(ctx.vertex_val(i, c, e) for e, c in body.terms_unordered())
-    kept = {e: c for e, c in body.terms_unordered() if ctx.vertex_val(i, c, e) == best}
-    return LaurentPoly(body.ring, kept)
+    r, den = ctx._num[i - 1], ctx._den
+    return _least(body, lambda c, e: c.valuation() * den - vdot(r, e))[1]
 
 
 # -- refined decompositions -------------------------------------------------------
@@ -410,9 +383,6 @@ class WeightMode:
         return hash((self.ring, self.context))
 
     # ------------------------------------------------------------------
-    def compare_terms(self, s: Term, t: Term) -> int:
-        return compare_weight(self.context, self.ring.order, s, t)
-
     def initial(self, g: LaurentPoly) -> LaurentPoly:
         cached = self._initials.get(g)
         if cached is None:
@@ -439,8 +409,8 @@ class WeightMode:
     def module_contains(self, g: LaurentPoly, t, label) -> bool:
         return self.initial(g).ti_contains(t, label)
 
-    def u_set(self, f: LaurentPoly, g: LaurentPoly, label, search_radius=8):
-        return u_intersection(self.initial(f), self.initial(g), label, search_radius)
+    def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
+        return u_intersection(self.initial(f), self.initial(g), label, 8)
 
 
 class PolytopeMode:
@@ -479,9 +449,6 @@ class PolytopeMode:
         return hash((self.ring, self.context))
 
     # ------------------------------------------------------------------
-    def compare_terms(self, s: Term, t: Term) -> int:
-        return compare_polytope(self.context, self.ring.order, s, t)
-
     def initial(self, g: LaurentPoly, i: int) -> LaurentPoly:
         key = (g, i)
         cached = self._initials.get(key)
@@ -594,15 +561,15 @@ class PolytopeMode:
             raise AffinoidError(f"cone {label} has no interior lattice direction")
         return self._interiors[label]
 
-    def u_set(self, f: LaurentPoly, g: LaurentPoly, label, search_radius=6):
+    def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
         if self.context.nvertices == 1:
             flat = self.refined.flat_index(label)
-            return u_intersection(self.initial(f, 1), self.initial(g, 1), flat, search_radius)
+            return u_intersection(self.initial(f, 1), self.initial(g, 1), flat, 6)
         cone = self.refined.cone(label)
         lmf, _ = self.cone_leading(f, label)
         lmg, _ = self.cone_leading(g, label)
-        fam_f = [vadd(a, lmf) for a in self.tij_generators(f, label, search_radius)]
-        fam_g = [vadd(b, lmg) for b in self.tij_generators(g, label, search_radius)]
+        fam_f = [vadd(a, lmf) for a in self.tij_generators(f, label, 6)]
+        fam_g = [vadd(b, lmg) for b in self.tij_generators(g, label, 6)]
         return cone.module_intersection(fam_f, fam_g)
 
 
@@ -644,7 +611,7 @@ def lm_polytope(mode: PolytopeMode, f):
     """(lm, lc, lt, in_P) of a nonzero series under the polytopal order."""
     body = _body_of(f)
     lt = mode.leading(body)
-    k = min(mode.context.term_val_indices(lt.coef, lt.exp)[1])
+    k = -mode.term_key(lt.coef, lt.exp)[1]
     return lt.exp, lt.coef, lt, mode.initial(body, k)
 
 
@@ -712,7 +679,7 @@ class CappedSeries:
         return self.mode.leading(self.body)
 
     def __str__(self):
-        text = format_poly(self.body, compare=self.mode.compare_terms)
+        text = format_poly(self.body, key=self.mode.term_key)
         return f"{text} + O(val >= {self.cap})"
 
     def __repr__(self):

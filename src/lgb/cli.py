@@ -432,7 +432,7 @@ def _parse_ring(parts, lineno) -> FieldSpec:
 
 def _poly_text(problem: Problem, poly: LaurentPoly) -> str:
     if problem.capped:
-        return format_poly(poly, compare=problem.mode.compare_terms)
+        return format_poly(poly, key=problem.mode.term_key)
     return format_poly(poly)
 
 
@@ -456,10 +456,6 @@ def _load(args) -> Problem:
     return problem
 
 
-def _require_poly(args, problem) -> LaurentPoly:
-    return parse_poly(problem.ring, args.poly)
-
-
 def _compute_basis(problem: Problem, normalize=False, max_basis=500):
     cfg = GBConfig(normalize=normalize, max_basis=max_basis)
     if problem.capped:
@@ -478,7 +474,7 @@ def cmd_gb(args) -> int:
 
 def cmd_reduce(args) -> int:
     problem = _load(args)
-    poly = _require_poly(args, problem)
+    poly = parse_poly(problem.ring, args.poly)
     if problem.capped:
         quotients, remainder = reduce_P(problem.series(poly), problem.series_generators())
         print(_poly_text(problem, remainder.body))
@@ -494,7 +490,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_member(args) -> int:
     problem = _load(args)
-    poly = _require_poly(args, problem)
+    poly = parse_poly(problem.ring, args.poly)
     basis = _compute_basis(problem, max_basis=args.max_basis)
     if problem.capped:
         _, remainder = reduce_P(problem.series(poly), basis)
@@ -525,7 +521,7 @@ def cmd_check(args) -> int:
 
 def cmd_info(args) -> int:
     problem = _load(args)
-    poly = _require_poly(args, problem)
+    poly = parse_poly(problem.ring, args.poly)
     ring = problem.ring
     if problem.capped:
         series = problem.series(poly)

@@ -7,9 +7,11 @@ scores tie and ``u`` is lexicographically smaller.  Such an order is
 total, satisfies ``1 <= t`` for every monomial, and is compatible with
 multiplication inside each cone.
 
-``GeneralizedOrder.key`` turns the order into a sort key, ``(score,
-exponent permuted by the tie-break)``, so maxima and sorts run on tuples
-instead of pairwise ``compare`` calls.
+``GeneralizedOrder.key`` is the order's one implementation: a sort key
+``(score, exponent permuted by the tie-break)``, with an integer score for
+the built-in kinds and for integral custom rows.  Maxima, sorts, printing,
+the tie-break of ``laurent._ti_cells`` and ``validate_gmo`` all compare
+keys; there is no pairwise comparator beside it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from lgb.lattice import (
     vdot,
     vscale,
 )
+
+
+def _int_if_integral(x: Fraction):
+    return x.numerator if x.denominator == 1 else x
 
 
 class ScoreFunction:
@@ -56,7 +62,11 @@ class ScoreFunction:
         if kind == "custom":
             if rows is None:
                 raise LatticeError("custom scores need one linear row per cone")
-            self.rows = {int(i): tuple(Fraction(x) for x in r) for i, r in rows.items()}
+            # integral entries as ints, so scores and keys stay integers;
+            # an int equals its Fraction, so == and hash do not change
+            self.rows = {
+                int(i): tuple(_int_if_integral(Fraction(x)) for x in r) for i, r in rows.items()
+            }
             self.e_set = "one" if e_set is None else e_set
         else:
             self.e_set = "one" if kind == "degmin" else ("cone", 0)
@@ -127,21 +137,6 @@ class GeneralizedOrder:
     # ------------------------------------------------------------------
     def phi(self, v):
         return self.score.value(v, self.decomposition)
-
-    def group_compare(self, u, v) -> int:
-        for i in self.perm:
-            if u[i] != v[i]:
-                return -1 if u[i] < v[i] else 1
-        return 0
-
-    def compare(self, u, v) -> int:
-        """-1, 0, or 1; zero only on identical exponent vectors."""
-        if u == v:
-            return 0
-        pu, pv = self.phi(u), self.phi(v)
-        if pu != pv:
-            return -1 if pu < pv else 1
-        return self.group_compare(u, v)
 
     def key(self, e):
         """Sort key: ``u < v`` iff ``key(u) < key(v)``."""
@@ -271,17 +266,19 @@ def validate_gmo(o: GeneralizedOrder, sample_radius: int = 4, samples: int = 400
 
     ok, witness = True, ""
     origin = tuple(0 for _ in range(n))
+    key = o.key
     for p in pts:
-        if o.compare(origin, p) > 0:
+        if key(origin) > key(p):
             ok, witness = False, f"1 > {p}"
             break
     checks.append(CheckResult("unit is minimal", ok, witness))
 
+    # keys are totally ordered tuples, so the order is total and
+    # antisymmetric iff distinct exponents get distinct keys
     ok, witness = True, ""
     for p in pts:
         for q in pts[:20]:
-            c1, c2 = o.compare(p, q), o.compare(q, p)
-            if (p == q) != (c1 == 0) or c1 != -c2:
+            if (p == q) != (key(p) == key(q)):
                 ok, witness = False, f"{p} vs {q}"
                 break
         if not ok:
@@ -298,7 +295,7 @@ def validate_gmo(o: GeneralizedOrder, sample_radius: int = 4, samples: int = 400
             s = vadd(s, vscale(rng.randint(0, 3), g))
             t = vadd(t, vscale(rng.randint(0, 3), g))
         r = tuple(rng.randint(-sample_radius, sample_radius) for _ in range(n))
-        if o.compare(r, s) < 0 and o.compare(vadd(r, t), vadd(s, t)) >= 0:
+        if key(r) < key(s) and key(vadd(r, t)) >= key(vadd(s, t)):
             ok, witness = False, f"r={r} s={s} t={t} cone {i}"
             break
     checks.append(CheckResult("multiplication compatible inside cones", ok, witness))

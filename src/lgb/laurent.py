@@ -21,6 +21,12 @@ generator, only the top point is tested and slides down the generators to
 a minimal member, with the integer membership test memoized for one search.
 The box widens from the origin only while the certificate fails, and a
 certified set, the module's unique minimal generating set, is kept per cone.
+
+Terms are ranked only by ``GeneralizedOrder.key``: leading data take keyed
+maxima, and ``format_poly`` and ``sorted_terms`` sort by a key function,
+the order's key or a capped series' ``term_key``, never by a pairwise
+comparator.  ``ti_generator`` serves the standard cones only; elsewhere a
+module may need several generators, ``ti_set_general``.
 """
 
 from __future__ import annotations
@@ -277,27 +283,25 @@ class LaurentPoly:
 
     def ti_generator(self, i):
         """Generator g with {t : lm(X^t f) in T_i} = g + T_i (standard
-        decomposition), found by per-generator descent from a witness and
-        memoized on the polynomial."""
+        decomposition; LatticeError on any other), found by per-generator
+        descent from a witness and memoized on the polynomial."""
         cached = self._cone_cache.get(("ti", i))
         if cached is not None:
             return cached
         if not self.ring.standard_cones:
-            gens = self.ti_set_general(i, search_radius=8)
-            if len(gens) != 1:
-                raise LatticeError("the cone module is not monogenous; use ti_set_general")
-            t = gens[0]
-        else:
-            if self.is_zero():
-                raise UndefinedLeadingError("the zero polynomial has no cone module")
-            cone = self.ring.order.decomposition[i]
-            t = self.cone_witness(i)
-            if not self.ti_contains(t, i):
-                raise AssertionError(f"cone witness {t} lies outside T_{i}")
-            for h in cone.generators:
-                while self.ti_contains(t, i):
-                    t = vsub(t, h)
-                t = vadd(t, h)
+            raise LatticeError(
+                "the cone module is monogenous only on the standard cones; use ti_set_general"
+            )
+        if self.is_zero():
+            raise UndefinedLeadingError("the zero polynomial has no cone module")
+        cone = self.ring.order.decomposition[i]
+        t = self.cone_witness(i)
+        if not self.ti_contains(t, i):
+            raise AssertionError(f"cone witness {t} lies outside T_{i}")
+        for h in cone.generators:
+            while self.ti_contains(t, i):
+                t = vsub(t, h)
+            t = vadd(t, h)
         self._cone_cache[("ti", i)] = t
         return t
 
@@ -324,16 +328,14 @@ class LaurentPoly:
         return list(minimal)
 
     # -- display -----------------------------------------------------------
-    def sorted_terms(self, compare=None):
-        """Terms in descending order (active order by default)."""
-        if compare is None:
-            order = self.ring.order
-            compare = lambda s, t: order.compare(s.exp, t.exp)
-        import functools
-
-        terms = [Term(c, e) for e, c in self.items()]
-        terms.sort(key=functools.cmp_to_key(compare), reverse=True)
-        return terms
+    def sorted_terms(self, key=None):
+        """Terms in descending order of ``key(coef, exp)``, by default the
+        active order's ``key(exp)``."""
+        if key is None:
+            order_key = self.ring.order.key
+            key = lambda c, e: order_key(e)
+        items = sorted(self.items(), key=lambda t: key(t[1], t[0]), reverse=True)
+        return [Term(c, e) for e, c in items]
 
     def __str__(self):
         return format_poly(self)
@@ -363,7 +365,8 @@ def _ti_cells(f: LaurentPoly, i):
     The base says lm_i(f) + t lies in cone i.  There is one factor per cone
     j whose cone leading monomial differs: (complement of A_j) union (the
     region where the score favours the cone-i leading monomial, ties broken
-    by the constant group-order comparison of the two leading monomials),
+    by the constant comparison of the tie-break parts ``order.key(e)[1]`` of
+    the two leading monomials),
     with A_j = {t : lm_j(f) + t in cone j}.
     """
     ring = f.ring
@@ -382,7 +385,7 @@ def _ti_cells(f: LaurentPoly, i):
             options.append([(vneg(h), -vdot(h, lms[j]) - 1)])
         wi, wj = order.linear_form(i), order.linear_form(j)
         inside = [(h, vdot(h, lms[j])) for h in cone_j.halfspaces]
-        tie_favours_i = order.group_compare(lms[i], lms[j]) > 0
+        tie_favours_i = order.key(lms[i])[1] > order.key(lms[j])[1]
         a, b = _int_ineq(
             tuple(x - y for x, y in zip(wi, wj)),
             vdot(wi, lms[i]) - vdot(wj, lms[j]),
@@ -445,15 +448,16 @@ def format_coefficient(c: Coefficient):
     return "+".join(pieces), len(pieces) > 1
 
 
-def format_poly(f: LaurentPoly, compare=None) -> str:
-    """Render with terms descending under the active order; rationals as
-    p/q, monomials as x^-3*y."""
+def format_poly(f: LaurentPoly, key=None) -> str:
+    """Render with terms descending by ``key(coef, exp)``, by default the
+    active order's key (a capped series passes its mode's ``term_key``);
+    rationals as p/q, monomials as x^-3*y."""
     if f.is_zero():
         return "0"
     ring = f.ring
     finite = ring.field.is_finite
     chunks = []
-    for k, term in enumerate(f.sorted_terms(compare)):
+    for k, term in enumerate(f.sorted_terms(key)):
         mono = format_exponent(term.exp, ring.names)
         coef = term.coef
         if finite:

@@ -518,3 +518,52 @@ def reference_spair_series(mode, label, f, g, v):
     ):
         raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
     return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
+
+
+# -- the pairwise term comparators ---------------------------------------------
+# as they were in lgb.gmo (GeneralizedOrder.compare with group_compare) and
+# lgb.affinoid (compare_weight, compare_polytope, term_val_indices) before the
+# keys became the one order implementation, with the valuations computed in
+# Fractions from the weight and the vertices; tests/test_gmo.py and
+# tests/test_affinoid.py hold GeneralizedOrder.key and the modes' term_key
+# to them
+
+def reference_compare(order, u, v) -> int:
+    """-1, 0, or 1; zero only on identical exponent vectors."""
+    if u == v:
+        return 0
+    pu, pv = order.phi(u), order.phi(v)
+    if pu != pv:
+        return -1 if pu < pv else 1
+    for i in order.perm:
+        if u[i] != v[i]:
+            return -1 if u[i] < v[i] else 1
+    return 0
+
+
+def reference_compare_weight(ctx, order, s, t) -> int:
+    """Valuation-first term comparison; equal only on unit multiples."""
+    vs = s.coef.valuation() - vdot(ctx.r, s.exp)
+    vt = t.coef.valuation() - vdot(ctx.r, t.exp)
+    if vs != vt:
+        return -1 if vs > vt else 1
+    return reference_compare(order, s.exp, t.exp)
+
+
+def reference_term_val_indices(ctx, coef, exp):
+    """(val_P, sorted attaining 1-based indices) of a term."""
+    vals = [coef.valuation() - vdot(r, exp) for r in ctx.vertices]
+    best = min(vals)
+    return best, tuple(k for k, v in enumerate(vals, 1) if v == best)
+
+
+def reference_compare_polytope(ctx, order, s, t) -> int:
+    """Three-stage comparison: valuation (smaller is greater), smallest
+    attaining index (smaller is greater), then the generalized order."""
+    vs, inds = reference_term_val_indices(ctx, s.coef, s.exp)
+    vt, indt = reference_term_val_indices(ctx, t.coef, t.exp)
+    if vs != vt:
+        return -1 if vs > vt else 1
+    if min(inds) != min(indt):
+        return -1 if min(inds) > min(indt) else 1
+    return reference_compare(order, s.exp, t.exp)

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_coeff, random_poly, reference_spair_series, reference_tij_generators, ring_for
+from conftest import (
+    random_coeff,
+    random_poly,
+    reference_compare_polytope,
+    reference_compare_weight,
+    reference_spair_series,
+    reference_tij_generators,
+    ring_for,
+)
 from lgb.affinoid import (
     AffinoidError,
     CappedSeries,
@@ -14,8 +22,6 @@ from lgb.affinoid import (
     WeightMode,
     buchberger_P,
     build_refined_decomposition,
-    compare_polytope,
-    compare_weight,
     initial_at_vertex,
     is_groebner_series,
     lm_polytope,
@@ -67,13 +73,13 @@ def test_compare_weight_examples():
     ring = q2_ring()
     one = ring.field.one()
     two = ring.field.from_int(2)
-    ctx0 = WeightContext((0, 0))
-    assert compare_weight(ctx0, ring.order, Term(two, (1, 0)), Term(one, (0, 1))) < 0
-    ctx10 = WeightContext((1, 0))
-    assert compare_weight(ctx10, ring.order, Term(one, (1, 0)), Term(one, (0, 1))) > 0
+    key0 = WeightMode(ring, WeightContext((0, 0))).term_key
+    assert key0(two, (1, 0)) < key0(one, (0, 1))
+    key10 = WeightMode(ring, WeightContext((1, 0))).term_key
+    assert key10(one, (1, 0)) > key10(one, (0, 1))
     # tie on the valuation falls through to the generalized order (lex)
-    assert compare_weight(ctx0, ring.order, Term(one, (1, 0)), Term(one, (0, 1))) > 0
-    assert compare_weight(ctx0, ring.order, Term(two, (1, 0)), Term(two, (1, 0))) == 0
+    assert key0(one, (1, 0)) > key0(one, (0, 1))
+    assert key0(two, (1, 0)) == key0(two, (1, 0))
 
 
 def test_val_polytope_examples():
@@ -127,16 +133,17 @@ def test_refined_quadrilateral_keeps_regions():
 
 
 def test_compare_polytope_stages():
-    ctx, _, ring, mode = example71()
-    order = ring.order
+    _, _, ring, mode = example71()
+    key = mode.term_key
     one = ring.field.one()
     two = ring.field.from_int(2)
     # val_P decides: y beats 2x
-    assert compare_polytope(ctx, order, Term(two, (1, 0)), Term(one, (0, 1))) < 0
+    assert key(two, (1, 0)) < key(one, (0, 1))
     # smaller attaining index wins on valuation ties
-    assert compare_polytope(ctx, order, Term(two, (0, 0)), Term(one, (-1, -1))) > 0
+    assert key(two, (0, 0))[0] == key(one, (-1, -1))[0]
+    assert key(two, (0, 0)) > key(one, (-1, -1))
     # identical monomials with equal coefficient valuation are equal-rank
-    assert compare_polytope(ctx, order, Term(one, (2, 1)), Term(one, (2, 1))) == 0
+    assert key(one, (2, 1)) == key(one, (2, 1))
 
 
 def test_lm_polytope_example71():
@@ -179,8 +186,7 @@ def test_tij_module_property_sampled():
     for _ in range(500):
         f = random_poly(ring, rng, terms=2, radius=2)
         lt = mode.leading(f)
-        inds = ctx.term_val_indices(lt.coef, lt.exp)[1]
-        i = min(inds)
+        i = -mode.term_key(*lt)[1]
         if not ctx.in_vi_less(i, lt.exp):
             continue
         # multiply by a monomial of V_i: the lead stays in V_{i,<}
@@ -193,19 +199,18 @@ def test_tij_module_property_sampled():
 
 def test_polytope_antisymmetry_up_to_units():
     rng = random.Random(99)
-    ctx, _, ring, _ = example71()
-    order = ring.order
+    _, _, ring, mode = example71()
     for _ in range(300):
         s = Term(ring.field.from_int(rng.choice([1, 2, 3, 6])), (rng.randint(-3, 3), rng.randint(-3, 3)))
         t = Term(ring.field.from_int(rng.choice([1, 2, 3, 6])), (rng.randint(-3, 3), rng.randint(-3, 3)))
-        if compare_polytope(ctx, order, s, t) == 0:
+        if mode.term_key(*s) == mode.term_key(*t):
             assert s.exp == t.exp
 
 
 def test_inequality_with_cone_multiplier_sampled():
     rng = random.Random(311)
     ctx, refined, ring, mode = example71()
-    order = ring.order
+    one = ring.field.one()
     for _ in range(500):
         f = random_poly(ring, rng, terms=2, radius=2)
         label = refined.labels[rng.randrange(len(refined.labels))]
@@ -214,13 +219,11 @@ def test_inequality_with_cone_multiplier_sampled():
         u = tuple(rng.randint(-3, 3) for _ in range(2))
         if not (cone.contains(u) and ctx.in_vi_less(i, u)):
             continue
-        u_term = Term(ring.field.one(), u)
-        if mode.compare_terms(mode.leading(f), u_term) >= 0:
+        if mode.term_key(*mode.leading(f)) >= mode.term_key(one, u):
             continue
         v = cone.generators[rng.randrange(len(cone.generators))]
         lhs = mode.leading(f.term_mul(v))
-        rhs = Term(ring.field.one(), tuple(a + b for a, b in zip(u, v)))
-        assert mode.compare_terms(lhs, rhs) < 0
+        assert mode.term_key(*lhs) < mode.term_key(one, tuple(a + b for a, b in zip(u, v)))
 
 
 def test_capped_series_pruning():
@@ -414,7 +417,7 @@ def test_spair_bound_assertion_runs():
             if not s.is_zero():
                 lmf, lcf = mode.cone_leading(f.body, label)
                 lmg, lcg = mode.cone_leading(g.body, label)
-                assert mode.compare_terms(s.leading_term(), Term(lcf * lcg, v)) < 0
+                assert mode.term_key(*s.leading_term()) < mode.term_key(lcf * lcg, v)
 
 
 def test_tij_generators_verified_directly():
@@ -518,15 +521,17 @@ def _random_terms(ring, rng, count):
 
 @pytest.mark.parametrize("vertices", [None] + list(BENCH_POLYTOPES + (((1, 2),),)))
 def test_term_key_orders_like_compare(vertices):
-    """term_key orders terms as compare_weight (weight (1,2)) and
-    compare_polytope do, and ``leading`` is the compare-maximum."""
+    """term_key orders terms as the reference comparators
+    ``conftest.reference_compare_weight`` (weight (1,2)) and
+    ``reference_compare_polytope`` do, and ``leading`` is the
+    compare-maximum."""
     if vertices is None:
         ring = q2_ring()
         mode = WeightMode(ring, WeightContext((1, 2)))
-        compare = lambda s, t: compare_weight(mode.context, ring.order, s, t)
+        compare = lambda s, t: reference_compare_weight(mode.context, ring.order, s, t)
     else:
         ring, mode = polytope_mode(vertices)
-        compare = lambda s, t: compare_polytope(mode.context, ring.order, s, t)
+        compare = lambda s, t: reference_compare_polytope(mode.context, ring.order, s, t)
     rng = random.Random(str(vertices))
     terms = _random_terms(ring, rng, 60)
     for s in terms:

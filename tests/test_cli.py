@@ -393,6 +393,41 @@ def test_weight_mode_verbs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "directive, gens, probe, gb_out, reduce_out",
+    [
+        (
+            "weight 1 2",
+            "x + 2*y\nx^-1*y + 4\ny + 8*x^3\n",
+            "x^2 + y^2 + 8*x^3",
+            "x + 2*y\nx^-1*y + 4\ny + 8*x^3\n",
+            "0\nx - 14380470*y + 8*x^2 - 16*x*y + 9586976*y^2\n28760941*x*y - 19173952*x*y^2\n0\n",
+        ),
+        (
+            "polytope (1,1) (0,1)",
+            "2*x + y\nx*y + 4\n",
+            "x^2 + y^2",
+            "y + 2*x\nx*y + 4\n",
+            "0\n5*x^2*y^-1 + y - 10*x^3*y^-2 - 2*x + 20*x^4*y^-3 - 40*x^5*y^-4"
+            " + 80*x^6*y^-5 - 160*x^7*y^-6 + 320*x^8*y^-7 - 640*x^9*y^-8 + 1280*x^10*y^-9"
+            " - 2560*x^11*y^-10 + 5120*x^12*y^-11 - 10240*x^13*y^-12 + 20480*x^14*y^-13"
+            " - 40960*x^15*y^-14 + 81920*x^16*y^-15 - 163840*x^17*y^-16 + 327680*x^18*y^-17"
+            " - 655360*x^19*y^-18 + 1310720*x^20*y^-19 - 2621440*x^21*y^-20"
+            " + 1048576*x^22*y^-21 - 2097152*x^23*y^-22\n0\n",
+        ),
+    ],
+    ids=["weight", "polytope"],
+)
+def test_capped_stdout_prints_in_the_mode_order(tmp_path, capsys, directive, gens, probe, gb_out, reduce_out):
+    # capped series print largest term first in the mode's order, valuation
+    # first: "y + 8*x^3" and "y + 2*x", where the Laurent order puts x^3 and x first
+    path = write(tmp_path, f"ring Qp 2\nvars x y\n{directive}\norder degmin\nprecision 20\ngens:\n{gens}")
+    assert main(["gb", path]) == 0
+    assert capsys.readouterr().out == gb_out
+    assert main(["reduce", path, "--poly", probe]) == 0
+    assert capsys.readouterr().out == reduce_out
+
+
 def test_deterministic_output(tmp_path, capsys):
     path = write(
         tmp_path,

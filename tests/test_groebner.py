@@ -227,7 +227,7 @@ def test_spair_bound_on_formed_pairs(q_ring2):
             for v in u_intersection(f, g, i):
                 s = spair(i, f, g, v)
                 if not s.is_zero():
-                    assert order.compare(s.leading_data()[0], v) < 0
+                    assert order.key(s.leading_data()[0]) < order.key(v)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ CHECKOUT is the root of an lgb checkout; its ``src``, ``bench`` and
 ``tests/conftest.py`` are imported.  The file holds, for seeds 1 and 7 of the three workloads, every
 basis (with its pair statistics), criterion verdict, and the quotients and
 remainder of each probe, of 1 and of each generator divided by the basis
-and by the generators; for every polynomial basis, ``GBResult.combinations``
+and by the generators; a capped series is written as ``str(h)``, in its
+mode's term order, then as its body in the Laurent order; for every
+polynomial basis, ``GBResult.combinations``
 (each basis element over the generators), also recomputed with
 ``GBConfig(normalize=True)``, and at seed 1 the verdict and certificate of
 ``is_groebner`` on the basis without each one of its elements, and every
@@ -147,8 +149,9 @@ def main():
     emit = lines.append
 
     def text(h):
-        body = h.body if isinstance(h, affinoid.CappedSeries) else h
-        return format_poly(body) + " | " + repr(sorted((e, repr(c)) for e, c in body.terms_unordered()))
+        if isinstance(h, affinoid.CappedSeries):
+            return str(h) + " | " + text(h.body)
+        return format_poly(h) + " | " + repr(sorted((e, repr(c)) for e, c in h.terms_unordered()))
 
     def guarded(label, fn, *args):
         try:

@@ -200,8 +200,9 @@ class GeneralizedOrder:
                     rhs.append(Fraction(self.phi(g)))
             if len(rows) < n:
                 raise LatticeError(f"cone {i} generators do not span")
-            sol = solve_rational(rows, rhs)
-            form = tuple(sol)
+            # integral entries as ints, as for custom rows, so cell
+            # inequalities are built without Fraction
+            form = tuple(map(_int_if_integral, solve_rational(rows, rhs)))
         for g in cone.generators:
             if vdot(form, g) != self.phi(g):
                 raise LatticeError(f"score is not linear on cone {i}")

@@ -7,6 +7,13 @@ integer half-space normals ``h`` with meaning ``{x : h.x >= 0}``.
 Half-spaces are primary for membership, generators for factorization.
 A cone always denotes the full set of lattice points satisfying its
 half-spaces, so the generated monoid is saturated.
+
+Feasibility over Q is decided by one Fourier-Motzkin implementation, the
+incremental integer eliminator ``_Eliminator``.  It keeps a list of
+positive and a list of negative constraints per variable, and a trail of
+the lists it appended to, so a depth-first search adds only the
+constraints of the option it tries and undoes them when it backtracks.
+``fm_feasible`` feeds it one whole system, scaled to integers.
 """
 
 from __future__ import annotations
@@ -134,12 +141,24 @@ def _satisfies(base, factors, p):
 
 def _some_choice_feasible(cons, levels, n):
     """Whether cons plus one option of every level is feasible over Q for
-    some choice of options, depth first; an infeasible prefix is pruned."""
-    if not fm_feasible([(a, b, False) for a, b in cons], n):
+    some choice of options, depth first on one eliminator: each node adds
+    its option's constraints, an infeasible prefix is pruned, and
+    backtracking undoes them."""
+    fm = _Eliminator(n)
+    if not all(fm.add(a, b, False) for a, b in cons):
         return False
-    return not levels or any(
-        _some_choice_feasible(cons + option, levels[1:], n) for option in levels[0]
-    )
+
+    def search(k):
+        if k == len(levels):
+            return True
+        for option in levels[k]:
+            mark = fm.mark()
+            if all(fm.add(a, b, False) for a, b in option) and search(k + 1):
+                return True
+            fm.undo(mark)
+        return False
+
+    return search(0)
 
 
 def _tightened(a, b):
@@ -167,8 +186,15 @@ def _certified_generators(member, cells, cone, witness, search_radius, verify):
     The certificate proves the described set minus the union of the shifted
     cones g + C empty over the rationals.  It walks one half-space per
     generator g to lie outside of, then one option per factor, depth first,
-    and prunes every partial system Fourier-Motzkin proves empty: added
-    constraints never make an empty system nonempty."""
+    on one eliminator: a node adds its option's constraints and combines
+    them with those already filed, and backtracking undoes them.  Every
+    partial system Fourier-Motzkin proves empty is pruned: added constraints
+    never make an empty system nonempty.  The verdict does not depend on the
+    order of the levels, since a choice is one option per level whatever
+    the order, and the eliminator derives the same constraints in any
+    arrival order.  The outside-first order is kept because it measured
+    faster than factors first (general-cones ``gb`` at seed 1, in-process
+    minimum of 7 passes: 0.028 against 0.032 s)."""
     base = [_tightened(a, b) for a, b in cells[0]]
     factors = [[[_tightened(a, b) for a, b in o] for o in options] for options in cells[1]]
     radius = 0
@@ -351,33 +377,71 @@ def in_integer_span(basis, v):
 
 # -- Fourier-Motzkin feasibility ----------------------------------------------
 # A constraint is (coeffs, const, strict) meaning coeffs.x + const >= 0
-# (or > 0 when strict).  Entries are Fractions or ints.
+# (or > 0 when strict).
+
+class _Eliminator:
+    """Incremental Fourier-Motzkin elimination over integer constraints.
+
+    A constraint is filed under its first nonzero variable, in the list of
+    its sign, and combined with every constraint of the opposite sign
+    there; each combination eliminates that variable and is added at the
+    next one.  A constraint with no variable left is a verdict: ``add``
+    answers False when it fails.  Every pair of opposite signs at every
+    variable is combined once, whichever of the two arrives last, so the
+    derived constraints are those of eliminating the whole system at once,
+    in any arrival order.  ``mark`` and ``undo`` pop the trail of the lists
+    appended to, which takes back everything added since the mark."""
+
+    __slots__ = ("n", "pos", "neg", "trail")
+
+    def __init__(self, n):
+        self.n = n
+        self.pos = [[] for _ in range(n)]
+        self.neg = [[] for _ in range(n)]
+        self.trail = []
+
+    def add(self, a, b, strict, var=0):
+        n = self.n
+        while var < n and not a[var]:
+            var += 1
+        if var == n:
+            return b > 0 if strict else b >= 0
+        x = a[var]
+        mine, other = (self.pos, self.neg) if x > 0 else (self.neg, self.pos)
+        filed = mine[var]
+        filed.append((a, b, strict))
+        self.trail.append(filed)
+        for ao, bo, so in other[var]:
+            # weights: each side times the other's coefficient, in absolute value
+            wa, wo = abs(ao[var]), abs(x)
+            c = tuple(wa * p + wo * q for p, q in zip(a, ao))
+            if not self.add(c, wa * b + wo * bo, strict or so, var + 1):
+                return False
+        return True
+
+    def mark(self):
+        return len(self.trail)
+
+    def undo(self, mark):
+        trail = self.trail
+        while len(trail) > mark:
+            trail.pop().pop()
+
 
 def fm_feasible(constraints, nvars) -> bool:
     """Exact feasibility of a system of linear inequalities over Q^n.
+    Entries are Fractions or ints.
 
     Each constraint is scaled once by the positive lcm of its denominators,
     so the elimination runs in integers; a positive scaling keeps both the
     inequality and its strictness.
     """
-    cons = []
+    fm = _Eliminator(nvars)
     for a, b, s in constraints:
         den = lcm(*(x.denominator for x in a), b.denominator)
-        cons.append((tuple(int(x * den) for x in a), int(b * den), s))
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for c in cons:
-            x = c[0][var]
-            (pos if x > 0 else neg if x < 0 else rest).append(c)
-        new = rest
-        for ap, bp, sp in pos:
-            for an, bn, sn in neg:
-                # eliminate: combine with weights |an[var]|, ap[var]
-                wp, wn = -an[var], ap[var]
-                a = tuple(wp * x + wn * y for x, y in zip(ap, an))
-                new.append((a, wp * bp + wn * bn, sp or sn))
-        cons = new
-    return all(b > 0 if s else b >= 0 for _, b, s in cons)
+        if not fm.add(tuple(int(x * den) for x in a), int(b * den), s):
+            return False
+    return True
 
 
 # -- cones ---------------------------------------------------------------------

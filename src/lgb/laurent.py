@@ -345,7 +345,10 @@ class LaurentPoly:
 
 
 def _int_ineq(coeffs, const, strict):
-    """Scale a rational inequality coeffs.t + const >= 0 (or > 0) to integers."""
+    """Scale a rational inequality coeffs.t + const >= 0 (or > 0) to integers;
+    on integer lattice points, > 0 is >= 1."""
+    if type(const) is int and all(type(x) is int for x in coeffs):
+        return tuple(coeffs), const - strict
     lcm = 1
     entries = [Fraction(x) for x in coeffs] + [Fraction(const)]
     for x in entries:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgb import groebner, lattice, laurent
+from lgb import groebner, laurent
 from lgb.affinoid import AffinoidError
 from lgb.cli import ParseError
 from lgb.coeffs import FieldSpec
@@ -128,6 +128,30 @@ def reference_fm_feasible(constraints, nvars):
     return all(b > 0 if s else b >= 0 for _, b, s in cons)
 
 
+def reference_some_choice_feasible(cons, levels, n):
+    """Whether cons plus one option of every level is feasible over Q for
+    some choice of options: every choice's whole system eliminated over
+    Fractions (``reference_fm_feasible``), with no pruning; the check for
+    ``lattice._some_choice_feasible``."""
+    return any(
+        reference_fm_feasible([(a, b, False) for a, b in cons + [c for o in choice for c in o]], n)
+        for choice in itertools.product(*levels)
+    )
+
+
+def reference_pruned_choice_feasible(cons, levels, n):
+    """``reference_some_choice_feasible`` depth first, each prefix system
+    eliminated afresh by ``reference_fm_feasible`` and pruned when empty:
+    added constraints never make an empty system nonempty.  It keeps the
+    reference independent of ``lattice`` where trying every choice would
+    take minutes (the n=3 modules)."""
+    if not reference_fm_feasible([(a, b, False) for a, b in cons], n):
+        return False
+    return not levels or any(
+        reference_pruned_choice_feasible(cons + option, levels[1:], n) for option in levels[0]
+    )
+
+
 def orthant_ring(n):
     """Q[x^±1, ...] under the orthant decomposition with the per-cone
     custom score (row i is the sign vector of cone i)."""
@@ -192,7 +216,7 @@ def reference_ti_set_general(self, i, search_radius: int):
     levels = factors + [
         [[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal
     ]
-    if lattice._some_choice_feasible(base, levels, self.ring.n):
+    if reference_pruned_choice_feasible(base, levels, self.ring.n):
         raise IncompleteSearchError(
             f"generating set not certified complete within radius {search_radius}"
             if minimal

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from conftest import reference_compare
+from fractions import Fraction
+
+from conftest import orthant_ring, reference_compare
 from lgb.gmo import (
     GeneralizedOrder,
     ScoreFunction,
     make_order,
     validate_gmo,
 )
-from lgb.lattice import LatticeError, build_decomposition, vadd
+from lgb.lattice import LatticeError, build_decomposition, rational_rank, solve_rational, vadd
 
 
 def test_compare_quoted_examples():
@@ -203,3 +205,30 @@ def test_linear_forms_are_shared_and_errors_are_not():
         for _ in range(2):
             with pytest.raises(LatticeError, match="not linear on cone 0"):
                 order.linear_form(0)
+
+
+def test_integral_linear_forms_are_ints():
+    """Every entry of a linear form is an int when integral and equals the
+    Fraction ``solve_rational`` gives on n independent cone generators."""
+    from lgb.affinoid import PolytopeContext, build_refined_decomposition
+
+    orders = [make_order(n, score) for n in (2, 3) for score in ("min", "degmin")]
+    orders += [orthant_ring(n).order for n in (2, 3)]
+    refined = build_refined_decomposition(
+        PolytopeContext([(1, 1), (0, 1)]), build_decomposition("standard", 2)
+    ).decomposition
+    orders.append(GeneralizedOrder(refined, ScoreFunction("degmin", 2)))
+    kinds = set()
+    for order in orders:
+        for i, cone in enumerate(order.decomposition):
+            rows = []
+            for g in cone.generators:
+                if rational_rank(rows + [list(g)]) > len(rows):
+                    rows.append(list(g))
+            expected = solve_rational(rows, [Fraction(order.phi(g)) for g in rows])
+            form = order.linear_form(i)
+            assert form == expected, (order.score.kind, i)
+            for x, y in zip(form, expected):
+                assert type(x) is (int if y.denominator == 1 else Fraction), (order.score.kind, i, form)
+                kinds.add(type(x))
+    assert int in kinds

@@ -9,8 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_fm_feasible, reference_minimal_elements
+from conftest import (
+    orthant_ring,
+    reference_fm_feasible,
+    reference_minimal_elements,
+    reference_pruned_choice_feasible,
+    reference_some_choice_feasible,
+)
 
+from lgb import lattice
 from lgb.affinoid import PolytopeContext, build_refined_decomposition
 from lgb.lattice import (
     Cone,
@@ -249,6 +256,100 @@ def test_fm_feasible_invariant_under_positive_row_scaling():
         assert fm_feasible(scaled, n) == verdict, system
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_fm_feasible_matches_the_fraction_elimination_on_rational_systems():
+    rng = random.Random(2510)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+
+        def rational():  # small entries, so that boundaries are often met exactly
+            return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+        system = [
+            (tuple(rational() for _ in range(n)), rational(), rng.random() < 0.4)
+            for _ in range(rng.randint(0, 8))
+        ]
+        verdict = fm_feasible(system, n)
+        assert verdict == reference_fm_feasible(system, n), system
+        verdicts.add((verdict, any(s for _, _, s in system)))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _random_choice_system(rng):
+    """(cons, levels, n) of integer inequalities (a, b), a.x + b >= 0, with
+    all-zero rows, empty options and 0-3 levels among them."""
+    n = rng.randint(1, 3)
+
+    def ineq():
+        a = (0,) * n if rng.random() < 0.1 else tuple(rng.randint(-3, 3) for _ in range(n))
+        return a, rng.randint(-4, 4)
+
+    cons = [ineq() for _ in range(rng.randint(0, 4))]
+    levels = [
+        [[ineq() for _ in range(rng.randint(0, 2))] for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 3))
+    ]
+    return cons, levels, n
+
+
+def test_some_choice_feasible_matches_the_exhaustive_reference_on_seeded_systems():
+    """Same verdict as trying every choice over Fractions
+    (``conftest.reference_some_choice_feasible``), which the pruned
+    Fraction search of ``conftest.reference_ti_set_general`` gives too."""
+    rng = random.Random(1992)
+    verdicts = set()
+    for _ in range(1500):
+        cons, levels, n = _random_choice_system(rng)
+        expected = reference_some_choice_feasible(cons, levels, n)
+        assert lattice._some_choice_feasible(cons, levels, n) == expected, (cons, levels, n)
+        assert reference_pruned_choice_feasible(cons, levels, n) == expected, (cons, levels, n)
+        verdicts.add((expected, len(levels)))
+    assert verdicts == {(v, k) for v in (True, False) for k in range(4)}
+
+
+def _recorded_certificate_systems(monkeypatch):
+    """Every (cons, levels, n) the certificate asks while the general-cones
+    bases of seed 1 and the bases of ``test_groebner.ORTHANT_N3`` are
+    computed, with the engine's verdict."""
+    from test_groebner import ORTHANT_N3
+
+    from lgb.cli import parse_poly
+    from lgb.groebner import buchberger
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import worker
+    import workloads
+
+    systems = []
+    real = lattice._some_choice_feasible
+
+    def recording(cons, levels, n):
+        verdict = real(cons, levels, n)
+        systems.append((list(cons), [list(options) for options in levels], n, verdict))
+        return verdict
+
+    monkeypatch.setattr(lattice, "_some_choice_feasible", recording)
+    for inst in workloads.build("general-cones", 1):
+        worker.make_case(inst).gb()
+    general = systems[:]
+    ring = orthant_ring(3)
+    for gens in ORTHANT_N3:
+        buchberger([parse_poly(ring, g) for g in gens])
+    return general, systems[len(general):]
+
+
+def test_some_choice_feasible_matches_the_references_on_recorded_systems(monkeypatch):
+    """The general-cones systems against trying every choice; the n=3 ones,
+    where that takes over a minute, against the pruned Fraction search."""
+    general, orthant3 = _recorded_certificate_systems(monkeypatch)
+    assert len(general) > 100 and len(orthant3) > 50
+    for cons, levels, n, verdict in general:
+        assert verdict == reference_some_choice_feasible(cons, levels, n), (cons, levels)
+    for cons, levels, n, verdict in orthant3:
+        assert verdict == reference_pruned_choice_feasible(cons, levels, n), (cons, levels)
+    assert {v for *_, v in general} == {v for *_, v in orthant3} == {True, False}
 
 
 def test_rays_and_hilbert_basis_2d():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from lgb.laurent import (
     LaurentRing,
     RingError,
     UndefinedLeadingError,
+    _int_ineq,
     _satisfies,
     _ti_cells,
     format_poly,
@@ -438,3 +440,16 @@ def test_ti_set_general_is_memoized(monkeypatch):
     assert len(searches) == 3
     assert g.ti_set_general(0, 12) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
     assert len(searches) == 4
+
+
+def test_int_ineq_integer_path_matches_the_fraction_path():
+    """On integer inputs the all-integer path gives what scaling their
+    Fraction copies gives, strict and not."""
+    rng = random.Random(1025)
+    for _ in range(300):
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3)))
+        const = rng.randint(-20, 20)
+        for strict in (False, True):
+            got = _int_ineq(coeffs, const, strict)
+            assert got == _int_ineq(tuple(map(Fraction, coeffs)), Fraction(const), strict)
+            assert all(type(x) is int for x in got[0]) and type(got[1]) is int

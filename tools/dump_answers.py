@@ -19,9 +19,13 @@ general-cones basis element, every cone module (``ti_set_general(i, 8)``
 on the orthant ring, ``tij_generators(body, label, 6)`` on a polytope)
 or the exception it raised, and on a
 polytope ``tij_generators(body, label, r)`` at every ceiling r = 0..6 on a
-fresh mode; the bases or exceptions (at parse or in ``buchberger_P``) of the known failures; the bases and every cone module of the
-``ORTHANT_N3`` ideals on the n=3 orthant ring; ``ti_set_general(i, r)`` at
-every ceiling r = 0..8 for every cone of ``x^9 + y^9 + x^-8*y^-8`` on the
+fresh mode; while the general-cones bases of seed 1, their cone modules
+and the ``ORTHANT_N3`` bases and modules are computed, every verdict of the
+completeness certificate ``lattice._some_choice_feasible``, in call order,
+with its numbers of levels, options and constraints; the bases or
+exceptions (at parse or in ``buchberger_P``) of the known failures; the
+bases and every cone module of the ``ORTHANT_N3`` ideals on the n=3
+orthant ring; ``ti_set_general(i, r)`` at every ceiling r = 0..8 for every cone of ``x^9 + y^9 + x^-8*y^-8`` on the
 n=2 orthant ring and of each ``ORTHANT_N3`` generator, parsed afresh for
 each ceiling so that no memo hides where the search starts to fail;
 ``tij_generators(f, label, r)`` at r = 0..6, on a fresh mode for each
@@ -142,11 +146,29 @@ def main():
     import worker
     from conftest import orthant_ring
     from test_affinoid import BENCH_POLYTOPES, TIJ_POLYS, polytope_mode
-    from lgb import affinoid, cli, groebner, reduction
+    from lgb import affinoid, cli, groebner, lattice, reduction
     from lgb.laurent import format_poly
 
     lines = []
     emit = lines.append
+
+    certificates = [False]  # whether certificate verdicts are written
+    depth = [0]  # a search that recurses through the module name logs once
+    feasible = lattice._some_choice_feasible
+
+    def logged_feasible(cons, levels, n):
+        depth[0] += 1
+        try:
+            verdict = feasible(cons, levels, n)
+        finally:
+            depth[0] -= 1
+        if certificates[0] and not depth[0]:
+            options = sum(len(level) for level in levels)
+            constraints = len(cons) + sum(len(o) for level in levels for o in level)
+            emit(f"certificate levels {len(levels)} options {options} constraints {constraints} -> {verdict}")
+        return verdict
+
+    lattice._some_choice_feasible = logged_feasible
 
     def text(h):
         if isinstance(h, affinoid.CappedSeries):
@@ -221,14 +243,17 @@ def main():
             for inst in workloads.build(wl, seed):
                 case = worker.make_case(inst)
                 emit(f"== {wl} seed {seed} {inst.name}")
+                certificates[0] = wl == "general-cones" and seed == 1
                 res = guarded("gb", case.gb)
                 if res is None:
+                    certificates[0] = False
                     continue
                 emit(f"stats {res.stats}")
                 for h in res.basis:
                     emit("basis " + text(h))
                     if wl == "general-cones":
                         modules(h, case.mode)
+                certificates[0] = False
                 emit(f"check {guarded('check', case.check, res.basis)}")
                 if seed == 1:
                     spairs(res.basis, case.mode)
@@ -265,11 +290,13 @@ def main():
     for gens in ORTHANT_N3:
         emit(f"== orthant n=3 {', '.join(gens)}")
         polys = [cli.parse_poly(ring3, g) for g in gens]
+        certificates[0] = True
         res = guarded("gb", groebner.buchberger, polys)
         if res is not None:
             for h in res.basis:
                 emit("basis " + text(h))
                 modules(h, None)
+        certificates[0] = False
         combinations(polys)
 
     ceiling_cases = (

@@ -1,6 +1,7 @@
 """Valuation layer: weighted and polytopal term orders, initial forms,
-capped-precision series, and the division adapter through which they run
-the shared division loop and ``groebner``'s one Buchberger engine.
+capped-precision series, and the modes through which they run the shared
+division loop and ``groebner``'s one Buchberger engine, each behind one
+``reduction.PolynomialMode`` adapter per engine call.
 
 A weight context carries a single rational weight vector r; terms are
 compared valuation first (val(c) - r.e, smaller is greater), ties broken
@@ -73,7 +74,7 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentPoly, LaurentRing, Term, _ti_cells, format_poly, u_intersection
-from lgb.reduction import _memoized, division_loop, residual
+from lgb.reduction import PolynomialMode, division_loop, residual
 
 
 class AffinoidError(ValueError):
@@ -686,40 +687,6 @@ class CappedSeries:
         return f"<{self}>"
 
 
-class _SeriesDivision:
-    """Adapter binding a mode to the division loop and the Buchberger engine
-    for one engine call, with the memo and the reducer table of
-    ``reduction``'s module docstring; ``bound`` is ceil(cap * den) for the
-    cap of the division in progress."""
-
-    __slots__ = ("mode", "labels", "term_key", "cone_leading", "u_set", "bound", "_lms", "_leads")
-
-    def __init__(self, mode):
-        self.mode = mode
-        self.labels = mode.labels
-        self.term_key = mode.term_key
-        self.cone_leading = mode.cone_leading
-        self.u_set = mode.u_set
-        self.bound = None
-        self._lms = {}
-        self._leads = {}
-
-    def leading(self, work, keys):
-        exp = max(keys, key=keys.__getitem__)
-        return Term(work[exp], exp)
-
-    def shifted_lm(self, g, shift):
-        return _memoized(self._lms, g, shift, self.mode.shifted_lm)
-
-    def past_cap(self, key) -> bool:
-        """Whether the term of ``term_key`` key lies at or above the cap:
-        -key[0] is its valuation times the common denominator."""
-        return -key[0] >= self.bound
-
-    def on_fire(self, label, g, shift) -> None:
-        pass
-
-
 def reduce_P(f: CappedSeries, gens):
     """Cone-aware division of capped series; the identity f = sum(q g) + r
     holds modulo terms of valuation at least the cap (verified).
@@ -729,21 +696,22 @@ def reduce_P(f: CappedSeries, gens):
     back below it, so quotient terms are kept up to cap minus the most
     negative divisor valuation.
     """
-    (qdicts, qcap), remainder = _reduce_P(f, list(gens), _SeriesDivision(f.mode))
-    return [CappedSeries(f.mode, LaurentPoly(f.mode.ring, q), qcap) for q in qdicts], remainder
-
-
-def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
-    """``reduce_P`` with the division adapter of the calling engine function:
-    ((quotient term dicts cut at their raised cap, that cap), remainder)."""
+    gens = list(gens)
     for g in gens:
         f._check(g)
         if g.is_zero():
             raise AffinoidError("divisors must be nonzero at the working precision")
+    (qdicts, qcap), remainder = _reduce_P(f, gens, PolynomialMode(f.mode))
+    return [CappedSeries(f.mode, LaurentPoly(f.mode.ring, q), qcap) for q in qdicts], remainder
+
+
+def _reduce_P(f: CappedSeries, gens, adapter: PolynomialMode):
+    """``reduce_P`` by checked divisors, with the calling engine's adapter:
+    ((quotient term dicts cut at their raised cap, that cap), remainder)."""
     mode, ctx = f.mode, f.mode.context
     cap = min([f.cap] + [g.cap for g in gens])
-    division.bound = math.ceil(cap * ctx._den)
-    qdicts, rdict, tail = division_loop(f.body, [g.body for g in gens], division)
+    adapter.bound = math.ceil(cap * ctx._den)
+    qdicts, rdict = division_loop(f.body, [g.body for g in gens], adapter)
     ring = mode.ring
     qcap = cap
     if gens:
@@ -755,7 +723,7 @@ def _reduce_P(f: CappedSeries, gens, division: _SeriesDivision):
     remainder = CappedSeries(mode, LaurentPoly(ring, rdict), cap)
     rest = residual(f.body, remainder.body, qdicts, [g.body for g in gens])
     for e, c in rest.items():
-        if ctx.scaled_val(c, e) < division.bound:
+        if ctx.scaled_val(c, e) < adapter.bound:
             raise ArithmeticError("capped division identity failed to re-verify")
     return (qdicts, qcap), remainder
 
@@ -784,14 +752,15 @@ def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeri
 
 
 def _series_generators(gens):
-    """The distinct series of ``gens``, their input positions and a division
-    adapter; the series must share one precision cap."""
+    """The distinct series of ``gens``, their input positions and a
+    Buchberger adapter; the series must share one precision cap."""
     basis, positions = _distinct(
         gens, AffinoidError, "generators must be nonzero at the working precision"
     )
     if any(g.cap != basis[0].cap for g in basis):
         raise AffinoidError("generators must share one precision cap")
-    return basis, positions, _SeriesDivision(basis[0].mode)
+    mode = basis[0].mode
+    return basis, positions, PolynomialMode(mode, partial(spair_series, mode), _reduce_P, _body_of)
 
 
 def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
@@ -799,9 +768,8 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
     closure means every S-pair remainder consists of terms at or above
     the cap."""
     cfg = cfg or GBConfig()
-    basis, _, division = _series_generators(gens)
-    spairs = partial(spair_series, division.mode)
-    stats, _ = _buchberger(basis, division, spairs, _reduce_P, _body_of, cfg)
+    basis, _, adapter = _series_generators(gens)
+    stats, _ = _buchberger(basis, adapter, cfg)
     if cfg.normalize:
         basis = [h * h.leading_term().coef.inv() for h in basis]
     return GBResult(basis, stats, None)
@@ -810,6 +778,5 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
 def is_groebner_series(H):
     """Criterion check at the working precision; returns (flag, certificate)
     with the certificate's indices into H."""
-    basis, positions, division = _series_generators(H)
-    spairs = partial(spair_series, division.mode)
-    return _criterion(basis, positions, division, spairs, _reduce_P, _body_of)
+    basis, positions, adapter = _series_generators(H)
+    return _criterion(basis, positions, adapter)

@@ -3,12 +3,13 @@
 S-pairs are formed per cone at every generator of the collision-monomial
 module of the two cone leading terms, from a FIFO pair queue, so the whole
 computation is deterministic.  ``buchberger``/``is_groebner`` and
-``affinoid.buchberger_P``/``is_groebner_series`` pass their division
-adapter (see ``reduction``), S-pair function and divide function to one
-loop and one criterion check.  A nonzero S-pair must lie strictly below
-lc_f*lc_g*X^v under the adapter's ``term_key``.  ``buchberger`` expands
-the loop's record of how each element arose into ``GBResult.combinations``
-and re-verifies the combination identity exactly.
+``affinoid.buchberger_P``/``is_groebner_series`` run one loop and one
+criterion check, each over one ``reduction.PolynomialMode`` adapter that
+holds the layer's S-pair, divide and body functions.  A nonzero S-pair
+must lie strictly below lc_f*lc_g*X^v under the adapter's ``term_key``.
+``buchberger`` expands the loop's record of how each element arose into
+``GBResult.combinations`` and re-verifies the combination identity
+exactly.
 
 An S-pair lc_g*X^(v - lm_f)*f - lc_f*X^(v - lm_g)*g is built in one pass
 over the two supports into one term dict (``spair`` here,
@@ -70,7 +71,7 @@ from itertools import combinations
 
 from lgb.laurent import LaurentPoly, RingError
 from lgb.lattice import vadd, vsub
-from lgb.reduction import PolynomialMode, _memoized, _reduce, reduce
+from lgb.reduction import LaurentMode, PolynomialMode, _memoized, _reduce, reduce
 
 
 class ResourceLimitError(RuntimeError):
@@ -146,36 +147,45 @@ def _distinct(gens, error, nonzero):
     return list(first), list(first.values())
 
 
-def _spair(division, make_spair, body, label, f, g, v):
+def _generators(gens):
+    """The distinct generators of ``gens``, their input positions and a
+    Buchberger adapter."""
+    basis, positions = _distinct(gens, RingError, "generators must be nonzero")
+    return basis, positions, PolynomialMode(LaurentMode(basis[0].ring), spair, _reduce, lambda h: h)
+
+
+def _spair(adapter, label, f, g, v):
     """S(label, f, g, v), checked to lie below lc_f*lc_g*X^v, or None when
     it is zero."""
-    s = make_spair(label, f, g, v)
+    s = adapter.spair(label, f, g, v)
+    body = adapter.body
     terms = body(s).terms_unordered()
     if not terms:
         return None
-    key = division.term_key
-    _, lcf = _memoized(division._leads, body(f), label, division.cone_leading)
-    _, lcg = _memoized(division._leads, body(g), label, division.cone_leading)
+    key = adapter.term_key
+    _, lcf = _memoized(adapter._leads, body(f), label, adapter.cone_leading)
+    _, lcg = _memoized(adapter._leads, body(g), label, adapter.cone_leading)
     if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
         raise AssertionError(f"S-pair at {v} does not drop below its bound")
     return s
 
 
-def _collisions(division, body, basis, a, b, chain):
+def _collisions(adapter, basis, a, b, chain):
     """(label, v, skip) for each collision generator v of basis[a] and
     basis[b], label by label in collision order; ``skip`` says whether
     ``chain`` (a ``_Chain``, or None for an exhaustive scan) skips the
-    S-pair.  ``body`` maps an element to its polynomial."""
-    for label in division.labels:
+    S-pair."""
+    body = adapter.body
+    for label in adapter.labels:
         if chain is None:
-            for v in division.u_set(body(basis[a]), body(basis[b]), label):
+            for v in adapter.u_set(body(basis[a]), body(basis[b]), label):
                 yield label, v, False
         else:
             for v in chain.u_set(a, b, label):
                 yield label, v, chain.connected(a, b, label, v)
 
 
-def _buchberger(basis, division, make_spair, divide, body, cfg: GBConfig, chain=None):
+def _buchberger(basis, adapter, cfg: GBConfig, chain=None):
     """Close ``basis`` (validated, extended in place) under S-pair
     remainders, skipping S-pairs by ``chain`` (see ``_collisions``);
     returns the stats and, per added element, ``(a, b, label, v,
@@ -186,15 +196,15 @@ def _buchberger(basis, division, make_spair, divide, body, cfg: GBConfig, chain=
     while queue:
         a, b = queue.popleft()
         stats.pairs_processed += 1
-        for label, v, skip in _collisions(division, body, basis, a, b, chain):
+        for label, v, skip in _collisions(adapter, basis, a, b, chain):
             if skip:
                 stats.spairs_skipped += 1
                 continue
-            s = _spair(division, make_spair, body, label, basis[a], basis[b], v)
+            s = _spair(adapter, label, basis[a], basis[b], v)
             if s is None:
                 stats.zero_reductions += 1
                 continue
-            quotients, r = divide(s, basis, division)
+            quotients, r = adapter.divide(s, basis, adapter)
             if r.is_zero():
                 stats.zero_reductions += 1
                 continue
@@ -208,7 +218,7 @@ def _buchberger(basis, division, make_spair, divide, body, cfg: GBConfig, chain=
     return stats, records
 
 
-def _criterion(basis, positions, division, make_spair, divide, body, chain=None):
+def _criterion(basis, positions, adapter, chain=None):
     """(flag, certificate): whether every S-pair of ``basis`` reduces to
     zero; the certificate names the first failing (label, a, b, v), with
     a and b the input positions.  ``chain`` (a ``_Chain``) skips S-pairs by
@@ -216,15 +226,15 @@ def _criterion(basis, positions, division, make_spair, divide, body, chain=None)
     failing S-pair are divided before it is reported."""
 
     def fails(a, b, label, v):
-        s = _spair(division, make_spair, body, label, basis[a], basis[b], v)
+        s = _spair(adapter, label, basis[a], basis[b], v)
         if s is None:
             return False
-        _, r = divide(s, basis, division)
+        _, r = adapter.divide(s, basis, adapter)
         return not r.is_zero()
 
     skipped = []
     for a, b in combinations(range(len(basis)), 2):
-        for label, v, skip in _collisions(division, body, basis, a, b, chain):
+        for label, v, skip in _collisions(adapter, basis, a, b, chain):
             if skip:
                 skipped.append((a, b, label, v))
             elif fails(a, b, label, v):
@@ -240,11 +250,11 @@ class _Chain:
     generators per index pair.  The loop appends to ``basis``; a union-find
     takes in the new elements of E the next time it is asked."""
 
-    __slots__ = ("basis", "mode", "_groups", "_u")
+    __slots__ = ("basis", "adapter", "_groups", "_u")
 
-    def __init__(self, basis, mode: PolynomialMode):
+    def __init__(self, basis, adapter: PolynomialMode):
         self.basis = basis
-        self.mode = mode
+        self.adapter = adapter
         self._groups = {}
         self._u = {}
 
@@ -253,7 +263,7 @@ class _Chain:
         key = (x, y, label)
         u = self._u.get(key)
         if u is None:
-            u = self._u[key] = self.mode.u_set(self.basis[x], self.basis[y], label)
+            u = self._u[key] = self.adapter.u_set(self.basis[x], self.basis[y], label)
         return u
 
     def connected(self, a, b, label, v) -> bool:
@@ -273,21 +283,22 @@ class _Chain:
         """The union-find of (label, v) over E and its free edges, brought
         up to the current basis, or None while no element besides a and b
         has v in its module (nothing to chain)."""
-        mode, basis = self.mode, self.basis
+        adapter, basis = self.adapter, self.basis
         parent, start = self._groups.get((label, v), (None, 0))
         if start == len(basis):
             return parent
         new = [
             h for h in range(start, len(basis))
-            if h == a or h == b
-            or mode.module_contains(basis[h], vsub(v, mode.cone_leading(basis[h], label)[0]), label)
+            if h == a or h == b or adapter.module_contains(
+                basis[h], vsub(v, adapter.cone_leading(basis[h], label)[0]), label
+            )
         ]
         if parent is None:
             if len(new) == 2:
                 return None
             parent = {}
         self._groups[(label, v)] = (parent, len(basis))
-        cone = mode.ring.order.decomposition[label]
+        cone = adapter.mode.ring.order.decomposition[label]
         for y in new:
             members = list(parent)
             parent[y] = y
@@ -336,11 +347,9 @@ def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
     (module docstring); the output contains the generators as given and
     every criterion S-pair of the output reduces to zero by it."""
     cfg = cfg or GBConfig()
-    basis, _ = _distinct(gens, RingError, "generators must be nonzero")
+    basis, _, adapter = _generators(gens)
     inputs = list(basis)
-    mode = PolynomialMode(basis[0].ring)
-    chain = _Chain(basis, mode)
-    stats, records = _buchberger(basis, mode, spair, _reduce, lambda h: h, cfg, chain)
+    stats, records = _buchberger(basis, adapter, cfg, _Chain(basis, adapter))
     combos = _expand_provenance(inputs, basis, records)
     if cfg.normalize:
         for k, h in enumerate(basis):
@@ -356,10 +365,8 @@ def is_groebner(H):
     docstring) included.  Returns (flag, certificate); the certificate
     names the first failing (cone, f-index, g-index, v), indices into H,
     in the order of the exhaustive scan."""
-    basis, positions = _distinct(H, RingError, "generators must be nonzero")
-    mode = PolynomialMode(basis[0].ring)
-    chain = _Chain(basis, mode)
-    return _criterion(basis, positions, mode, spair, _reduce, lambda h: h, chain)
+    basis, positions, adapter = _generators(H)
+    return _criterion(basis, positions, adapter, _Chain(basis, adapter))
 
 
 def _require_groebner(G):

@@ -1,4 +1,5 @@
-"""Cone-aware multivariate division.
+"""Cone-aware multivariate division, and the one adapter through which
+every layer runs it and ``groebner``'s Buchberger engine.
 
 One loop serves both the Laurent polynomial ring (well-ordered term
 comparison, exact termination) and the capped-series layer (valuation
@@ -7,38 +8,41 @@ deterministic: scan cone labels in order, then the divisor list in order,
 and take the first pair whose cone leading monomial cancels the current
 leading term without introducing a larger one.
 
+A layer is a mode with ``ring``, ``labels``, ``term_key``,
+``cone_leading``, ``shifted_lm``, ``module_contains`` and ``u_set``:
+``LaurentMode`` here, ``affinoid.WeightMode`` and ``PolytopeMode``.  Each
+engine call builds one adapter over its mode, ``PolynomialMode``, which
+also holds the layer's S-pair, divide and body functions for ``groebner``.
+
 The work polynomial is a mutable ``{exp: coef}`` map with a parallel
 ``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
 step takes a keyed maximum and subtracts ``coef * X^shift * g`` in place;
 no immutable polynomial is rebuilt per step.  The cap test reads the
 leading term's key: in the capped layer ``-key[0]`` is the term's
 valuation times the common denominator, so ``past_cap(key)`` compares it
-with the cap and nothing is recomputed per step.
+with the adapter's ``bound`` (+inf in the Laurent layer).
 
 A reducer fires only when lm(X^shift g) is the current leading exponent,
 with shift = that exponent minus lm_label(g), so it always cancels at
-shift + lm_label(g) and a fire needs no further check.  The modes'
+shift + lm_label(g) and a fire needs no further check.  The adapter's
 ``on_fire`` hook does nothing; it marks each fire for ``bench/spans.py``,
 which counts reducer fires through it.
 
 The same (g, shift) test recurs within a division and across the divisions
-of one Buchberger run, so the division adapter (``PolynomialMode`` here,
-the capped layer's ``_SeriesDivision``) memoizes ``shifted_lm`` as
+of one Buchberger run, so the adapter memoizes ``shifted_lm`` as
 ``{g: {shift: lm}}``.  It also keeps the reducer table ``{g: {label:
 (lm, lc)}}`` of each divisor's cone leading data, which the loop and
 ``groebner``'s S-pair bound check read.  The table is filled lazily, one
 (g, label) on first use: the loop asks only the labels it scans before a
 reducer fires, and a cone whose leading data cannot be computed must
-fail only a division that reaches it.  Each engine call builds one
-adapter for all of its divisions, so the memo and the table die with the
-call; held on the polynomial or on a long-lived mode, they would keep
-every shift tried alive with the bases the caller retains.  The adapter
-also serves ``groebner``'s Buchberger engine, which asks it for
-``u_set(f, g, label)``, the collision monomials.
+fail only a division that reaches it.  The memo and the table die with
+the engine call; held on the polynomial or on a long-lived mode, they
+would keep every shift tried alive with the bases the caller retains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from lgb.laurent import LaurentPoly, LaurentRing, Term, u_intersection
@@ -62,37 +66,25 @@ def _memoized(table, g, arg, compute):
     return value
 
 
-class PolynomialMode:
-    """Division strategy for plain Laurent polynomials under the ring order,
-    built once per engine call (see the module docstring)."""
+class LaurentMode:
+    """The Laurent layer's mode: terms keyed by the ring order, cone
+    leading data and modules of the polynomials themselves."""
 
-    __slots__ = ("ring", "labels", "_lms", "_leads")
+    __slots__ = ("ring", "labels")
 
     def __init__(self, ring: LaurentRing):
         self.ring = ring
         self.labels = tuple(range(len(ring.order.decomposition.cones)))
-        self._lms = {}
-        self._leads = {}
 
     def term_key(self, coef, exp):
         return self.ring.order.key(exp)
-
-    def leading(self, work, keys) -> Term:
-        exp = max(keys, key=keys.__getitem__)
-        return Term(work[exp], exp)
 
     def cone_leading(self, g: LaurentPoly, label):
         lm, lc, _ = g.cone_leading_data(label)
         return lm, lc
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        return _memoized(self._lms, g, shift, LaurentPoly.shifted_leading_monomial)
-
-    def past_cap(self, key) -> bool:
-        return False
-
-    def on_fire(self, label, g, shift) -> None:
-        pass
+        return g.shifted_leading_monomial(shift)
 
     def module_contains(self, g: LaurentPoly, t, label) -> bool:
         """Whether t lies in T_label(g), tested against the module's cached
@@ -107,35 +99,69 @@ class PolynomialMode:
         return u_intersection(f, g, label)
 
 
-def division_loop(f: LaurentPoly, gens, mode):
-    """Run the division; returns (quotient term dicts, remainder dict, tail).
+class PolynomialMode:
+    """The division and Buchberger adapter of one engine call over a mode
+    (module docstring); ``bound`` is ceil(cap * den) for the cap of the
+    division in progress, +inf in the Laurent layer."""
 
-    ``tail`` collects the part of the work polynomial discarded at the
-    precision cap; it is always zero in polynomial mode.
-    """
-    ring = f.ring
-    zero = ring.field.zero()
-    term_key, cone_leading = mode.term_key, mode.cone_leading
-    rows = [_row(mode._leads, g) for g in gens]
+    __slots__ = (
+        "mode", "labels", "term_key", "cone_leading", "module_contains", "u_set",
+        "spair", "divide", "body", "bound", "_lms", "_leads",
+    )
+
+    def __init__(self, mode, spair=None, divide=None, body=None):
+        self.mode = mode
+        self.labels = mode.labels
+        self.term_key = mode.term_key
+        self.cone_leading = mode.cone_leading
+        self.module_contains = mode.module_contains
+        self.u_set = mode.u_set
+        self.spair, self.divide, self.body = spair, divide, body
+        self.bound = math.inf
+        self._lms = {}
+        self._leads = {}
+
+    def leading(self, work, keys) -> Term:
+        exp = max(keys, key=keys.__getitem__)
+        return Term(work[exp], exp)
+
+    def shifted_lm(self, g: LaurentPoly, shift):
+        return _memoized(self._lms, g, shift, self.mode.shifted_lm)
+
+    def past_cap(self, key) -> bool:
+        """Whether the term of ``term_key`` key lies at or above the cap; in
+        the capped layer -key[0] is its valuation times the denominator."""
+        return -key[0] >= self.bound
+
+    def on_fire(self, label, g, shift) -> None:
+        pass
+
+
+def division_loop(f: LaurentPoly, gens, adapter: PolynomialMode):
+    """Run the division; returns (quotient term dicts, remainder dict).  The
+    terms left at the precision cap are dropped."""
+    zero = f.ring.field.zero()
+    term_key, cone_leading = adapter.term_key, adapter.cone_leading
+    rows = [_row(adapter._leads, g) for g in gens]
     quotients = [dict() for _ in gens]
     remainder = {}
     work = dict(f.terms_unordered())
     keys = {e: term_key(c, e) for e, c in work.items()}
     while work:
-        lt = mode.leading(work, keys)
-        if mode.past_cap(keys[lt.exp]):
+        lt = adapter.leading(work, keys)
+        if adapter.past_cap(keys[lt.exp]):
             break
-        for label in mode.labels:
+        for label in adapter.labels:
             for k, g in enumerate(gens):
                 lead = rows[k].get(label)
                 if lead is None:
                     lead = rows[k][label] = cone_leading(g, label)
                 shift = vsub(lt.exp, lead[0])
-                if mode.shifted_lm(g, shift) == lt.exp:
+                if adapter.shifted_lm(g, shift) == lt.exp:
                     break
             else:
                 continue
-            mode.on_fire(label, g, shift)
+            adapter.on_fire(label, g, shift)
             coef = lt.coef / lead[1]
             acc = quotients[k]
             acc[shift] = acc.get(shift, zero) + coef
@@ -155,7 +181,7 @@ def division_loop(f: LaurentPoly, gens, mode):
         else:
             remainder[lt.exp] = remainder.get(lt.exp, zero) + lt.coef
             del work[lt.exp], keys[lt.exp]
-    return quotients, remainder, LaurentPoly(ring, work)
+    return quotients, remainder
 
 
 def residual(f: LaurentPoly, remainder: LaurentPoly, quotients, gens) -> dict:
@@ -197,15 +223,13 @@ def reduce(f: LaurentPoly, gens) -> ReductionResult:
         f._check(g)
         if g.is_zero():
             raise ValueError("divisors must be nonzero")
-    return _reduce(f, gens, PolynomialMode(f.ring))
+    return _reduce(f, gens, PolynomialMode(LaurentMode(f.ring)))
 
 
-def _reduce(f: LaurentPoly, gens, mode: PolynomialMode) -> ReductionResult:
+def _reduce(f: LaurentPoly, gens, adapter: PolynomialMode) -> ReductionResult:
     """``reduce`` by checked divisors, with the calling engine's adapter."""
     ring = f.ring
-    qdicts, rdict, tail = division_loop(f, gens, mode)
-    if not tail.is_zero():
-        raise AssertionError("polynomial division left a tail past the cap")
+    qdicts, rdict = division_loop(f, gens, adapter)
     quotients = [LaurentPoly(ring, q) for q in qdicts]
     remainder = LaurentPoly(ring, rdict)
     if residual(f, remainder, qdicts, gens):

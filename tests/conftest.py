@@ -25,7 +25,6 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentPoly, LaurentRing, UndefinedLeadingError
-from lgb.reduction import PolynomialMode, _reduce
 
 
 def ring_for(field, n, score="degmin", decomposition=None, names=None):
@@ -438,35 +437,34 @@ def reference_parse_poly(ring: LaurentRing, text: str, line=None) -> LaurentPoly
 # checks that lgb.groebner.is_groebner, which skips S-pairs by the chain
 # criterion, agrees with it on verdict and certificate
 
-def _reference_spairs(division, make_spair, body, f, g):
-    key = division.term_key
+def _reference_spairs(adapter, f, g):
+    key, body = adapter.term_key, adapter.body
     bf, bg = body(f), body(g)
-    for label in division.labels:
-        for v in division.u_set(bf, bg, label):
-            s = make_spair(label, f, g, v)
+    for label in adapter.labels:
+        for v in adapter.u_set(bf, bg, label):
+            s = adapter.spair(label, f, g, v)
             terms = body(s).terms_unordered()
             if not terms:
                 continue
-            _, lcf = division.cone_leading(bf, label)
-            _, lcg = division.cone_leading(bg, label)
+            _, lcf = adapter.cone_leading(bf, label)
+            _, lcg = adapter.cone_leading(bg, label)
             if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
                 raise AssertionError(f"S-pair at {v} does not drop below its bound")
             yield label, v, s
 
 
-def _reference_criterion(basis, positions, division, make_spair, divide, body):
+def _reference_criterion(basis, positions, adapter):
     for a, b in itertools.combinations(range(len(basis)), 2):
-        for label, v, s in _reference_spairs(division, make_spair, body, basis[a], basis[b]):
-            _, r = divide(s, basis, division)
+        for label, v, s in _reference_spairs(adapter, basis[a], basis[b]):
+            _, r = adapter.divide(s, basis, adapter)
             if not r.is_zero():
                 return False, (label, positions[a], positions[b], v)
     return True, None
 
 
 def reference_is_groebner(H):
-    basis, positions = groebner._distinct(H, laurent.RingError, "generators must be nonzero")
-    mode = PolynomialMode(basis[0].ring)
-    return _reference_criterion(basis, positions, mode, groebner.spair, _reduce, lambda h: h)
+    basis, positions, adapter = groebner._generators(H)
+    return _reference_criterion(basis, positions, adapter)
 
 
 # -- the exhaustive Buchberger loop --------------------------------------------
@@ -475,26 +473,26 @@ def reference_is_groebner(H):
 # checks that lgb.groebner.buchberger, which skips S-pairs by the chain
 # criterion, returns Groebner bases of the same ideals
 
-def _reference_loop_spairs(division, make_spair, body, f, g, stats):
-    bf, bg = body(f), body(g)
-    for label in division.labels:
-        for v in division.u_set(bf, bg, label):
-            s = groebner._spair(division, make_spair, body, label, f, g, v)
+def _reference_loop_spairs(adapter, f, g, stats):
+    bf, bg = adapter.body(f), adapter.body(g)
+    for label in adapter.labels:
+        for v in adapter.u_set(bf, bg, label):
+            s = groebner._spair(adapter, label, f, g, v)
             if s is None:
                 stats.zero_reductions += 1
                 continue
             yield label, v, s
 
 
-def _reference_buchberger(basis, division, make_spair, divide, body, cfg):
+def _reference_buchberger(basis, adapter, cfg):
     stats = groebner.GBStats()
     records = []
     queue = collections.deque(itertools.combinations(range(len(basis)), 2))
     while queue:
         a, b = queue.popleft()
         stats.pairs_processed += 1
-        for label, v, s in _reference_loop_spairs(division, make_spair, body, basis[a], basis[b], stats):
-            quotients, r = divide(s, basis, division)
+        for label, v, s in _reference_loop_spairs(adapter, basis[a], basis[b], stats):
+            quotients, r = adapter.divide(s, basis, adapter)
             if r.is_zero():
                 stats.zero_reductions += 1
                 continue
@@ -510,9 +508,8 @@ def _reference_buchberger(basis, division, make_spair, divide, body, cfg):
 
 def reference_buchberger(gens):
     """(basis, stats) of the exhaustive loop on the distinct generators."""
-    basis, _ = groebner._distinct(gens, laurent.RingError, "generators must be nonzero")
-    mode = PolynomialMode(basis[0].ring)
-    stats, _ = _reference_buchberger(basis, mode, groebner.spair, _reduce, lambda h: h, groebner.GBConfig())
+    basis, _, adapter = groebner._generators(gens)
+    stats, _ = _reference_buchberger(basis, adapter, groebner.GBConfig())
     return basis, stats
 
 

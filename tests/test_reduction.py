@@ -5,12 +5,12 @@ import weakref
 import pytest
 
 from conftest import random_poly, ring_for
-from lgb.affinoid import WeightContext, WeightMode, _SeriesDivision
+from lgb.affinoid import WeightContext, WeightMode
 from lgb.coeffs import FieldSpec
 from lgb.cli import parse_poly
 from lgb.laurent import LaurentPoly, Term
 from lgb.lattice import box_points, vsub
-from lgb.reduction import PolynomialMode, reduce
+from lgb.reduction import LaurentMode, PolynomialMode, reduce
 
 
 def test_quoted_division_fixture(q_ring2):
@@ -107,21 +107,23 @@ def test_guard_rejects_naive_cancellation(q_ring2):
 
 
 def _memo_cases():
-    """(name, adapter, direct, polynomials): the reducer-test memo of each
-    division adapter against lm(X^shift g) computed from the product."""
+    """(name, adapter, direct, polynomials): the reducer-test memo of the
+    division adapter over each mode against lm(X^shift g) computed from the
+    product."""
     from test_affinoid import example71, q2_ring
 
     rng = random.Random(77)
     ring = ring_for(FieldSpec.rational(), 2, "degmin")
     polys = [random_poly(ring, rng, terms=4, radius=3) for _ in range(5)]
-    yield "polynomial", PolynomialMode(ring), lambda g, t: g.term_mul(t).leading_data()[0], polys
+    adapter = PolynomialMode(LaurentMode(ring))
+    yield "polynomial", adapter, lambda g, t: g.term_mul(t).leading_data()[0], polys
     wring = q2_ring()
     for name, mode in (
         ("weight (1,2)", WeightMode(wring, WeightContext((1, 2)))),
         ("example 7.1", example71()[3]),
     ):
         polys = [random_poly(mode.ring, rng, terms=4, radius=3) for _ in range(5)]
-        yield name, _SeriesDivision(mode), lambda g, t, m=mode: m.leading(g.term_mul(t)).exp, polys
+        yield name, PolynomialMode(mode), lambda g, t, m=mode: m.leading(g.term_mul(t)).exp, polys
 
 
 def test_memoized_shifted_lm_matches_direct_computation():
@@ -149,9 +151,9 @@ def test_repeated_reducer_test_is_computed_once(monkeypatch, q_ring2):
 
     g = parse_poly(q_ring2, "x^-2*y^-1 + x*y")
     h = parse_poly(q2_ring(), "2*x^-1 + y^2")
-    series = _SeriesDivision(WeightMode(h.ring, WeightContext((1, 2))))
+    series = PolynomialMode(WeightMode(h.ring, WeightContext((1, 2))))
     for adapter, f, owner, name in (
-        (PolynomialMode(q_ring2), g, LaurentPoly, "shifted_leading_monomial"),
+        (PolynomialMode(LaurentMode(q_ring2)), g, LaurentPoly, "shifted_leading_monomial"),
         (series, h, WeightMode, "shifted_lm"),
     ):
         shifts = counting(owner, name)
@@ -190,7 +192,7 @@ def test_division_adapter_lives_for_one_engine_call(monkeypatch, q_ring2):
         "ring Qp 2\nvars x y\nweight 1 2\norder degmin\nprecision 12\ngens:\n"
         "2*x^-1 + y^2\nx*y + 4\n"
     )
-    series_refs = _spy(monkeypatch, affinoid, "_SeriesDivision")
+    series_refs = _spy(monkeypatch, affinoid, "PolynomialMode")
     sbasis = affinoid.buchberger_P(problem.series_generators()).basis
     affinoid.reduce_P(problem.series(parse_poly(problem.ring, "x + y")), sbasis)
     gc.collect()
@@ -201,10 +203,12 @@ def test_division_adapter_lives_for_one_engine_call(monkeypatch, q_ring2):
 
 # -- the surfaces bench/spans.py counts -----------------------------------------
 # reduction.steps, reducer_tries and reducer_fires count calls of the
-# adapters' leading, shifted_lm and on_fire, and groebner.spairs counts
-# calls of groebner.spair and affinoid.spair_series; the literals below were
-# taken from the engine before S-pairs were built in one pass and the loop
-# read a reducer table, so neither may change what a counter counts
+# adapter's leading, shifted_lm and on_fire, and groebner.spairs counts
+# calls of groebner.spair and affinoid.spair_series; the fixture-gf9 and
+# cap-1-vertex literals were taken from the engine before S-pairs were built
+# in one pass and the loop read a reducer table, and the cap-1-weight and
+# poly0-2 ones before the two layers shared one adapter, so none of these
+# may change what a counter counts
 
 COUNTED_PROBLEMS = {
     # std-cones: the quoted GF(9) fixture
@@ -213,6 +217,12 @@ COUNTED_PROBLEMS = {
     # capped-series: design ideal cap-1 at seed 1, on the one-vertex polytope
     "cap-1-vertex": "ring Qp 2\nvars x y\npolytope (1,2)\norder degmin\nprecision 50\ngens:\n"
     "(-25/2)*x^-2*y^-1 + (-1/6)*y^2 + (-306/5)*x^2*y^2\n(3)*x + (4)*x*y\n",
+    # capped-series: the same ideal under the weight (1,2)
+    "cap-1-weight": "ring Qp 2\nvars x y\nweight 1 2\norder degmin\nprecision 50\ngens:\n"
+    "(-25/2)*x^-2*y^-1 + (-1/6)*y^2 + (-306/5)*x^2*y^2\n(3)*x + (4)*x*y\n",
+    # general-cones: instance poly0-2 at seed 1, on a two-vertex polytope
+    "poly0-2": "ring Qp 2\nvars x y\npolytope (1,1) (0,1)\norder degmin\nprecision 8\ngens:\n"
+    "(-3/5)*y^-1 + (2)\n(-5/3)*x^-1 + (-2/9)\n",
 }
 
 COUNTED_CALLS = {
@@ -227,6 +237,18 @@ COUNTED_CALLS = {
         ("gb", "spair"): 18,
         ("check", "leading"): 64, ("check", "shifted_lm"): 310, ("check", "on_fire"): 63,
         ("check", "spair"): 18,
+    },
+    "cap-1-weight": {
+        ("gb", "leading"): 67, ("gb", "shifted_lm"): 339, ("gb", "on_fire"): 60,
+        ("gb", "spair"): 18,
+        ("check", "leading"): 64, ("check", "shifted_lm"): 310, ("check", "on_fire"): 63,
+        ("check", "spair"): 18,
+    },
+    "poly0-2": {
+        ("gb", "leading"): 8, ("gb", "shifted_lm"): 26, ("gb", "on_fire"): 8,
+        ("gb", "spair"): 4,
+        ("check", "leading"): 8, ("check", "shifted_lm"): 26, ("check", "on_fire"): 8,
+        ("check", "spair"): 4,
     },
 }
 
@@ -249,9 +271,8 @@ def _count_calls(monkeypatch, text):
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    for cls in (PolynomialMode, _SeriesDivision):
-        for name in ("leading", "shifted_lm", "on_fire"):
-            counting(cls, name, name)
+    for name in ("leading", "shifted_lm", "on_fire"):
+        counting(PolynomialMode, name, name)
     counting(groebner, "spair", "spair")
     counting(affinoid, "spair_series", "spair")
     problem = parse_problem(text)

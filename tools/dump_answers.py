@@ -1,5 +1,6 @@
-"""Write every answer of the benchmark workloads and of the CLI to one file,
-so that two checkouts can be compared byte for byte.
+"""Write every answer of the benchmark workloads and of the CLI, and every
+counted surface of the traced benchmark, to one file, so that two
+checkouts can be compared byte for byte.
 
   python3 tools/dump_answers.py CHECKOUT OUT
 
@@ -13,8 +14,10 @@ polynomial basis, ``GBResult.combinations``
 (each basis element over the generators), also recomputed with
 ``GBConfig(normalize=True)``, and at seed 1 the verdict and certificate of
 ``is_groebner`` on the basis without each one of its elements, and every
-S-pair of the basis, ``spair`` or ``spair_series`` at each collision
-generator of each cone for each pair of basis elements, with its cap; for each
+S-pair of the basis, by the S-pair function of the adapter the layer's
+engine builds (``groebner._generators``, ``affinoid._series_generators``),
+at each collision generator of each cone for each pair of basis elements,
+with its cap; for each
 general-cones basis element, every cone module (``ti_set_general(i, 8)``
 on the orthant ring, ``tij_generators(body, label, 6)`` on a polytope)
 or the exception it raised, and on a
@@ -39,16 +42,19 @@ directory ``OUT.problems``), and of ``selftest``; last, the parser's
 answers: for each expression of ``EXPRESSIONS`` and of a seeded corpus,
 over Q, GF(7) and GF(9), its terms in storage order, or the exception type
 and text (a ``ParseError`` with its line and column), and the same for
-``parse_problem`` on each of ``PROBLEMS``.  Compare two checkouts with
-``cmp``.
+``parse_problem`` on each of ``PROBLEMS``; last, for each workload, every
+per-layer metric of unit count or ratio but ``trace_overhead``, with
+``attempted`` and ``failed``, from one ``python3 bench/run.py --workload W
+--seed 3 --trace 1`` run in CHECKOUT.  Compare two checkouts with ``cmp``.
 """
 
 import contextlib
 import io
 import itertools
+import json
 import random
+import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 WORKLOADS = ("std-cones", "general-cones", "capped-series")
@@ -205,21 +211,18 @@ def main():
                 if res is not None:
                     emit(f"{name} {res}")
 
-    def spairs(basis, mode):
+    def spairs(basis):
         """Every S-pair of a basis: per pair, cone and collision generator,
         the S-pair with its cap, or the exception."""
+        capped = isinstance(basis[0], affinoid.CappedSeries)
+        adapter = (affinoid._series_generators if capped else groebner._generators)(basis)[2]
+        body = adapter.body
         for a, b in itertools.combinations(range(len(basis)), 2):
             f, g = basis[a], basis[b]
-            if mode is None:
-                division = reduction.PolynomialMode(f.ring)
-                make, fb, gb = groebner.spair, f, g
-            else:
-                division = mode
-                make, fb, gb = partial(affinoid.spair_series, mode), f.body, g.body
-            for label in division.labels:
-                collisions = guarded(f"U_{label} {a} {b}", division.u_set, fb, gb, label)
+            for label in adapter.labels:
+                collisions = guarded(f"U_{label} {a} {b}", adapter.u_set, body(f), body(g), label)
                 for v in collisions or ():
-                    s = guarded(f"spair {a} {b} {label} {v}", make, label, f, g, v)
+                    s = guarded(f"spair {a} {b} {label} {v}", adapter.spair, label, f, g, v)
                     if s is not None:
                         cap = getattr(s, "cap", None)
                         emit(f"spair {a} {b} {label} {v} cap {cap} " + text(s))
@@ -256,7 +259,7 @@ def main():
                 certificates[0] = False
                 emit(f"check {guarded('check', case.check, res.basis)}")
                 if seed == 1:
-                    spairs(res.basis, case.mode)
+                    spairs(res.basis)
                 if case.mode is None:
                     combinations(case.gens)
                     if seed == 1:
@@ -364,6 +367,20 @@ def main():
     emit("== problem files")
     for body in PROBLEMS:
         emit(f"{body!r} -> {parsed(cli.parse_problem, body)}")
+
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    counted = [
+        m["name"] for m in spec["per_layer"]
+        if m["unit"] in ("count", "ratio") and m["name"] != "trace_overhead"
+    ]
+    for wl in WORKLOADS:
+        argv = [sys.executable, "bench/run.py", "--workload", wl, "--seed", "3", "--trace", "1"]
+        proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        emit(f"== bench {wl} seed 3 trace")
+        for name in counted:
+            emit(f"{name} {result['metrics'][name]['value']!r}")
+        emit(f"attempted {result['attempted']} failed {result['failed']}")
     out_path.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} lines written to {out_path}")
 

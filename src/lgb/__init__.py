@@ -18,7 +18,7 @@ from lgb.lattice import (
     validate_decomposition,
 )
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order, validate_gmo
-from lgb.laurent import LaurentPoly, LaurentRing, RingError, u_intersection
+from lgb.laurent import ConeModule, LaurentMode, LaurentPoly, LaurentRing, RingError, cone_module
 from lgb.reduction import ReductionResult, reduce
 from lgb.groebner import (
     GBConfig,
@@ -55,10 +55,12 @@ __all__ = [
     "ScoreFunction",
     "make_order",
     "validate_gmo",
+    "ConeModule",
+    "LaurentMode",
     "LaurentPoly",
     "LaurentRing",
     "RingError",
-    "u_intersection",
+    "cone_module",
     "ReductionResult",
     "reduce",
     "GBConfig",

@@ -27,15 +27,14 @@ integer dots; a ``Fraction`` is built only for a value handed back to the
 caller (``term_val``, the ``val_*`` valuations).  There is no pairwise
 term comparator and no per-vertex ``Fraction`` valuation beside them.
 
-``PolytopeMode.shifted_lm`` keys the terms of X^t g from integers cached
-per polynomial (exponent, valuation times the denominator, dot product
-with each scaled vertex), so testing t against a T_{i,j} module builds no
-product.  With several vertices, T_{i,j}(f) is described exactly by
-integer cells (``_tij_cells``), and its generators come from the search
-the Laurent layer's general cone modules use too,
-``lattice._certified_generators``: it widens a box from a witness until a
-Fourier-Motzkin certificate proves the set complete, so every module it
-returns is certified.
+The weight mode and the one-vertex polytope mode view their cone modules
+(``laurent.cone_module``) as the Laurent module of the initial form.  With
+several vertices ``PolytopeMode`` supplies T_{i,j}(f) itself: its member
+test, the integer cells that describe it exactly (``_tij_cells``), and a
+witness.  ``PolytopeMode.shifted_lm`` keys the terms of X^t g from
+integers cached per polynomial (exponent, valuation times the
+denominator, dot product with each scaled vertex), so testing t against a
+T_{i,j} module builds no product.
 
 ``spair_series`` builds an S-pair in one pass over the two supports into
 one term dict and one ``CappedSeries``, cutting as the composition of
@@ -48,7 +47,7 @@ with both parts, and change its coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd as _gcd
@@ -61,8 +60,6 @@ from lgb.lattice import (
     ConicDecomposition,
     IncompleteSearchError,
     ValidationReport,
-    _certified_generators,
-    _satisfies,
     box_points,
     cone_from_halfspaces,
     fm_feasible,
@@ -73,7 +70,7 @@ from lgb.lattice import (
     vdot,
     vsub,
 )
-from lgb.laurent import LaurentPoly, LaurentRing, Term, _ti_cells, format_poly, u_intersection
+from lgb.laurent import LaurentMode, LaurentPoly, LaurentRing, Term, _ti_cells, format_poly
 from lgb.reduction import PolynomialMode, division_loop, residual
 
 
@@ -274,22 +271,28 @@ class RefinedDecomposition:
     entries: tuple
     decomposition: ConicDecomposition
     context: PolytopeContext
+    _by_label: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_label = {(i, j): (k, c) for k, (i, j, c) in enumerate(self.entries)}
+        object.__setattr__(self, "_by_label", by_label)
 
     @property
     def labels(self):
         return tuple((i, j) for i, j, _ in self.entries)
 
+    def _entry(self, label):
+        """(flat index, cone) of a label."""
+        entry = self._by_label.get(label)
+        if entry is None:
+            raise AffinoidError(f"no cone labeled {label}")
+        return entry
+
     def cone(self, label) -> Cone:
-        for i, j, c in self.entries:
-            if (i, j) == label:
-                return c
-        raise AffinoidError(f"no cone labeled {label}")
+        return self._entry(label)[1]
 
     def flat_index(self, label) -> int:
-        for k, (i, j, _) in enumerate(self.entries):
-            if (i, j) == label:
-                return k
-        raise AffinoidError(f"no cone labeled {label}")
+        return self._entry(label)[0]
 
     def validate(self, box_radius: int) -> ValidationReport:
         report = validate_decomposition(self.decomposition, box_radius)
@@ -363,7 +366,8 @@ def _new_refined_decomposition(ctx, base):
 class WeightMode:
     """Division machinery for a ring under a single-weight term order."""
 
-    __slots__ = ("ring", "context", "labels", "_initials")
+    __slots__ = ("ring", "context", "labels", "_initials", "_laurent")
+    search_radius = 8
 
     def __init__(self, ring: LaurentRing, context: WeightContext):
         if context.n != ring.n:
@@ -372,6 +376,7 @@ class WeightMode:
         self.context = context
         self.labels = tuple(range(len(ring.order.decomposition.cones)))
         self._initials = {}
+        self._laurent = LaurentMode(ring)
 
     def __eq__(self, other):
         return (
@@ -407,18 +412,23 @@ class WeightMode:
     def shifted_lm(self, g: LaurentPoly, shift):
         return self.initial(g).shifted_leading_monomial(shift)
 
-    def module_contains(self, g: LaurentPoly, t, label) -> bool:
+    def member(self, g: LaurentPoly, t, label) -> bool:
         return self.initial(g).ti_contains(t, label)
 
-    def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
-        return u_intersection(self.initial(f), self.initial(g), label, 8)
+    def module_source(self, g: LaurentPoly, label):
+        """The Laurent module of the initial form (module docstring)."""
+        return self._laurent, self.initial(g), label
 
 
 class PolytopeMode:
     """Division machinery for a ring whose order refines a polytope's
     vertex regions."""
 
-    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules", "_interiors")
+    __slots__ = (
+        "ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules", "_interiors",
+        "_laurent",
+    )
+    search_radius = 6
 
     def __init__(self, ring: LaurentRing, context: PolytopeContext, refined: RefinedDecomposition):
         if context.n != ring.n:
@@ -437,6 +447,7 @@ class PolytopeMode:
         self._term_keys = {}
         self._modules = {}
         self._interiors = {}
+        self._laurent = LaurentMode(ring) if context.nvertices == 1 else None
 
     def __eq__(self, other):
         return (
@@ -501,53 +512,35 @@ class PolytopeMode:
             raise AffinoidError("the zero series has no leading term")
         return best
 
-    def module_contains(self, g: LaurentPoly, t, label) -> bool:
+    def member(self, g: LaurentPoly, t, label) -> bool:
         """t in T_{i,j}(g): the shifted leading monomial lands in the cone
         and in V_{i,<}."""
         i, _ = label
-        cone = self.refined.cone(label)
         lm = self.shifted_lm(g, t)
-        return cone.contains(lm) and self.context.in_vi_less(i, lm)
+        return self.refined.cone(label).contains(lm) and self.context.in_vi_less(i, lm)
 
-    # ------------------------------------------------------------------
-    def tij_generators(self, f: LaurentPoly, label, search_radius=6):
-        """Generators of T_{i,j}(f), certified complete: the minimal elements
-        of the cells ``_tij_cells`` reached from a witness and a box widened
-        up to ``search_radius`` (``lattice._certified_generators``), each
-        re-checked with ``module_contains``.  The witness is the first member
-        on the walk from the cone witness along an interior direction; with
-        none in 2 * search_radius + 2 steps, IncompleteSearchError.  Memoized
-        on the mode per polynomial and label, whatever the ceiling; failures
-        are not.  One vertex defers to the Laurent modules."""
-        if f.is_zero():
-            raise AffinoidError("the zero series has no cone module")
-        if self.context.nvertices == 1:
-            body = self.initial(f, 1)
-            flat = self.refined.flat_index(label)
-            if self.ring.standard_cones:
-                return [body.ti_generator(flat)]
-            return body.ti_set_general(flat, search_radius)
-        cached = self._modules.get((f, label))
-        if cached is not None:
-            return list(cached)
-        member = lambda t: self.module_contains(f, t, label)
-        witness = f.cone_witness(self.refined.flat_index(label))
+    def module_source(self, g: LaurentPoly, label):
+        """With one vertex, the Laurent module of the initial form."""
+        if self._laurent is None:
+            return self, g, label
+        return self._laurent, self.initial(g, 1), self.refined.flat_index(label)
+
+    def memo(self, g: LaurentPoly, label):
+        return self._modules, (g, label)
+
+    def module_search(self, g: LaurentPoly, label, search_radius):
+        """(cone, cells, witness) of T_{i,j}(g): the witness is the first
+        member on the walk from the cone witness along an interior
+        direction; IncompleteSearchError with none in 2 * search_radius + 2
+        steps."""
+        cells = _tij_cells(self, g, label)
+        t = g.cone_witness(self.refined.flat_index(label))
         interior = self._interior_vector(label)
         for _ in range(2 * search_radius + 2):
-            if member(witness):
-                break
-            witness = vadd(witness, interior)
-        else:
-            raise IncompleteSearchError(
-                f"no witness for cone {label} within radius {search_radius}"
-            )
-        base, factors = _tij_cells(self, f, label)
-        minimal = _certified_generators(
-            lambda p: _satisfies(base, factors, p), (base, factors), self.refined.cone(label),
-            witness, search_radius, member,
-        )
-        self._modules[(f, label)] = minimal
-        return list(minimal)
+            if self.member(g, t, label):
+                return self.refined.cone(label), cells, t
+            t = vadd(t, interior)
+        raise IncompleteSearchError(f"no witness for cone {label} within radius {search_radius}")
 
     def _interior_vector(self, label):
         """The first nonzero point of the boxes of radius 1 to 7 strictly
@@ -561,17 +554,6 @@ class PolytopeMode:
         if self._interiors[label] is None:
             raise AffinoidError(f"cone {label} has no interior lattice direction")
         return self._interiors[label]
-
-    def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
-        if self.context.nvertices == 1:
-            flat = self.refined.flat_index(label)
-            return u_intersection(self.initial(f, 1), self.initial(g, 1), flat, 6)
-        cone = self.refined.cone(label)
-        lmf, _ = self.cone_leading(f, label)
-        lmg, _ = self.cone_leading(g, label)
-        fam_f = [vadd(a, lmf) for a in self.tij_generators(f, label, 6)]
-        fam_g = [vadd(b, lmg) for b in self.tij_generators(g, label, 6)]
-        return cone.module_intersection(fam_f, fam_g)
 
 
 def _tij_cells(mode: PolytopeMode, f: LaurentPoly, label):
@@ -735,7 +717,7 @@ def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeri
     lmf, lcf = mode.cone_leading(f.body, label)
     lmg, lcg = mode.cone_leading(g.body, label)
     tf, tg = vsub(v, lmf), vsub(v, lmg)
-    if not mode.module_contains(f.body, tf, label) or not mode.module_contains(g.body, tg, label):
+    if not mode.member(f.body, tf, label) or not mode.member(g.body, tg, label):
         raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
     ctx = mode.context
     scaled_val = ctx.scaled_val

@@ -44,7 +44,9 @@ from lgb.coeffs import FieldError, FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import GBConfig, ResourceLimitError, buchberger, is_groebner
 from lgb.lattice import LatticeError, build_decomposition, vadd
-from lgb.laurent import LaurentPoly, LaurentRing, RingError, format_exponent, format_poly
+from lgb.laurent import (
+    LaurentMode, LaurentPoly, LaurentRing, RingError, cone_module, format_exponent, format_poly,
+)
 from lgb.reduction import reduce
 
 
@@ -521,40 +523,17 @@ def cmd_check(args) -> int:
 
 def cmd_info(args) -> int:
     problem = _load(args)
-    poly = parse_poly(problem.ring, args.poly)
     ring = problem.ring
-    if problem.capped:
-        series = problem.series(poly)
-        mode = problem.mode
-        lt = series.leading_term()
-        print(f"lm: {_monomial_text(ring, lt.exp)}")
-        for label in mode.labels:
-            lm, _ = mode.cone_leading(series.body, label)
-            print(f"lm_{label}: {_monomial_text(ring, lm)}")
-        if isinstance(mode, PolytopeMode):
-            for label in mode.labels:
-                gens = mode.tij_generators(series.body, label)
-                text = ", ".join(_monomial_text(ring, g) for g in gens)
-                print(f"T_{label} generators: {text}")
-        else:
-            for label in mode.labels:
-                gen = mode.initial(series.body).ti_generator(label)
-                print(f"T_{label} generator: {_monomial_text(ring, gen)}")
-        return 0
-    lm, _, _ = poly.leading_data()
-    print(f"lm: {_monomial_text(ring, lm)}")
-    ncones = len(ring.order.decomposition.cones)
-    for i in range(ncones):
-        lm_i, _, _ = poly.cone_leading_data(i)
-        print(f"lm_{i}: {_monomial_text(ring, lm_i)}")
-    for i in range(ncones):
-        if ring.standard_cones:
-            gen = poly.ti_generator(i)
-            print(f"T_{i} generator: {_monomial_text(ring, gen)}")
-        else:
-            gens = poly.ti_set_general(i, search_radius=8)
-            text = ", ".join(_monomial_text(ring, g) for g in gens)
-            print(f"T_{i} generators: {text}")
+    poly = parse_poly(ring, args.poly)
+    mode = problem.mode or LaurentMode(ring)
+    body = problem.series(poly).body if problem.capped else poly
+    print(f"lm: {_monomial_text(ring, mode.leading(body).exp)}")
+    for label in mode.labels:
+        print(f"lm_{label}: {_monomial_text(ring, mode.cone_leading(body, label)[0])}")
+    noun = "generators" if isinstance(mode, PolytopeMode) else "generator"
+    for label in mode.labels:
+        gens = cone_module(mode, body, label).generators
+        print(f"T_{label} {noun}: " + ", ".join(_monomial_text(ring, g) for g in gens))
     return 0
 
 

@@ -69,9 +69,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from lgb.laurent import LaurentPoly, RingError
+from lgb.laurent import LaurentMode, LaurentPoly, RingError, cone_module
 from lgb.lattice import vadd, vsub
-from lgb.reduction import LaurentMode, PolynomialMode, _memoized, _reduce, reduce
+from lgb.reduction import PolynomialMode, _memoized, _reduce, reduce
 
 
 class ResourceLimitError(RuntimeError):
@@ -170,15 +170,20 @@ def _spair(adapter, label, f, g, v):
     return s
 
 
+def _u_set(adapter, f, g, label):
+    """U_label of the bodies of f and g: M_label(f) meets M_label(g)."""
+    mode, body = adapter.mode, adapter.body
+    return cone_module(mode, body(f), label).intersection(cone_module(mode, body(g), label))
+
+
 def _collisions(adapter, basis, a, b, chain):
     """(label, v, skip) for each collision generator v of basis[a] and
     basis[b], label by label in collision order; ``skip`` says whether
     ``chain`` (a ``_Chain``, or None for an exhaustive scan) skips the
     S-pair."""
-    body = adapter.body
     for label in adapter.labels:
         if chain is None:
-            for v in adapter.u_set(body(basis[a]), body(basis[b]), label):
+            for v in _u_set(adapter, basis[a], basis[b], label):
                 yield label, v, False
         else:
             for v in chain.u_set(a, b, label):
@@ -263,7 +268,7 @@ class _Chain:
         key = (x, y, label)
         u = self._u.get(key)
         if u is None:
-            u = self._u[key] = self.adapter.u_set(self.basis[x], self.basis[y], label)
+            u = self._u[key] = _u_set(self.adapter, self.basis[x], self.basis[y], label)
         return u
 
     def connected(self, a, b, label, v) -> bool:
@@ -283,22 +288,20 @@ class _Chain:
         """The union-find of (label, v) over E and its free edges, brought
         up to the current basis, or None while no element besides a and b
         has v in its module (nothing to chain)."""
-        adapter, basis = self.adapter, self.basis
+        mode, basis = self.adapter.mode, self.basis
         parent, start = self._groups.get((label, v), (None, 0))
         if start == len(basis):
             return parent
         new = [
             h for h in range(start, len(basis))
-            if h == a or h == b or adapter.module_contains(
-                basis[h], vsub(v, adapter.cone_leading(basis[h], label)[0]), label
-            )
+            if h == a or h == b or v in cone_module(mode, basis[h], label)
         ]
         if parent is None:
             if len(new) == 2:
                 return None
             parent = {}
         self._groups[(label, v)] = (parent, len(basis))
-        cone = adapter.mode.ring.order.decomposition[label]
+        cone = mode.ring.order.decomposition[label]
         for y in new:
             members = list(parent)
             parent[y] = y

@@ -168,10 +168,10 @@ def _tightened(a, b):
     return (tuple(x // g for x in a), b // g) if g > 1 else (a, b)
 
 
-def _certified_generators(member, cells, cone, witness, search_radius, verify):
+def _certified_generators(cells, cone, witness, search_radius, verify):
     """Sorted generators of a cone module given exactly by the cell
-    description ``cells = (base, factors)`` (see ``_satisfies``), whose
-    points ``member`` tests: the minimal elements reached from ``witness``
+    description ``cells = (base, factors)``, whose integer points
+    ``_satisfies`` tests: the minimal elements reached from ``witness``
     and the box of radius 0, 1, 2, 4, ... up to ``search_radius``, widened
     until the certificate proves the set complete.  Each generator is
     re-checked with ``verify``, and a disagreement raises LatticeError;
@@ -200,7 +200,7 @@ def _certified_generators(member, cells, cone, witness, search_radius, verify):
     radius = 0
     while True:
         starts = itertools.chain(box_points(cone.n, radius), [witness])
-        minimal = minimal_elements(member, cone.generators, starts)
+        minimal = minimal_elements(lambda p: _satisfies(base, factors, p), cone.generators, starts)
         # outside g + C: h.(p - g) <= -1 for one half-space h
         outside = [[[(vneg(h), vdot(h, g) - 1)] for h in cone.halfspaces] for g in minimal]
         complete = not _some_choice_feasible(base, outside + factors, cone.n)
@@ -484,7 +484,7 @@ class Cone:
         return len(self.generators[0])
 
     def contains(self, v) -> bool:
-        return all(vdot(h, v) >= 0 for h in self.halfspaces)
+        return all(sum(map(mul, h, v)) >= 0 for h in self.halfspaces)
 
     @property
     def is_simplicial(self) -> bool:
@@ -533,14 +533,10 @@ class Cone:
         return u, v
 
     def shifted_intersection(self, a, b):
-        """g with (a + cone) .intersection. (b + cone) = g + cone."""
-        ca = self._coords(a)
-        cb = self._coords(b)
-        top = tuple(max(x, y) for x, y in zip(ca, cb))
-        g = tuple(0 for _ in range(self.n))
-        for c, gen in zip(top, self.generators):
-            g = vadd(g, vscale(c, gen))
-        return g
+        """g with (a + cone) .intersection. (b + cone) = g + cone: in generator
+        coordinates, the larger of a's and b's."""
+        top = tuple(map(max, self._coords(a), self._coords(b)))
+        return tuple(sum(map(mul, top, column)) for column in zip(*self.generators))
 
     def module_intersection(self, fam_a, fam_b):
         """Minimal generators of (fam_a + cone) intersected with (fam_b + cone)."""

@@ -1,36 +1,39 @@
-"""Laurent polynomial arithmetic and per-cone leading data.
+"""Laurent polynomial arithmetic, per-cone leading data, and the cone
+module value every layer shares.
 
-For a nonzero Laurent polynomial f and a cone index i the engine provides
-the leading monomial inside cone i (computed through a witness translation
-that pushes the support into the cone), the shifted-cone module
-``{t : lm(tf) in T_i}`` either as a single generator (standard
-decomposition, by descent) or as a finite generating set (general case),
-and the collision-monomial modules used to form S-pairs.  Both kinds of
-module are memoized on the polynomial.
+The cone-i leading monomial of a nonzero f is computed through a witness
+translation that pushes the support into cone i.
 
-The general case describes the module exactly in factored form
-(``_ti_cells``): base inequalities, and per competing cone a factor whose
-options are inequality lists; a point is a member when it satisfies the
-base and one option of every factor.  The product of the factors, a union
-of polyhedra, is never expanded: membership tests factor by factor, and
-the completeness certificate walks the options depth first, pruning every
-partial system that Fourier-Motzkin proves empty.  The generators come
-from ``lattice._certified_generators``, the search the polytope layer's
-T_{i,j} modules share: from each line of box points along the first cone
-generator, only the top point is tested and slides down the generators to
-a minimal member, with the integer membership test memoized for one search.
-The box widens from the origin only while the certificate fails, and a
-certified set, the module's unique minimal generating set, is kept per cone.
+A cone module is one immutable ``ConeModule`` built by one function,
+``cone_module(mode, f, label)``: T(f) = {t : lm(X^t f) in cone} under the
+mode's order, T_i(f) for Laurent polynomials (Pauer and Unterkircher,
+AAECC 1999) and T_{i,j}(f) over a polytope.  In every layer t in T implies
+lm(X^t f) = t + lm_label(f), so M = lm_label(f) + T holds the collision
+monomials: the value tests ``v in M`` against its shifted generators and
+intersects with another module to U (``Cone.module_intersection``).  The
+weight mode and the one-vertex polytope mode view their modules as the
+Laurent module of an initial form (``module_source``).  A Laurent module
+is memoized on its polynomial, a polytope one on its mode.  On the
+standard cones a module is principal, g + C, found by one descent from the
+cone witness; any other is certified complete over the mode's cells by
+``lattice._certified_generators`` at the mode's search ceiling, or raises.
+
+The Laurent cells (``_ti_cells``) describe T_i(f) exactly in factored
+form: base inequalities, and per competing cone a factor whose options are
+inequality lists; a point is a member when it satisfies the base and one
+option of every factor.  The product is never expanded: membership tests
+factor by factor, and the certificate walks the options depth first,
+pruning every partial system that Fourier-Motzkin proves empty.
 
 Terms are ranked only by ``GeneralizedOrder.key``: leading data take keyed
 maxima, and ``format_poly`` and ``sorted_terms`` sort by a key function,
 the order's key or a capped series' ``term_key``, never by a pairwise
-comparator.  ``ti_generator`` serves the standard cones only; elsewhere a
-module may need several generators, ``ti_set_general``.
+comparator.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -38,9 +41,8 @@ from typing import NamedTuple
 from lgb.coeffs import Coefficient, FieldSpec
 from lgb.gmo import GeneralizedOrder
 from lgb.lattice import (
-    LatticeError,
+    Cone,
     _certified_generators,
-    _satisfies,
     is_standard_decomposition,
     vadd,
     vdot,
@@ -281,52 +283,6 @@ class LaurentPoly:
         cone = self.ring.order.decomposition[i]
         return cone.contains(self.shifted_leading_monomial(t))
 
-    def ti_generator(self, i):
-        """Generator g with {t : lm(X^t f) in T_i} = g + T_i (standard
-        decomposition; LatticeError on any other), found by per-generator
-        descent from a witness and memoized on the polynomial."""
-        cached = self._cone_cache.get(("ti", i))
-        if cached is not None:
-            return cached
-        if not self.ring.standard_cones:
-            raise LatticeError(
-                "the cone module is monogenous only on the standard cones; use ti_set_general"
-            )
-        if self.is_zero():
-            raise UndefinedLeadingError("the zero polynomial has no cone module")
-        cone = self.ring.order.decomposition[i]
-        t = self.cone_witness(i)
-        if not self.ti_contains(t, i):
-            raise AssertionError(f"cone witness {t} lies outside T_{i}")
-        for h in cone.generators:
-            while self.ti_contains(t, i):
-                t = vsub(t, h)
-            t = vadd(t, h)
-        self._cone_cache[("ti", i)] = t
-        return t
-
-    def ti_set_general(self, i, search_radius: int):
-        """Generating set of {t : lm(X^t f) in T_i} as a T_i-module: the
-        minimal elements of the factored description of ``_ti_cells``
-        reached from the cone witness and the box of radius 0, 1, 2, 4, ...
-        up to ``search_radius``, widened until the certificate proves the set
-        complete (``lattice._certified_generators``); raises
-        IncompleteSearchError when it cannot at ``search_radius``.  A
-        certified set is the module's unique minimal generating set, so it
-        is memoized per cone; failures are not."""
-        if self.is_zero():
-            raise UndefinedLeadingError("the zero polynomial has no cone module")
-        cached = self._cone_cache.get(("general", i))
-        if cached is not None:
-            return list(cached)
-        base, factors = _ti_cells(self, i)
-        minimal = _certified_generators(
-            lambda p: _satisfies(base, factors, p), (base, factors), self.ring.order.decomposition[i],
-            self.cone_witness(i), search_radius, lambda g: self.ti_contains(g, i),
-        )
-        self._cone_cache[("general", i)] = minimal
-        return list(minimal)
-
     # -- display -----------------------------------------------------------
     def sorted_terms(self, key=None):
         """Terms in descending order of ``key(coef, exp)``, by default the
@@ -399,21 +355,95 @@ def _ti_cells(f: LaurentPoly, i):
     return base, factors
 
 
-def u_intersection(f: LaurentPoly, g: LaurentPoly, i, search_radius: int = 8):
-    """Generators of the intersection of the shifted modules
-    lm_i(f)*T_i(f) and lm_i(g)*T_i(g) (the collision monomials)."""
-    f._check(g)
-    ring = f.ring
-    cone = ring.order.decomposition[i]
-    lmf = f.cone_leading_data(i)[0]
-    lmg = g.cone_leading_data(i)[0]
-    if ring.standard_cones:
-        a = vadd(f.ti_generator(i), lmf)
-        b = vadd(g.ti_generator(i), lmg)
-        return [cone.shifted_intersection(a, b)]
-    fam_f = [vadd(a, lmf) for a in f.ti_set_general(i, search_radius)]
-    fam_g = [vadd(b, lmg) for b in g.ti_set_general(i, search_radius)]
-    return cone.module_intersection(fam_f, fam_g)
+class LaurentMode:
+    """The Laurent layer's mode: terms keyed by the ring order, cone leading
+    data and modules of the polynomials themselves (module docstring)."""
+
+    __slots__ = ("ring", "labels")
+    search_radius = 8
+
+    def __init__(self, ring: LaurentRing):
+        self.ring = ring
+        self.labels = tuple(range(len(ring.order.decomposition.cones)))
+
+    def term_key(self, coef, exp):
+        return self.ring.order.key(exp)
+
+    def leading(self, g: LaurentPoly) -> Term:
+        return g.leading_data()[2]
+
+    def cone_leading(self, g: LaurentPoly, label):
+        lm, lc, _ = g.cone_leading_data(label)
+        return lm, lc
+
+    def shifted_lm(self, g: LaurentPoly, shift):
+        return g.shifted_leading_monomial(shift)
+
+    def member(self, g: LaurentPoly, t, label) -> bool:
+        return g.ti_contains(t, label)
+
+    def module_source(self, g: LaurentPoly, label):
+        return self, g, label
+
+    def memo(self, g: LaurentPoly, label):
+        return g._cone_cache, ("module", label)
+
+    def module_search(self, g: LaurentPoly, label, search_radius):
+        """(cone, cells, witness) of T_label(g), no cells where principal."""
+        cells = None if self.ring.standard_cones else _ti_cells(g, label)
+        return self.ring.order.decomposition[label], cells, g.cone_witness(label)
+
+
+@dataclass(frozen=True, slots=True)
+class ConeModule:
+    """T = {t : lm(X^t f) in cone} of one polynomial at one cone label, with
+    lm = lm_label(f) and the generators of T; ``shifted`` generates the
+    shifted module M = lm + T (module docstring)."""
+
+    cone: Cone
+    lm: tuple
+    generators: tuple
+    shifted: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shifted", tuple(vadd(self.lm, g) for g in self.generators))
+
+    def __contains__(self, v) -> bool:
+        """Whether v lies in M."""
+        return any(self.cone.contains(vsub(v, s)) for s in self.shifted)
+
+    def intersection(self, other: "ConeModule"):
+        """The generators U of M intersected with the other module's M."""
+        return self.cone.module_intersection(self.shifted, other.shifted)
+
+
+def cone_module(mode, f: LaurentPoly, label, search_radius=None) -> ConeModule:
+    """The cone module of f at a cone label of a mode, memoized where its
+    source mode says (module docstring).  A principal module is one descent
+    from the witness; any other is certified over the cells by
+    ``lattice._certified_generators`` within ``search_radius``, by default
+    the mode's ceiling, and raises IncompleteSearchError when it cannot be."""
+    source, f, label = mode.module_source(f, label)
+    memo, key = source.memo(f, label)
+    module = memo.get(key)
+    if module is not None:
+        return module
+    if search_radius is None:
+        search_radius = mode.search_radius
+    cone, cells, t = source.module_search(f, label, search_radius)
+    member = lambda t: source.member(f, t, label)
+    if cells is None:
+        if not member(t):
+            raise AssertionError(f"cone witness {t} lies outside T_{label}")
+        for h in cone.generators:
+            while member(t):
+                t = vsub(t, h)
+            t = vadd(t, h)
+        generators = (t,)
+    else:
+        generators = _certified_generators(cells, cone, t, search_radius, member)
+    module = memo[key] = ConeModule(cone, source.cone_leading(f, label)[0], tuple(generators))
+    return module
 
 
 # -- formatting ----------------------------------------------------------------

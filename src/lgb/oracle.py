@@ -180,7 +180,8 @@ def selftest(out=print) -> bool:
     from lgb.affinoid import PolytopeContext, val_polytope
     from lgb.coeffs import FieldSpec
     from lgb.groebner import buchberger, ideal_membership, is_groebner
-    from lgb.laurent import LaurentRing
+    from lgb.laurent import LaurentMode, LaurentRing, _ti_cells, cone_module
+    from lgb.lattice import _certified_generators, box_points
     from lgb.gmo import make_order
     from lgb.reduction import reduce
 
@@ -248,20 +249,18 @@ def selftest(out=print) -> bool:
                 ok = False
     record("membership agrees with the saturation oracle", ok)
 
+    # the principal generator against the certified search on the cells
     ok = True
     for _ in range(10):
         f = random_poly(ring)
         for i in range(3):
-            gen = f.ti_generator(i)
-            general = f.ti_set_general(i, search_radius=6)
-            if general != [gen]:
-                ok = False
-            brute = brute_ti(f, i, 5)
+            (gen,) = cone_module(LaurentMode(ring), f, i).generators
             cone = ring.order.decomposition[i]
-            from lgb.lattice import box_points, vsub
-
+            member = lambda t: f.ti_contains(t, i)
+            if _certified_generators(_ti_cells(f, i), cone, f.cone_witness(i), 6, member) != [gen]:
+                ok = False
             expect = {t for t in box_points(2, 5) if cone.contains(vsub(t, gen))}
-            if brute != expect:
+            if brute_ti(f, i, 5) != expect:
                 ok = False
     record("cone modules agree with direct evaluation", ok)
 

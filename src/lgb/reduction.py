@@ -9,10 +9,11 @@ and take the first pair whose cone leading monomial cancels the current
 leading term without introducing a larger one.
 
 A layer is a mode with ``ring``, ``labels``, ``term_key``,
-``cone_leading``, ``shifted_lm``, ``module_contains`` and ``u_set``:
-``LaurentMode`` here, ``affinoid.WeightMode`` and ``PolytopeMode``.  Each
-engine call builds one adapter over its mode, ``PolynomialMode``, which
-also holds the layer's S-pair, divide and body functions for ``groebner``.
+``cone_leading`` and ``shifted_lm``, and the cone-module protocol of
+``laurent.cone_module``: ``laurent.LaurentMode``, ``affinoid.WeightMode``
+and ``PolytopeMode``.  Each engine call builds one adapter over its mode,
+``PolynomialMode``, which also holds the layer's S-pair, divide and body
+functions for ``groebner``.
 
 The work polynomial is a mutable ``{exp: coef}`` map with a parallel
 ``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from lgb.laurent import LaurentPoly, LaurentRing, Term, u_intersection
+from lgb.laurent import LaurentMode, LaurentPoly, Term
 from lgb.lattice import vadd, vsub
 
 
@@ -66,46 +67,13 @@ def _memoized(table, g, arg, compute):
     return value
 
 
-class LaurentMode:
-    """The Laurent layer's mode: terms keyed by the ring order, cone
-    leading data and modules of the polynomials themselves."""
-
-    __slots__ = ("ring", "labels")
-
-    def __init__(self, ring: LaurentRing):
-        self.ring = ring
-        self.labels = tuple(range(len(ring.order.decomposition.cones)))
-
-    def term_key(self, coef, exp):
-        return self.ring.order.key(exp)
-
-    def cone_leading(self, g: LaurentPoly, label):
-        lm, lc, _ = g.cone_leading_data(label)
-        return lm, lc
-
-    def shifted_lm(self, g: LaurentPoly, shift):
-        return g.shifted_leading_monomial(shift)
-
-    def module_contains(self, g: LaurentPoly, t, label) -> bool:
-        """Whether t lies in T_label(g), tested against the module's cached
-        generators: ``ti_generator`` on standard cones, else
-        ``ti_set_general`` at the radius ``u_intersection`` uses."""
-        cone = self.ring.order.decomposition[label]
-        if self.ring.standard_cones:
-            return cone.contains(vsub(t, g.ti_generator(label)))
-        return any(cone.contains(vsub(t, gen)) for gen in g.ti_set_general(label, 8))
-
-    def u_set(self, f: LaurentPoly, g: LaurentPoly, label):
-        return u_intersection(f, g, label)
-
-
 class PolynomialMode:
     """The division and Buchberger adapter of one engine call over a mode
     (module docstring); ``bound`` is ceil(cap * den) for the cap of the
     division in progress, +inf in the Laurent layer."""
 
     __slots__ = (
-        "mode", "labels", "term_key", "cone_leading", "module_contains", "u_set",
+        "mode", "labels", "term_key", "cone_leading",
         "spair", "divide", "body", "bound", "_lms", "_leads",
     )
 
@@ -114,8 +82,6 @@ class PolynomialMode:
         self.labels = mode.labels
         self.term_key = mode.term_key
         self.cone_leading = mode.cone_leading
-        self.module_contains = mode.module_contains
-        self.u_set = mode.u_set
         self.spair, self.divide, self.body = spair, divide, body
         self.bound = math.inf
         self._lms = {}

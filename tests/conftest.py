@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from lgb import groebner, laurent
-from lgb.affinoid import AffinoidError
+from lgb import groebner, lattice, laurent
+from lgb.affinoid import AffinoidError, PolytopeContext, PolytopeMode, build_refined_decomposition
 from lgb.cli import ParseError
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
@@ -24,11 +24,55 @@ from lgb.lattice import (
     vneg,
     vsub,
 )
-from lgb.laurent import LaurentPoly, LaurentRing, UndefinedLeadingError
+from lgb.laurent import LaurentPoly, LaurentRing, UndefinedLeadingError, cone_module
 
 
 def ring_for(field, n, score="degmin", decomposition=None, names=None):
     return LaurentRing(field, n, make_order(n, score, decomposition), names)
+
+
+def polytope_mode(vertices, base="standard"):
+    """(ring, mode) of Q_2[x^±1, y^±1] ordered by degmin on the refinement
+    of the base cones by a polytope."""
+    ctx = PolytopeContext(vertices)
+    refined = build_refined_decomposition(ctx, build_decomposition(base, 2))
+    order = GeneralizedOrder(refined.decomposition, ScoreFunction("degmin", 2))
+    ring = LaurentRing(FieldSpec.padic(2), 2, order, ("x", "y"))
+    return ring, PolytopeMode(ring, ctx, refined)
+
+
+def certified_ti(f, i, search_radius):
+    """T_i(f) by the certified search run directly on the cells of
+    ``laurent._ti_cells``, which ``cone_module`` skips on the standard
+    cones."""
+    cone = f.ring.order.decomposition[i]
+    member = lambda t: f.ti_contains(t, i)
+    return lattice._certified_generators(
+        laurent._ti_cells(f, i), cone, f.cone_witness(i), search_radius, member
+    )
+
+
+def ti_generator(f, i):
+    """The generator of the principal Laurent module T_i(f)."""
+    (gen,) = cone_module(laurent.LaurentMode(f.ring), f, i).generators
+    return gen
+
+
+def ti_set_general(f, i, search_radius):
+    """The generators of the Laurent module T_i(f), searched within
+    ``search_radius``."""
+    return list(cone_module(laurent.LaurentMode(f.ring), f, i, search_radius).generators)
+
+
+def tij_generators(mode, f, label, search_radius=6):
+    """The generators of T_{i,j}(f), searched within ``search_radius``."""
+    return list(cone_module(mode, f, label, search_radius).generators)
+
+
+def collisions(mode, f, g, label):
+    """U_label(f, g) of two bodies under a mode: the generators of
+    M_label(f) intersected with M_label(g)."""
+    return cone_module(mode, f, label).intersection(cone_module(mode, g, label))
 
 
 @pytest.fixture(scope="session")
@@ -193,11 +237,11 @@ def reference_minimal_elements(member, generators, starts):
 
 
 def reference_ti_set_general(self, i, search_radius: int):
-    """``LaurentPoly.ti_set_general`` as one search from the whole radius
+    """``ti_set_general`` as one search from the whole radius
     box: the check for the search that widens its box from the origin.
-    It keeps no memo, and it reaches ``_ti_cells`` and ``_satisfies``
-    through ``lgb.laurent``, so a test that counts calls there counts this
-    search too."""
+    It keeps no memo, and it reaches ``_ti_cells`` through ``lgb.laurent``
+    and ``_satisfies`` through ``lgb.lattice``, so a test that counts calls
+    there counts this search too."""
     if self.is_zero():
         raise UndefinedLeadingError("the zero polynomial has no cone module")
     base, factors = laurent._ti_cells(self, i)
@@ -206,7 +250,7 @@ def reference_ti_set_general(self, i, search_radius: int):
         box_points(self.ring.n, search_radius), [self.cone_witness(i)]
     )
     minimal = minimal_elements(
-        lambda p: laurent._satisfies(base, factors, p), cone.generators, starts
+        lambda p: lattice._satisfies(base, factors, p), cone.generators, starts
     )
     for g in minimal:
         if not self.ti_contains(g, i):
@@ -225,14 +269,14 @@ def reference_ti_set_general(self, i, search_radius: int):
 
 
 def reference_tij_generators(self, f, label, search_radius=6):
-    """``PolytopeMode.tij_generators`` on several vertices as one search from
+    """``tij_generators`` on several vertices as one search from
     the whole radius box, with no memo and no completeness certificate: the
     check for the certified search that widens its box from the witness.
-    Its membership test is ``PolytopeMode.module_contains``."""
+    Its membership test is ``PolytopeMode.member``."""
     if f.is_zero():
         raise AffinoidError("the zero series has no cone module")
     cone = self.refined.cone(label)
-    member = lambda t: self.module_contains(f, t, label)
+    member = lambda t: self.member(f, t, label)
 
     witness = None
     t0 = f.cone_witness(self.refined.flat_index(label))
@@ -441,7 +485,7 @@ def _reference_spairs(adapter, f, g):
     key, body = adapter.term_key, adapter.body
     bf, bg = body(f), body(g)
     for label in adapter.labels:
-        for v in adapter.u_set(bf, bg, label):
+        for v in collisions(adapter.mode, bf, bg, label):
             s = adapter.spair(label, f, g, v)
             terms = body(s).terms_unordered()
             if not terms:
@@ -476,7 +520,7 @@ def reference_is_groebner(H):
 def _reference_loop_spairs(adapter, f, g, stats):
     bf, bg = adapter.body(f), adapter.body(g)
     for label in adapter.labels:
-        for v in adapter.u_set(bf, bg, label):
+        for v in collisions(adapter.mode, bf, bg, label):
             s = groebner._spair(adapter, label, f, g, v)
             if s is None:
                 stats.zero_reductions += 1
@@ -534,9 +578,7 @@ def reference_spair_series(mode, label, f, g, v):
     f._check(g)
     lmf, lcf = mode.cone_leading(f.body, label)
     lmg, lcg = mode.cone_leading(g.body, label)
-    if not mode.module_contains(f.body, vsub(v, lmf), label) or not mode.module_contains(
-        g.body, vsub(v, lmg), label
-    ):
+    if not mode.member(f.body, vsub(v, lmf), label) or not mode.member(g.body, vsub(v, lmg), label):
         raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
     return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
 

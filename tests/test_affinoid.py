@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    collisions,
+    orthant_ring,
+    polytope_mode,
     random_coeff,
     random_poly,
     reference_compare_polytope,
@@ -12,6 +15,7 @@ from conftest import (
     reference_spair_series,
     reference_tij_generators,
     ring_for,
+    tij_generators,
 )
 from lgb.affinoid import (
     AffinoidError,
@@ -31,9 +35,8 @@ from lgb.affinoid import (
 )
 from lgb.cli import parse_poly
 from lgb.coeffs import INF, FieldSpec
-from lgb.gmo import GeneralizedOrder, ScoreFunction
 from lgb.groebner import buchberger
-from lgb.laurent import LaurentRing, Term
+from lgb.laurent import LaurentMode, Term, cone_module
 from lgb.lattice import LatticeError, _satisfies, box_points, build_decomposition, vadd, vdot, vsub
 from lgb.oracle import brute_valP
 from lgb import affinoid, reduction
@@ -42,14 +45,6 @@ from lgb.reduction import reduce
 
 def q2_ring(n=2, score="degmin"):
     return ring_for(FieldSpec.padic(2), n, score)
-
-
-def polytope_mode(vertices, base="standard"):
-    ctx = PolytopeContext(vertices)
-    refined = build_refined_decomposition(ctx, build_decomposition(base, 2))
-    order = GeneralizedOrder(refined.decomposition, ScoreFunction("degmin", 2))
-    ring = LaurentRing(FieldSpec.padic(2), 2, order, ("x", "y"))
-    return ring, PolytopeMode(ring, ctx, refined)
 
 
 def example71():
@@ -358,7 +353,7 @@ def test_is_groebner_series_forms_every_spair(monkeypatch):
     gens = [CappedSeries(mode, parse_poly(ring, t), 20) for t in ("x*y + 4", "2*x + y", "x^2 - 8*y")]
     basis = buchberger_P(gens).basis
     expected = sum(
-        len(mode.u_set(f.body, g.body, label))
+        len(collisions(mode, f.body, g.body, label))
         for k, f in enumerate(basis) for g in basis[k + 1:] for label in mode.labels
     )
     calls = []
@@ -412,7 +407,7 @@ def test_spair_bound_assertion_runs():
     f = CappedSeries(mode, parse_poly(ring, "2*x + y"), cap)
     g = CappedSeries(mode, parse_poly(ring, "x*y + 4"), cap)
     for label in mode.labels:
-        for v in mode.u_set(f.body, g.body, label):
+        for v in collisions(mode, f.body, g.body, label):
             s = spair_series(mode, label, f, g, v)
             if not s.is_zero():
                 lmf, lcf = mode.cone_leading(f.body, label)
@@ -426,26 +421,26 @@ def test_tij_generators_verified_directly():
     for _ in range(10):
         f = random_poly(ring, rng, terms=2, radius=2)
         for label in mode.labels:
-            gens = mode.tij_generators(f, label, 6)
+            gens = tij_generators(mode, f, label, 6)
             assert gens
             for g in gens:
-                assert mode.module_contains(f, g, label)
+                assert mode.member(f, g, label)
             i, _ = label
             cone = refined.cone(label)
             for g in gens:
                 for k in range(len(cone.generators)):
                     w = cone.generators[k]
                     shifted = tuple(a + b for a, b in zip(g, w))
-                    assert mode.module_contains(f, shifted, label)
+                    assert mode.member(f, shifted, label)
 
 
 def test_single_term_tij_generator():
     ctx, refined, ring, mode = example71()
     f = parse_poly(ring, "4*x^2*y^-1")
     for label in mode.labels:
-        gens = mode.tij_generators(f, label, 6)
+        gens = tij_generators(mode, f, label, 6)
         for g in gens:
-            assert mode.module_contains(f, g, label)
+            assert mode.member(f, g, label)
 
 
 # example 7.1 and the polytopes of the general-cones benchmark workload
@@ -462,7 +457,7 @@ def test_shifted_lm_matches_leading_of_product(vertices):
             assert mode.shifted_lm(g, t) == mode.leading(g.term_mul(t)).exp
 
 
-# tij_generators(f, label, 6) at the labels (1,1), (1,2), (2,1), (2,2),
+# tij_generators(mode, f, label, 6) at the labels (1,1), (1,2), (2,1), (2,2),
 # computed with the per-layer box searches the shared search replaced
 TIJ_POLYS = ("2*x + y", "x*y + 4", "x^-1*y^2 - 2*x", "3*x^2*y^-1 + 4*y^-2 + 1")
 TIJ_PINS = {
@@ -498,7 +493,7 @@ def test_tij_generators_pinned(vertices):
     ring, mode = polytope_mode(vertices)
     assert mode.labels == ((1, 1), (1, 2), (2, 1), (2, 2))
     got = [
-        mode.tij_generators(parse_poly(ring, text), label, 6)
+        tij_generators(mode, parse_poly(ring, text), label, 6)
         for text in TIJ_POLYS
         for label in mode.labels
     ]
@@ -565,7 +560,7 @@ def _straddling_caps(mode, f, g):
     cap in one shifted multiple and below it in the other."""
     caps = set()
     for label in mode.labels:
-        for v in mode.u_set(f, g, label):
+        for v in collisions(mode, f, g, label):
             a, b = _shifted_multiples(mode, label, f, g, v)
             caps.update(max(a[e], b[e]) for e in a.keys() & b.keys() if a[e] != b[e])
     return caps
@@ -615,10 +610,10 @@ def test_one_pass_spair_series_matches_the_composition(vertices):
                     continue
                 for label in mode.labels:
                     try:
-                        collisions = mode.u_set(f.body, g.body, label)
+                        found = collisions(mode, f.body, g.body, label)
                     except LatticeError:
                         continue
-                    for v in collisions:
+                    for v in found:
                         s = affinoid.spair_series(mode, label, f, g, v)
                         ref = reference_spair_series(mode, label, f, g, v)
                         assert (s.body, s.cap, s.mode.ring) == (ref.body, ref.cap, ref.mode.ring)
@@ -666,28 +661,48 @@ def test_reduce_P_reverification_catches_a_dropped_quotient_term(monkeypatch, di
         reduce_P(f, gens)
 
 
-@pytest.mark.parametrize("directive", ["weight (1,2)", "polytope (1,2)", "example 7.1"])
+@pytest.mark.parametrize(
+    "directive",
+    [
+        "weight (1,2)", "polytope (1,2)", "example 7.1", "laurent standard", "laurent orthant",
+        "segment orthant",
+    ],
+)
 def test_reducer_fires_at_its_cone_leading_monomial(directive):
     """lm(X^t g) in the cone-label module implies lm(X^t g) = t + lm_label(g):
     so a division step, which fires when lm(X^shift g) is the current
     leading exponent with shift = that exponent minus lm_label(g), always
-    cancels at its cone leading monomial and needs no check."""
+    cancels at its cone leading monomial and needs no check.  The module
+    value holds exactly these t: t + lm_label(g) lies in its shifted module
+    iff lm(X^t g) lands in the cone and, over a polytope, in V_{i,<}."""
     if directive == "weight (1,2)":
         ring = q2_ring()
         mode = WeightMode(ring, WeightContext((1, 2)))
     elif directive == "polytope (1,2)":
         ring, mode = polytope_mode([(1, 2)])
+    elif directive == "example 7.1":
+        ring, mode = polytope_mode(BENCH_POLYTOPES[0])
+    elif directive == "segment orthant":
+        ring, mode = polytope_mode(SEGMENT, "orthant")
     else:
-        ring, mode = polytope_mode([(1, 1), (0, 1)])
+        ring = q2_ring() if directive == "laurent standard" else orthant_ring(2)
+        mode = LaurentMode(ring)
     rng = random.Random(directive)
     hits = 0
     for _ in range(8):
         g = random_poly(ring, rng, terms=4, radius=3)
         for label in mode.labels:
             lm_g, _ = mode.cone_leading(g, label)
+            module = cone_module(mode, g, label, 12)
             for t in box_points(2, 4):
-                if mode.module_contains(g, t, label):
-                    assert mode.shifted_lm(g, t) == vadd(t, lm_g), (g, label, t)
+                lm = mode.shifted_lm(g, t)
+                if isinstance(mode, PolytopeMode):
+                    member = mode.refined.cone(label).contains(lm) and mode.context.in_vi_less(label[0], lm)
+                else:
+                    member = ring.order.decomposition[label].contains(lm)
+                assert (vadd(t, lm_g) in module) == member, (g, label, t)
+                if member:
+                    assert lm == vadd(t, lm_g), (g, label, t)
                     hits += 1
     assert hits > 100
 
@@ -704,31 +719,28 @@ def test_tij_generators_are_memoized(monkeypatch):
     monkeypatch.setattr(affinoid, "_tij_cells", counting)
     ring, mode = polytope_mode(BENCH_POLYTOPES[0])
     f = parse_poly(ring, "x^-1*y^2 - 2*x")
-    # callers may change what they get: a miss and a hit both return a copy
-    for _ in range(2):
-        got = mode.tij_generators(f, (1, 1), 6)
-        assert got == [(1, -2)]
-        got.append((9, 9))
-        got[0] = (7, 7)
-    assert mode.tij_generators(f, (1, 1), 6) == [(1, -2)]
+    # a hit returns the same value, whose generators callers cannot change
+    module = cone_module(mode, f, (1, 1), 6)
+    assert module.generators == ((1, -2),)
+    assert cone_module(mode, f, (1, 1), 6) is module
     # an equal polynomial built separately hits the same entry
-    assert mode.tij_generators(parse_poly(ring, "x^-1*y^2 - 2*x"), (1, 1), 6) == [(1, -2)]
+    assert cone_module(mode, parse_poly(ring, "x^-1*y^2 - 2*x"), (1, 1), 6) is module
     assert len(searches) == 1
     # a certified set does not depend on the ceiling: another one is a hit
-    assert mode.tij_generators(f, (1, 1), 0) == [(1, -2)]
+    assert cone_module(mode, f, (1, 1), 0) is module
     assert len(searches) == 1
-    assert mode.tij_generators(f, (1, 2), 6) == [(1, -2)]
+    assert tij_generators(mode, f, (1, 2), 6) == [(1, -2)]
     assert len(searches) == 2
     # a failure is not cached: each attempt searches again
     ring, mode = polytope_mode(SEGMENT, "orthant")
     g = parse_poly(ring, "2*y^-3 - 8/3*x*y^-2")
     for _ in range(2):
         with pytest.raises(affinoid.IncompleteSearchError, match="within radius 1"):
-            mode.tij_generators(g, (2, 2), 1)
+            tij_generators(mode, g, (2, 2), 1)
     assert len(searches) == 4
-    found = mode.tij_generators(g, (2, 2), 8)
+    found = tij_generators(mode, g, (2, 2), 8)
     assert len(found) > 1 and len(searches) == 5
-    assert mode.tij_generators(g, (2, 2), 1) == found
+    assert tij_generators(mode, g, (2, 2), 1) == found
     assert len(searches) == 5
 
 
@@ -754,7 +766,7 @@ def test_tij_cells_agree_with_module_contains():
             for label in mode.labels:
                 base, factors = affinoid._tij_cells(mode, f, label)
                 for t in box_points(2, 6):
-                    assert _satisfies(base, factors, t) == mode.module_contains(f, t, label), (
+                    assert _satisfies(base, factors, t) == mode.member(f, t, label), (
                         text, label, t,
                     )
 
@@ -772,7 +784,7 @@ def test_widening_tij_search_agrees_with_the_whole_box_search(monkeypatch):
     from lgb import lattice
 
     tests, rounds = [], []
-    real_member, real_satisfies = PolytopeMode.module_contains, affinoid._satisfies
+    real_member, real_satisfies = PolytopeMode.member, lattice._satisfies
     real_minimal = lattice.minimal_elements
 
     def member(self, f, t, label):
@@ -787,8 +799,8 @@ def test_widening_tij_search_agrees_with_the_whole_box_search(monkeypatch):
         rounds.append(args)
         return real_minimal(*args)
 
-    monkeypatch.setattr(PolytopeMode, "module_contains", member)
-    monkeypatch.setattr(affinoid, "_satisfies", satisfies)
+    monkeypatch.setattr(PolytopeMode, "member", member)
+    monkeypatch.setattr(lattice, "_satisfies", satisfies)
     monkeypatch.setattr(lattice, "minimal_elements", minimal)
     cases = []
     for k in range(5):
@@ -808,7 +820,7 @@ def test_widening_tij_search_agrees_with_the_whole_box_search(monkeypatch):
             # a fresh mode per search, so no memo answers for another ceiling
             ring, mode = _tij_ring(k)
             del tests[:], rounds[:]
-            got = _tij_outcome(PolytopeMode.tij_generators, mode, parse_poly(ring, text), label, radius)
+            got = _tij_outcome(tij_generators, mode, parse_poly(ring, text), label, radius)
             count = len(tests)
             widened += len(rounds) > 1
             ring, mode = _tij_ring(k)

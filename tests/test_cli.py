@@ -219,16 +219,46 @@ def test_gb_verb_output(tmp_path, capsys):
     ]
 
 
-def test_info_verb_fixture(tmp_path, capsys):
-    path = write(
-        tmp_path,
+def _capped(directive):
+    return f"ring Qp 2\nvars x y\n{directive}\norder degmin\nprecision 20\ngens:\nx*y + 4\n"
+
+
+#: name -> (problem file, --poly, the whole stdout of ``lgb info``)
+INFO_CASES = {
+    "standard": (
         "ring Q\nvars x y\norder degmin\ngens:\nx^-2*y^-1 + x*y\n",
-    )
-    assert main(["info", path, "--poly", "2*x^2*y^-1 + x^-3*y - 3*y^-5"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert "lm: y^-5" in out
-    assert "lm_1: x^-3*y" in out
-    assert "T_2 generator: x*y^2" in out
+        "2*x^2*y^-1 + x^-3*y - 3*y^-5",
+        "lm: y^-5\nlm_0: x^2*y^-1\nlm_1: x^-3*y\nlm_2: y^-5\n"
+        "T_0 generator: x^2*y^3\nT_1 generator: x*y^3\nT_2 generator: x*y^2\n",
+    ),
+    "weight (1,2)": (
+        _capped("weight 1 2"),
+        "x^-1*y^2 - 2*x + 3",
+        "lm: x^-1*y^2\nlm_0: x^-1*y^2\nlm_1: x^-1*y^2\nlm_2: x^-1*y^2\n"
+        "T_0 generator: x*y^-2\nT_1 generator: x*y^-2\nT_2 generator: x*y^-2\n",
+    ),
+    "polytope (1,1)": (
+        _capped("polytope (1,1)"),
+        "x^-1*y^2 - 2*x + 3",
+        "lm: x^-1*y^2\nlm_(1, 1): x^-1*y^2\nlm_(1, 2): x^-1*y^2\nlm_(1, 3): x^-1*y^2\n"
+        "T_(1, 1) generators: x*y^-2\nT_(1, 2) generators: x*y^-2\n"
+        "T_(1, 3) generators: x*y^-2\n",
+    ),
+    "polytope (1,1),(0,1)": (
+        _capped("polytope (1,1) (0,1)"),
+        "x^-1*y^2 - 2*x + 3",
+        "lm: x^-1*y^2\nlm_(1, 1): x^-1*y^2\nlm_(1, 2): x^-1*y^2\nlm_(2, 1): x^-1*y^2\n"
+        "lm_(2, 2): x^-1*y^2\nT_(1, 1) generators: x*y^-2\nT_(1, 2) generators: x*y^-2\n"
+        "T_(2, 1) generators: y^-3\nT_(2, 2) generators: y^-3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INFO_CASES))
+def test_info_verb_fixture(tmp_path, capsys, case):
+    text, poly, expected = INFO_CASES[case]
+    assert main(["info", write(tmp_path, text), "--poly", poly]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_reduce_verb_empty_gens(tmp_path, capsys):

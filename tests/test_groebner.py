@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    collisions,
     orthant_ring,
     random_poly,
     reference_buchberger,
@@ -23,7 +24,7 @@ from lgb.groebner import (
     same_ideal,
     spair,
 )
-from lgb.laurent import RingError, u_intersection
+from lgb.laurent import LaurentMode, RingError
 from lgb.oracle import laurent_membership_oracle
 from lgb.reduction import reduce
 
@@ -224,7 +225,7 @@ def test_spair_bound_on_formed_pairs(q_ring2):
         f = random_poly(q_ring2, rng, terms=2, radius=2)
         g = random_poly(q_ring2, rng, terms=2, radius=2)
         for i in range(3):
-            for v in u_intersection(f, g, i):
+            for v in collisions(LaurentMode(q_ring2), f, g, i):
                 s = spair(i, f, g, v)
                 if not s.is_zero():
                     assert order.key(s.leading_data()[0]) < order.key(v)
@@ -251,7 +252,7 @@ def test_one_pass_spair_matches_the_composition(ring):
         g = random_poly(ring, rng, terms=3, radius=2)
         for h in (g, f, f * parse_poly(ring, "x - 1")):
             for i in range(len(ring.order.decomposition)):
-                for v in u_intersection(f, h, i):
+                for v in collisions(LaurentMode(ring), f, h, i):
                     s = spair(i, f, h, v)
                     assert s == reference_spair(i, f, h, v)
                     formed += 1

@@ -4,8 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import orthant_ring, random_poly, reference_ti_set_general, ring_for
-from lgb.affinoid import PolytopeContext, build_refined_decomposition
+from conftest import (
+    certified_ti,
+    collisions,
+    orthant_ring,
+    polytope_mode,
+    random_poly,
+    reference_ti_set_general,
+    ring_for,
+    ti_generator,
+    ti_set_general,
+)
+from lgb.affinoid import PolytopeContext, WeightContext, WeightMode, build_refined_decomposition
 from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, validate_gmo
@@ -14,6 +24,7 @@ from lgb.lattice import (
     ConicDecomposition,
     IncompleteSearchError,
     LatticeError,
+    _satisfies,
     box_points,
     build_decomposition,
     vadd,
@@ -21,15 +32,15 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import (
+    LaurentMode,
     LaurentPoly,
     LaurentRing,
     RingError,
     UndefinedLeadingError,
     _int_ineq,
-    _satisfies,
     _ti_cells,
+    cone_module,
     format_poly,
-    u_intersection,
 )
 from lgb.oracle import brute_ti
 
@@ -85,32 +96,37 @@ def test_cone_leading_examples(q_ring2, q_ring2_min):
 
 def test_ti_generator_examples(q_ring2, q_ring2_min):
     appendix = poly(q_ring2, {(2, -1): 2, (-3, 1): 1, (0, -5): -3})
-    assert appendix.ti_generator(2) == (1, 2)
+    assert ti_generator(appendix, 2) == (1, 2)
     f2 = {(1, -2): 2, (-2, -2): 1, (-1, -2): 3, (0, 2): 1}
     fd = poly(q_ring2, f2)
-    assert fd.ti_generator(0) == (0, 2)
-    assert fd.ti_generator(2) == (0, 1)
+    assert ti_generator(fd, 0) == (0, 2)
+    assert ti_generator(fd, 2) == (0, 1)
     fm = poly(q_ring2_min, f2)
-    assert fm.ti_generator(0) == (2, 2)
-    assert fm.ti_generator(1) == (1, 2)
+    assert ti_generator(fm, 0) == (2, 2)
+    assert ti_generator(fm, 1) == (1, 2)
 
 
 def test_ti_set_general_examples(q_ring2):
     f2 = poly(q_ring2, {(1, -2): 2, (-2, -2): 1, (-1, -2): 3, (0, 2): 1})
-    assert f2.ti_set_general(1, 6) == [(0, 2)]
+    assert ti_set_general(f2, 1, 6) == [(0, 2)]
     single = poly(q_ring2, {(2, -3): 5})
     for i in range(3):
-        assert single.ti_set_general(i, 6) == [(-2, 3)]
-        assert single.ti_generator(i) == (-2, 3)
+        assert ti_set_general(single, i, 6) == [(-2, 3)]
+        assert ti_generator(single, i) == (-2, 3)
 
 
 def test_ti_general_matches_descent_random(q_ring2, q_ring2_min):
+    """The principal generator of the descent against the certified search
+    run directly on the cells, and against direct evaluation."""
     rng = random.Random(101)
     for ring in (q_ring2, q_ring2_min):
         for _ in range(15):
             f = random_poly(ring, rng, terms=3, radius=3)
             for i in range(3):
-                assert f.ti_set_general(i, 7) == [f.ti_generator(i)]
+                gen = ti_generator(f, i)
+                assert certified_ti(f, i, 7) == [gen]
+                cone = ring.order.decomposition[i]
+                assert brute_ti(f, i, 5) == {t for t in box_points(2, 5) if cone.contains(vsub(t, gen))}
 
 
 def test_ti_membership_against_brute(q_ring2):
@@ -118,7 +134,7 @@ def test_ti_membership_against_brute(q_ring2):
     for _ in range(10):
         f = random_poly(q_ring2, rng, terms=3, radius=2)
         for i in range(3):
-            gen = f.ti_generator(i)
+            gen = ti_generator(f, i)
             cone = q_ring2.order.decomposition[i]
             expected = {t for t in box_points(2, 5) if cone.contains(vsub(t, gen))}
             assert brute_ti(f, i, 5) == expected
@@ -131,7 +147,7 @@ def test_lm_i_witness_independent(q_ring2):
         f = random_poly(q_ring2, rng, terms=4, radius=3)
         for i in range(3):
             lm_i = f.cone_leading_data(i)[0]
-            gen = f.ti_generator(i)
+            gen = ti_generator(f, i)
             for _ in range(2):
                 extra = (0, 0)
                 for g in d[i].generators:
@@ -147,7 +163,7 @@ def test_ti_generator_minimality(q_ring2):
     for _ in range(100):
         f = random_poly(q_ring2, rng, terms=3, radius=3)
         for i in range(3):
-            gen = f.ti_generator(i)
+            gen = ti_generator(f, i)
             cone = d[i]
             for _ in range(20):
                 w = (0, 0)
@@ -165,7 +181,7 @@ def test_generator_proximity_across_cones(q_ring2, q_ring3):
         ncones = len(ring.order.decomposition.cones)
         for _ in range(30):
             f = random_poly(ring, rng, terms=3, radius=3)
-            gens = [f.ti_generator(i) for i in range(ncones)]
+            gens = [ti_generator(f, i) for i in range(ncones)]
             for a in gens:
                 for b in gens:
                     assert max(abs(x - y) for x, y in zip(a, b)) <= 1
@@ -180,20 +196,45 @@ def test_lm_is_some_cone_lm(q_ring2):
 
 
 def test_u_intersection_examples(q_ring2):
+    mode = LaurentMode(q_ring2)
     f = q_ring2.poly({(1, 0): 1, (0, 1): 1})
     g = q_ring2.poly({(2, 0): 1, (0, 1): 1})
-    assert u_intersection(f, g, 0) == [(2, 0)]
+    assert collisions(mode, f, g, 0) == [(2, 0)]
     # self-intersection
-    assert u_intersection(f, f, 1) == [vadd(f.ti_generator(1), f.cone_leading_data(1)[0])]
+    assert collisions(mode, f, f, 1) == [vadd(ti_generator(f, 1), f.cone_leading_data(1)[0])]
     f2 = q_ring2.poly({(1, -2): 2, (-2, -2): 1, (-1, -2): 3, (0, 2): 1})
     g2 = f2.term_mul((0, 2))
-    vs = u_intersection(f2, g2, 2)
+    vs = collisions(mode, f2, g2, 2)
     assert len(vs) == 1
     cone = q_ring2.order.decomposition[2]
     for t in box_points(2, 6):
         in_f = f2.ti_contains(vsub(t, f2.cone_leading_data(2)[0]), 2)
         in_g = g2.ti_contains(vsub(t, g2.cone_leading_data(2)[0]), 2)
         assert (in_f and in_g) == cone.contains(vsub(t, vs[0]))
+    # in every mode, U generates the intersection of the two shifted
+    # modules, each tested definitionally point by point on a box
+    q2 = ring_for(FieldSpec.padic(2), 2)
+    modes = [
+        mode,
+        LaurentMode(orthant_ring(2)),
+        WeightMode(q2, WeightContext((1, 2))),
+        polytope_mode([(1, 2)])[1],
+        polytope_mode([(1, 1), (0, 1)])[1],
+        polytope_mode([(1, 0), (0, 1)], "orthant")[1],
+    ]
+    rng = random.Random(1999)
+    for mode in modes:
+        common = 0
+        for _ in range(4):
+            f, g = (random_poly(mode.ring, rng, terms=3, radius=2) for _ in range(2))
+            for label in mode.labels:
+                mf, mg = cone_module(mode, f, label, 12), cone_module(mode, g, label, 12)
+                u = mf.intersection(mg)
+                for v in box_points(2, 5):
+                    both = mode.member(f, vsub(v, mf.lm), label) and mode.member(g, vsub(v, mg.lm), label)
+                    assert both == any(mf.cone.contains(vsub(v, w)) for w in u), (f, g, label, v)
+                    common += both
+        assert common > 50, mode
 
 
 def test_orthant_example_cone_lms():
@@ -218,8 +259,8 @@ def test_orthant_modules_can_need_several_generators():
     from lgb.lattice import IncompleteSearchError
 
     with pytest.raises(IncompleteSearchError):
-        f.ti_set_general(0, 1)
-    gens = f.ti_set_general(0, 12)
+        ti_set_general(f, 0, 1)
+    gens = ti_set_general(f, 0, 12)
     assert gens == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
     for g in gens:
         assert f.ti_contains(g, 0)
@@ -250,7 +291,7 @@ def test_format_and_display_order(q_ring2):
     assert str(g) == "(2*a+1)*x^2 + 2"
 
 
-# ti_set_general(i, 8) for the four orthant cones, computed with the
+# ti_set_general(f, i, 8) for the four orthant cones, computed with the
 # per-layer box search the shared search replaced
 TI_PINS = {
     "x*y^-1 + 2": [[(0, 1)], [(-1, 1)], [(-1, 0)], [(-1, 0), (0, 1)]],
@@ -266,7 +307,7 @@ def test_ti_set_general_pinned():
     ring = LaurentRing(FieldSpec.rational(), 2, GeneralizedOrder(d, ScoreFunction("custom", 2, rows=rows)))
     for text, expected in TI_PINS.items():
         f = parse_poly(ring, text)
-        assert [f.ti_set_general(i, 8) for i in range(4)] == expected, text
+        assert [ti_set_general(f, i, 8) for i in range(4)] == expected, text
 
 
 def _expanded_cells_member(base, factors):
@@ -305,7 +346,7 @@ def test_factored_membership_agrees_with_cells_and_ti_contains(n):
                 assert inside == expanded(p), (text, i, p)
 
 
-# ti_set_general(i, 4) for the eight orthant cones, computed with the
+# ti_set_general(f, i, 4) for the eight orthant cones, computed with the
 # expanded-cell membership and the Fraction Fourier-Motzkin certificate
 TI_PIN_N3 = [
     [(0, 1, 0)],
@@ -323,7 +364,7 @@ def test_ti_set_general_pinned_n3():
     ring = orthant_ring(3)
     for radius in (4, 8):
         f = parse_poly(ring, "x*y^-1 + 2*z")
-        assert [f.ti_set_general(i, radius) for i in range(8)] == TI_PIN_N3
+        assert [ti_set_general(f, i, radius) for i in range(8)] == TI_PIN_N3
 
 
 def _search_outcome(search, f, i, radius):
@@ -369,16 +410,16 @@ def _sheared_ring():
 
 
 def test_widening_search_agrees_with_the_whole_box_search(monkeypatch):
-    from lgb import laurent
+    from lgb import lattice
 
     tests = []
-    real = laurent._satisfies
+    real = lattice._satisfies
 
     def counting(base, factors, p):
         tests.append(p)
         return real(base, factors, p)
 
-    monkeypatch.setattr(laurent, "_satisfies", counting)
+    monkeypatch.setattr(lattice, "_satisfies", counting)
     rng = random.Random(20261019)
     cases = []
     for ring, ceilings, count in (
@@ -396,7 +437,7 @@ def test_widening_search_agrees_with_the_whole_box_search(monkeypatch):
         for i in range(len(ring.order.decomposition)):
             # a fresh polynomial per search, so no memo answers for another ceiling
             del tests[:]
-            got = _search_outcome(LaurentPoly.ti_set_general, parse_poly(ring, text), i, radius)
+            got = _search_outcome(ti_set_general, parse_poly(ring, text), i, radius)
             widened = len(tests)
             del tests[:]
             expected = _search_outcome(reference_ti_set_general, parse_poly(ring, text), i, radius)
@@ -421,24 +462,23 @@ def test_ti_set_general_is_memoized(monkeypatch):
     monkeypatch.setattr(laurent, "_ti_cells", counting)
     ring = orthant_ring(2)
     f = parse_poly(ring, "x^2 - 3*y + x^-1*y^-2")
-    # callers may change what they get: a miss and a hit both return a copy
-    for _ in range(2):
-        got = f.ti_set_general(0, 8)
-        assert got == [(0, 1), (1, 0)]
-        got.append((9, 9))
-        got[0] = (7, 7)
-    assert f.ti_set_general(0, 8) == [(0, 1), (1, 0)]
+    mode = LaurentMode(ring)
+    # a hit returns the same value, whose generators callers cannot change
+    module = cone_module(mode, f, 0, 8)
+    assert module.generators == ((0, 1), (1, 0))
+    assert cone_module(mode, f, 0, 8) is module
+    assert cone_module(LaurentMode(ring), f, 0, 8) is module
     assert len(searches) == 1
     # a certified set does not depend on the ceiling: another radius is a hit
-    assert f.ti_set_general(0, 6) == [(0, 1), (1, 0)]
+    assert cone_module(mode, f, 0, 6) is module
     assert len(searches) == 1
     # a failure is not cached: each attempt searches again
     g = ring.poly({(9, 0): 1, (0, 9): 1, (-8, -8): 1})
     for _ in range(2):
         with pytest.raises(IncompleteSearchError):
-            g.ti_set_general(0, 1)
+            ti_set_general(g, 0, 1)
     assert len(searches) == 3
-    assert g.ti_set_general(0, 12) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+    assert ti_set_general(g, 0, 12) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
     assert len(searches) == 4
 
 

@@ -18,3 +18,31 @@ def test_no_assert_statements():
         ]
     assert len(SOURCES) >= 10
     assert found == []
+
+
+def _call_sites(name):
+    """(module file, enclosing function) of every call of ``name`` in the
+    package, as a plain name or an attribute."""
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    called = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                    if called == name:
+                        sites.append((path.name, func.name))
+    return sites
+
+
+def test_one_cone_module_path():
+    # every cone module is built by laurent.cone_module and intersected by
+    # ConeModule.intersection; oracle.selftest runs the certified search on
+    # the cells itself, as its second computation of a principal module
+    assert _call_sites("_certified_generators") == [
+        ("laurent.py", "cone_module"), ("oracle.py", "selftest"),
+    ]
+    assert _call_sites("module_intersection") == [("laurent.py", "intersection")]

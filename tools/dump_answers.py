@@ -18,20 +18,20 @@ S-pair of the basis, by the S-pair function of the adapter the layer's
 engine builds (``groebner._generators``, ``affinoid._series_generators``),
 at each collision generator of each cone for each pair of basis elements,
 with its cap; for each
-general-cones basis element, every cone module (``ti_set_general(i, 8)``
-on the orthant ring, ``tij_generators(body, label, 6)`` on a polytope)
-or the exception it raised, and on a
-polytope ``tij_generators(body, label, r)`` at every ceiling r = 0..6 on a
+general-cones basis element, the generators of every cone module of
+``laurent.cone_module`` (at ceiling 8 on the orthant ring, 6 on a
+polytope) or the exception it raised, and on a
+polytope those at every ceiling r = 0..6 on a
 fresh mode; while the general-cones bases of seed 1, their cone modules
 and the ``ORTHANT_N3`` bases and modules are computed, every verdict of the
 completeness certificate ``lattice._some_choice_feasible``, in call order,
 with its numbers of levels, options and constraints; the bases or
 exceptions (at parse or in ``buchberger_P``) of the known failures; the
 bases and every cone module of the ``ORTHANT_N3`` ideals on the n=3
-orthant ring; ``ti_set_general(i, r)`` at every ceiling r = 0..8 for every cone of ``x^9 + y^9 + x^-8*y^-8`` on the
+orthant ring; every cone module at every ceiling r = 0..8 of ``x^9 + y^9 + x^-8*y^-8`` on the
 n=2 orthant ring and of each ``ORTHANT_N3`` generator, parsed afresh for
 each ceiling so that no memo hides where the search starts to fail;
-``tij_generators(f, label, r)`` at r = 0..6, on a fresh mode for each
+every cone module at r = 0..6, on a fresh mode for each
 ceiling, for each of ``test_affinoid.TIJ_POLYS`` on each of
 ``test_affinoid.BENCH_POLYTOPES``; then
 the stdout, exit code and stderr of ``gb``, ``gb --normalize``, ``check``,
@@ -153,7 +153,7 @@ def main():
     from conftest import orthant_ring
     from test_affinoid import BENCH_POLYTOPES, TIJ_POLYS, polytope_mode
     from lgb import affinoid, cli, groebner, lattice, reduction
-    from lgb.laurent import format_poly
+    from lgb.laurent import LaurentMode, cone_module, format_poly
 
     lines = []
     emit = lines.append
@@ -188,6 +188,14 @@ def main():
             emit(f"{label}: raised {type(exc).__name__}: {exc}")
             return None
 
+    def generators(mode, f, label, radius):
+        """The generators of one cone module."""
+        return list(cone_module(mode, f, label, radius).generators)
+
+    def collisions(mode, f, g, label):
+        """The collision generators U of two bodies at a cone label."""
+        return cone_module(mode, f, label).intersection(cone_module(mode, g, label))
+
     def combinations(gens):
         """The plain and the normalized basis with each element's combination."""
         for normalize in (False, True):
@@ -207,7 +215,7 @@ def main():
             fresh = affinoid.PolytopeMode(mode.ring, mode.context, mode.refined)
             for label in fresh.labels:
                 name = f"T_{label} ceiling {radius}"
-                res = guarded(name, fresh.tij_generators, body, label, radius)
+                res = guarded(name, generators, fresh, body, label, radius)
                 if res is not None:
                     emit(f"{name} {res}")
 
@@ -220,8 +228,8 @@ def main():
         for a, b in itertools.combinations(range(len(basis)), 2):
             f, g = basis[a], basis[b]
             for label in adapter.labels:
-                collisions = guarded(f"U_{label} {a} {b}", adapter.u_set, body(f), body(g), label)
-                for v in collisions or ():
+                found = guarded(f"U_{label} {a} {b}", collisions, adapter.mode, body(f), body(g), label)
+                for v in found or ():
                     s = guarded(f"spair {a} {b} {label} {v}", adapter.spair, label, f, g, v)
                     if s is not None:
                         cap = getattr(s, "cap", None)
@@ -231,12 +239,12 @@ def main():
         """Every cone module of one basis element, or the exception."""
         if mode is None:
             for i in range(len(h.ring.order.decomposition)):
-                res = guarded(f"T_{i}", h.ti_set_general, i, 8)
+                res = guarded(f"T_{i}", generators, LaurentMode(h.ring), h, i, 8)
                 if res is not None:
                     emit(f"T_{i} {res}")
         else:
             for label in mode.labels:
-                res = guarded(f"T_{label}", mode.tij_generators, h.body, label, 6)
+                res = guarded(f"T_{label}", generators, mode, h.body, label, 6)
                 if res is not None:
                     emit(f"T_{label} {res}")
             tij_ceilings(mode, h.body)
@@ -312,7 +320,7 @@ def main():
             for radius in range(9):
                 for i in range(len(ring.order.decomposition)):
                     label = f"T_{i} ceiling {radius}"
-                    res = guarded(label, cli.parse_poly(ring, t).ti_set_general, i, radius)
+                    res = guarded(label, generators, LaurentMode(ring), cli.parse_poly(ring, t), i, radius)
                     if res is not None:
                         emit(f"{label} {res}")
 

@@ -36,12 +36,10 @@ integers cached per polynomial (exponent, valuation times the
 denominator, dot product with each scaled vertex), so testing t against a
 T_{i,j} module builds no product.
 
-``spair_series`` builds an S-pair in one pass over the two supports into
-one term dict and one ``CappedSeries``, cutting as the composition of
-``term_mul`` and subtraction does: each shifted multiple at its own cap,
-then the sum at the smaller cap.  Cutting only the sum would keep a term
-that lies at or above the cap in one multiple and below it in the other
-with both parts, and change its coefficient.
+``reduce_P``, ``buchberger_P`` and ``is_groebner_series`` unwrap their
+series to bodies, run ``reduction._divide`` and ``groebner``'s engine on
+them behind an adapter whose ``bound`` is the shared cap times the common
+denominator, rounded up, and wrap the results once.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd as _gcd
 
 from lgb.coeffs import INF, Coefficient
@@ -71,7 +68,7 @@ from lgb.lattice import (
     vsub,
 )
 from lgb.laurent import LaurentMode, LaurentPoly, LaurentRing, Term, _ti_cells, format_poly
-from lgb.reduction import PolynomialMode, division_loop, residual
+from lgb.reduction import PolynomialMode, _divide
 
 
 class AffinoidError(ValueError):
@@ -611,11 +608,12 @@ class CappedSeries:
             raise AffinoidError("series body does not live in the mode's ring")
         self.mode = mode
         self.cap = Fraction(cap)
-        ctx = mode.context
-        # an integer scaled_val is below cap * den iff it is below the ceiling
-        bound = math.ceil(self.cap * ctx._den)
-        kept = {e: c for e, c in body.terms_unordered() if ctx.scaled_val(c, e) < bound}
-        self.body = LaurentPoly(mode.ring, kept)
+        scaled_val, bound = mode.context.scaled_val, _cap_bound(mode, self.cap)
+        kept = {e: c for e, c in body.terms_unordered() if scaled_val(c, e) < bound}
+        # a body that loses no term is kept, with the memos keyed on it
+        if len(kept) < len(body) or body.ring is not mode.ring:
+            body = LaurentPoly(mode.ring, kept)
+        self.body = body
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -669,6 +667,12 @@ class CappedSeries:
         return f"<{self}>"
 
 
+def _cap_bound(mode, cap) -> int:
+    """ceil(cap * den): an integer scaled valuation is below cap * den iff
+    it is below this bound."""
+    return math.ceil(cap * mode.context._den)
+
+
 def reduce_P(f: CappedSeries, gens):
     """Cone-aware division of capped series; the identity f = sum(q g) + r
     holds modulo terms of valuation at least the cap (verified).
@@ -683,54 +687,14 @@ def reduce_P(f: CappedSeries, gens):
         f._check(g)
         if g.is_zero():
             raise AffinoidError("divisors must be nonzero at the working precision")
-    (qdicts, qcap), remainder = _reduce_P(f, gens, PolynomialMode(f.mode))
-    return [CappedSeries(f.mode, LaurentPoly(f.mode.ring, q), qcap) for q in qdicts], remainder
-
-
-def _reduce_P(f: CappedSeries, gens, adapter: PolynomialMode):
-    """``reduce_P`` by checked divisors, with the calling engine's adapter:
-    ((quotient term dicts cut at their raised cap, that cap), remainder)."""
     mode, ctx = f.mode, f.mode.context
     cap = min([f.cap] + [g.cap for g in gens])
-    adapter.bound = math.ceil(cap * ctx._den)
-    qdicts, rdict = division_loop(f.body, [g.body for g in gens], adapter)
-    ring = mode.ring
-    qcap = cap
-    if gens:
-        low = min(ctx.scaled_val(c, e) for g in gens for e, c in g.body.terms_unordered())
-        qcap = cap - min(Fraction(0), Fraction(low, ctx._den))
-    # the terms CappedSeries(mode, LaurentPoly(ring, q), qcap) would keep
-    qbound = math.ceil(qcap * ctx._den)
-    qdicts = [{e: c for e, c in q.items() if ctx.scaled_val(c, e) < qbound} for q in qdicts]
-    remainder = CappedSeries(mode, LaurentPoly(ring, rdict), cap)
-    rest = residual(f.body, remainder.body, qdicts, [g.body for g in gens])
-    for e, c in rest.items():
-        if ctx.scaled_val(c, e) < adapter.bound:
-            raise ArithmeticError("capped division identity failed to re-verify")
-    return (qdicts, qcap), remainder
-
-
-def spair_series(mode, label, f: CappedSeries, g: CappedSeries, v) -> CappedSeries:
-    """S-pair of two series at a collision monomial of a cone label, built
-    in one pass and cut as the module docstring says."""
-    f._check(g)
-    lmf, lcf = mode.cone_leading(f.body, label)
-    lmg, lcg = mode.cone_leading(g.body, label)
-    tf, tg = vsub(v, lmf), vsub(v, lmg)
-    if not mode.member(f.body, tf, label) or not mode.member(g.body, tg, label):
-        raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
-    ctx = mode.context
-    scaled_val = ctx.scaled_val
-    terms = {}
-    for h, shift, coef in ((f, tf, lcg), (g, tg, -lcf)):
-        bound = math.ceil(h.cap * ctx._den)
-        for e, c in h.body.terms_unordered():
-            e = vadd(e, shift)
-            c = c * coef
-            if scaled_val(c, e) < bound:
-                old = terms.get(e)
-                terms[e] = c if old is None else old + c
-    return CappedSeries(mode, LaurentPoly(mode.ring, terms), min(f.cap, g.cap))
+    bodies = [g.body for g in gens]
+    qdicts, remainder = _divide(f.body, bodies, PolynomialMode(mode, _cap_bound(mode, cap)))
+    low = min((ctx.scaled_val(c, e) for g in bodies for e, c in g.terms_unordered()), default=0)
+    qcap = cap - min(Fraction(0), Fraction(low, ctx._den))
+    quotients = [CappedSeries(mode, LaurentPoly(mode.ring, q), qcap) for q in qdicts]
+    return quotients, CappedSeries(mode, remainder, cap)
 
 
 def _series_generators(gens):
@@ -739,10 +703,11 @@ def _series_generators(gens):
     basis, positions = _distinct(
         gens, AffinoidError, "generators must be nonzero at the working precision"
     )
-    if any(g.cap != basis[0].cap for g in basis):
+    cap = basis[0].cap
+    if any(g.cap != cap for g in basis):
         raise AffinoidError("generators must share one precision cap")
     mode = basis[0].mode
-    return basis, positions, PolynomialMode(mode, partial(spair_series, mode), _reduce_P, _body_of)
+    return basis, positions, PolynomialMode(mode, _cap_bound(mode, cap))
 
 
 def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
@@ -751,7 +716,9 @@ def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
     the cap."""
     cfg = cfg or GBConfig()
     basis, _, adapter = _series_generators(gens)
-    stats, _ = _buchberger(basis, adapter, cfg)
+    bodies = [h.body for h in basis]
+    stats, _ = _buchberger(bodies, adapter, cfg)
+    basis = [CappedSeries(adapter.mode, h, basis[0].cap) for h in bodies]
     if cfg.normalize:
         basis = [h * h.leading_term().coef.inv() for h in basis]
     return GBResult(basis, stats, None)
@@ -761,4 +728,4 @@ def is_groebner_series(H):
     """Criterion check at the working precision; returns (flag, certificate)
     with the certificate's indices into H."""
     basis, positions, adapter = _series_generators(H)
-    return _criterion(basis, positions, adapter)
+    return _criterion([h.body for h in basis], positions, adapter)

@@ -4,18 +4,13 @@ S-pairs are formed per cone at every generator of the collision-monomial
 module of the two cone leading terms, from a FIFO pair queue, so the whole
 computation is deterministic.  ``buchberger``/``is_groebner`` and
 ``affinoid.buchberger_P``/``is_groebner_series`` run one loop and one
-criterion check, each over one ``reduction.PolynomialMode`` adapter that
-holds the layer's S-pair, divide and body functions.  A nonzero S-pair
-must lie strictly below lc_f*lc_g*X^v under the adapter's ``term_key``.
+criterion check on ``LaurentPoly`` bodies, each over one
+``reduction.PolynomialMode`` adapter that holds the mode and the cap
+bound (+inf in the Laurent layer).  Both layers form S-pairs with one
+builder, ``_spair``, and divide them with ``reduction._divide``.
 ``buchberger`` expands the loop's record of how each element arose into
 ``GBResult.combinations`` and re-verifies the combination identity
 exactly.
-
-An S-pair lc_g*X^(v - lm_f)*f - lc_f*X^(v - lm_g)*g is built in one pass
-over the two supports into one term dict (``spair`` here,
-``affinoid.spair_series`` in the capped layer), with no intermediate
-polynomial per multiple.  Its bound check reads lc_f and lc_g from the
-adapter's reducer table (``reduction``).
 
 The exact check (``is_groebner``) skips S-pairs by a chain criterion over
 collision modules (Gebauer and Moeller, J. Symb. Comput. 1988; proofs by
@@ -65,13 +60,14 @@ reducing to zero there is no representation below v.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from lgb.laurent import LaurentMode, LaurentPoly, RingError, cone_module
 from lgb.lattice import vadd, vsub
-from lgb.reduction import PolynomialMode, _memoized, _reduce, reduce
+from lgb.reduction import PolynomialMode, _divide, _memoized, reduce
 
 
 class ResourceLimitError(RuntimeError):
@@ -115,21 +111,48 @@ class GBResult:
 
 
 def spair(i, f: LaurentPoly, g: LaurentPoly, v) -> LaurentPoly:
-    """S(i, f, g, v) at a collision monomial v of the cone-i leading data."""
+    """S(i, f, g, v) at a collision monomial v of the cone-i leading data:
+    the Laurent view of the one S-pair builder."""
     f._check(g)
-    lmf, lcf, _ = f.cone_leading_data(i)
-    lmg, lcg, _ = g.cone_leading_data(i)
+    return _spair(PolynomialMode(LaurentMode(f.ring)), i, f, g, v)
+
+
+def _spair(adapter, label, f, g, v) -> LaurentPoly:
+    """S(label, f, g, v) = lc_g*X^(v - lm_f)*f - lc_f*X^(v - lm_g)*g of two
+    bodies at a collision monomial v, checked to lie strictly below
+    lc_f*lc_g*X^v under the adapter's ``term_key``.  The leading data come
+    from the adapter's reducer table (``reduction``).
+
+    It is built in one pass over the two supports into one term dict, with
+    no intermediate polynomial per multiple.  Below a finite cap it drops
+    the terms at or above the cap from each shifted multiple, then from the
+    sum, as the composition of ``CappedSeries.term_mul`` and subtraction
+    does: cutting only the sum would keep a term that lies at or above the
+    cap in one multiple and below it in the other with both parts, and
+    change its coefficient."""
+    lmf, lcf = _memoized(adapter._leads, f, label, adapter.cone_leading)
+    lmg, lcg = _memoized(adapter._leads, g, label, adapter.cone_leading)
     tf, tg = vsub(v, lmf), vsub(v, lmg)
-    if not f.ti_contains(tf, i) or not g.ti_contains(tg, i):
-        raise RingError(f"{v} is not a collision monomial for cone {i}")
-    terms = {vadd(e, tf): c * lcg for e, c in f.terms_unordered()}
-    neg = -lcf
-    for e, c in g.terms_unordered():
-        e = vadd(e, tg)
-        c = c * neg
-        old = terms.get(e)
-        terms[e] = c if old is None else old + c
-    return LaurentPoly(f.ring, terms)
+    member = adapter.mode.member
+    if not member(f, tf, label) or not member(g, tg, label):
+        raise RingError(f"{v} is not a collision monomial for cone {label}")
+    key, past_cap = adapter.term_key, adapter.past_cap
+    capped = adapter.bound != math.inf
+    terms = {}
+    for h, shift, coef in ((f, tf, lcg), (g, tg, -lcf)):
+        for e, c in h.terms_unordered():
+            e = vadd(e, shift)
+            c = c * coef
+            if capped and past_cap(key(c, e)):
+                continue
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
+    keys = {e: key(c, e) for e, c in terms.items() if not c.is_zero()}
+    if capped:
+        keys = {e: k for e, k in keys.items() if not past_cap(k)}
+    if keys and max(keys.values()) >= key(lcf * lcg, v):
+        raise AssertionError(f"S-pair at {v} does not drop below its bound")
+    return LaurentPoly(adapter.mode.ring, {e: terms[e] for e in keys})
 
 
 def _distinct(gens, error, nonzero):
@@ -151,29 +174,13 @@ def _generators(gens):
     """The distinct generators of ``gens``, their input positions and a
     Buchberger adapter."""
     basis, positions = _distinct(gens, RingError, "generators must be nonzero")
-    return basis, positions, PolynomialMode(LaurentMode(basis[0].ring), spair, _reduce, lambda h: h)
-
-
-def _spair(adapter, label, f, g, v):
-    """S(label, f, g, v), checked to lie below lc_f*lc_g*X^v, or None when
-    it is zero."""
-    s = adapter.spair(label, f, g, v)
-    body = adapter.body
-    terms = body(s).terms_unordered()
-    if not terms:
-        return None
-    key = adapter.term_key
-    _, lcf = _memoized(adapter._leads, body(f), label, adapter.cone_leading)
-    _, lcg = _memoized(adapter._leads, body(g), label, adapter.cone_leading)
-    if max(key(c, e) for e, c in terms) >= key(lcf * lcg, v):
-        raise AssertionError(f"S-pair at {v} does not drop below its bound")
-    return s
+    return basis, positions, PolynomialMode(LaurentMode(basis[0].ring))
 
 
 def _u_set(adapter, f, g, label):
-    """U_label of the bodies of f and g: M_label(f) meets M_label(g)."""
-    mode, body = adapter.mode, adapter.body
-    return cone_module(mode, body(f), label).intersection(cone_module(mode, body(g), label))
+    """U_label of the bodies f and g: M_label(f) meets M_label(g)."""
+    mode = adapter.mode
+    return cone_module(mode, f, label).intersection(cone_module(mode, g, label))
 
 
 def _collisions(adapter, basis, a, b, chain):
@@ -194,7 +201,7 @@ def _buchberger(basis, adapter, cfg: GBConfig, chain=None):
     """Close ``basis`` (validated, extended in place) under S-pair
     remainders, skipping S-pairs by ``chain`` (see ``_collisions``);
     returns the stats and, per added element, ``(a, b, label, v,
-    quotients)``."""
+    quotient term dicts)``."""
     stats = GBStats()
     records = []
     queue = deque(combinations(range(len(basis)), 2))
@@ -206,10 +213,10 @@ def _buchberger(basis, adapter, cfg: GBConfig, chain=None):
                 stats.spairs_skipped += 1
                 continue
             s = _spair(adapter, label, basis[a], basis[b], v)
-            if s is None:
+            if s.is_zero():
                 stats.zero_reductions += 1
                 continue
-            quotients, r = adapter.divide(s, basis, adapter)
+            quotients, r = _divide(s, basis, adapter)
             if r.is_zero():
                 stats.zero_reductions += 1
                 continue
@@ -232,10 +239,7 @@ def _criterion(basis, positions, adapter, chain=None):
 
     def fails(a, b, label, v):
         s = _spair(adapter, label, basis[a], basis[b], v)
-        if s is None:
-            return False
-        _, r = adapter.divide(s, basis, adapter)
-        return not r.is_zero()
+        return not s.is_zero() and not _divide(s, basis, adapter)[1].is_zero()
 
     skipped = []
     for a, b in combinations(range(len(basis)), 2):
@@ -335,6 +339,7 @@ def _expand_provenance(inputs, basis, records):
             for cf, cg in zip(combos[a], combos[b])
         ]
         for q, row in zip(quotients, combos):
+            q = LaurentPoly(ring, q)
             combo = [c - q * rc for c, rc in zip(combo, row)]
         rebuilt = ring.zero()
         for c, gen in zip(combo, inputs):

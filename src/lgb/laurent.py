@@ -436,9 +436,8 @@ def cone_module(mode, f: LaurentPoly, label, search_radius=None) -> ConeModule:
         if not member(t):
             raise AssertionError(f"cone witness {t} lies outside T_{label}")
         for h in cone.generators:
-            while member(t):
+            while member(vsub(t, h)):
                 t = vsub(t, h)
-            t = vadd(t, h)
         generators = (t,)
     else:
         generators = _certified_generators(cells, cone, t, search_radius, member)

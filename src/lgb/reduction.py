@@ -12,8 +12,10 @@ A layer is a mode with ``ring``, ``labels``, ``term_key``,
 ``cone_leading`` and ``shifted_lm``, and the cone-module protocol of
 ``laurent.cone_module``: ``laurent.LaurentMode``, ``affinoid.WeightMode``
 and ``PolytopeMode``.  Each engine call builds one adapter over its mode,
-``PolynomialMode``, which also holds the layer's S-pair, divide and body
-functions for ``groebner``.
+``PolynomialMode``, which holds the mode and the call's cap ``bound``: the
+only datum by which the layers differ.  Both divide ``LaurentPoly``
+bodies through one verified division, ``_divide``, which ``reduce``,
+``affinoid.reduce_P`` and ``groebner``'s engine call.
 
 The work polynomial is a mutable ``{exp: coef}`` map with a parallel
 ``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
@@ -69,21 +71,17 @@ def _memoized(table, g, arg, compute):
 
 class PolynomialMode:
     """The division and Buchberger adapter of one engine call over a mode
-    (module docstring); ``bound`` is ceil(cap * den) for the cap of the
-    division in progress, +inf in the Laurent layer."""
+    (module docstring); ``bound`` is ceil(cap * den) for the call's cap,
+    +inf in the Laurent layer."""
 
-    __slots__ = (
-        "mode", "labels", "term_key", "cone_leading",
-        "spair", "divide", "body", "bound", "_lms", "_leads",
-    )
+    __slots__ = ("mode", "labels", "term_key", "cone_leading", "bound", "_lms", "_leads")
 
-    def __init__(self, mode, spair=None, divide=None, body=None):
+    def __init__(self, mode, bound=math.inf):
         self.mode = mode
         self.labels = mode.labels
         self.term_key = mode.term_key
         self.cone_leading = mode.cone_leading
-        self.spair, self.divide, self.body = spair, divide, body
-        self.bound = math.inf
+        self.bound = bound
         self._lms = {}
         self._leads = {}
 
@@ -178,6 +176,20 @@ class ReductionResult:
         return iter((self.quotients, self.remainder))
 
 
+def _divide(f: LaurentPoly, gens, adapter: PolynomialMode):
+    """Divide the body f by checked divisor bodies with an engine call's
+    adapter; returns (quotient term dicts, remainder).  Raises unless every
+    term of ``f - r - sum(q * g)`` lies at or above the cap: with an
+    infinite bound, unless the identity holds exactly."""
+    qdicts, rdict = division_loop(f, gens, adapter)
+    remainder = LaurentPoly(f.ring, rdict)
+    key, past_cap = adapter.term_key, adapter.past_cap
+    for e, c in residual(f, remainder, qdicts, gens).items():
+        if not past_cap(key(c, e)):
+            raise ArithmeticError("division identity failed to re-verify")
+    return qdicts, remainder
+
+
 def reduce(f: LaurentPoly, gens) -> ReductionResult:
     """Divide f by an ordered list of nonzero Laurent polynomials.
 
@@ -189,15 +201,5 @@ def reduce(f: LaurentPoly, gens) -> ReductionResult:
         f._check(g)
         if g.is_zero():
             raise ValueError("divisors must be nonzero")
-    return _reduce(f, gens, PolynomialMode(LaurentMode(f.ring)))
-
-
-def _reduce(f: LaurentPoly, gens, adapter: PolynomialMode) -> ReductionResult:
-    """``reduce`` by checked divisors, with the calling engine's adapter."""
-    ring = f.ring
-    qdicts, rdict = division_loop(f, gens, adapter)
-    quotients = [LaurentPoly(ring, q) for q in qdicts]
-    remainder = LaurentPoly(ring, rdict)
-    if residual(f, remainder, qdicts, gens):
-        raise ArithmeticError("division identity failed to re-verify")
-    return ReductionResult(quotients, remainder)
+    qdicts, remainder = _divide(f, gens, PolynomialMode(LaurentMode(f.ring)))
+    return ReductionResult([LaurentPoly(f.ring, q) for q in qdicts], remainder)

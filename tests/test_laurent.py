@@ -129,6 +129,28 @@ def test_ti_general_matches_descent_random(q_ring2, q_ring2_min):
                 assert brute_ti(f, i, 5) == {t for t in box_points(2, 5) if cone.contains(vsub(t, gen))}
 
 
+def test_principal_descent_tests_each_point_once(monkeypatch, q_ring2, q_ring2_min):
+    """The descent from the cone witness asks about each point once: it
+    never tests again a point already known to be a member."""
+    asked = []
+    real = LaurentMode.member
+
+    def member(self, g, t, label):
+        asked.append(t)
+        return real(self, g, t, label)
+
+    monkeypatch.setattr(LaurentMode, "member", member)
+    rng = random.Random(202)
+    for ring in (q_ring2, q_ring2_min):
+        mode = LaurentMode(ring)
+        for _ in range(10):
+            f = random_poly(ring, rng, terms=3, radius=3)
+            for i in mode.labels:
+                asked.clear()
+                cone_module(mode, f, i)
+                assert len(asked) > 1 and len(set(asked)) == len(asked), asked
+
+
 def test_ti_membership_against_brute(q_ring2):
     rng = random.Random(55)
     for _ in range(10):

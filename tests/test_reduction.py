@@ -203,12 +203,13 @@ def test_division_adapter_lives_for_one_engine_call(monkeypatch, q_ring2):
 
 # -- the surfaces bench/spans.py counts -----------------------------------------
 # reduction.steps, reducer_tries and reducer_fires count calls of the
-# adapter's leading, shifted_lm and on_fire, and groebner.spairs counts
-# calls of groebner.spair and affinoid.spair_series; the fixture-gf9 and
+# adapter's leading, shifted_lm and on_fire, and the spair surface counts
+# calls of the one S-pair builder, groebner._spair; the fixture-gf9 and
 # cap-1-vertex literals were taken from the engine before S-pairs were built
-# in one pass and the loop read a reducer table, and the cap-1-weight and
-# poly0-2 ones before the two layers shared one adapter, so none of these
-# may change what a counter counts
+# in one pass and the loop read a reducer table, the cap-1-weight and
+# poly0-2 ones before the two layers shared one adapter, and the spair ones
+# while each layer had its own S-pair function, so none of these may change
+# what a counter counts
 
 COUNTED_PROBLEMS = {
     # std-cones: the quoted GF(9) fixture
@@ -273,8 +274,7 @@ def _count_calls(monkeypatch, text):
 
     for name in ("leading", "shifted_lm", "on_fire"):
         counting(PolynomialMode, name, name)
-    counting(groebner, "spair", "spair")
-    counting(affinoid, "spair_series", "spair")
+    counting(groebner, "_spair", "spair")
     problem = parse_problem(text)
     verb[0] = "gb"
     if problem.capped:

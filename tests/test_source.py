@@ -46,3 +46,15 @@ def test_one_cone_module_path():
         ("laurent.py", "cone_module"), ("oracle.py", "selftest"),
     ]
     assert _call_sites("module_intersection") == [("laurent.py", "intersection")]
+
+
+def test_one_spair_builder_and_one_verified_division():
+    # both layers divide through reduction._divide, which re-verifies every
+    # division, and form S-pairs with groebner._spair; the adapter carries
+    # no per-layer function
+    from lgb.reduction import PolynomialMode
+
+    assert _call_sites("division_loop") == [("reduction.py", "_divide")]
+    assert _call_sites("residual") == [("reduction.py", "_divide")]
+    assert {path for path, _ in _call_sites("_spair")} == {"groebner.py"}
+    assert not {"spair", "divide", "body"} & set(PolynomialMode.__slots__)

@@ -14,8 +14,9 @@ polynomial basis, ``GBResult.combinations``
 (each basis element over the generators), also recomputed with
 ``GBConfig(normalize=True)``, and at seed 1 the verdict and certificate of
 ``is_groebner`` on the basis without each one of its elements, and every
-S-pair of the basis, by the S-pair function of the adapter the layer's
-engine builds (``groebner._generators``, ``affinoid._series_generators``),
+S-pair of the basis, by the one S-pair builder ``groebner._spair`` with
+the adapter the layer's engine builds (``groebner._generators``,
+``affinoid._series_generators``),
 at each collision generator of each cone for each pair of basis elements,
 with its cap; for each
 general-cones basis element, the generators of every cone module of
@@ -224,15 +225,17 @@ def main():
         the S-pair with its cap, or the exception."""
         capped = isinstance(basis[0], affinoid.CappedSeries)
         adapter = (affinoid._series_generators if capped else groebner._generators)(basis)[2]
-        body = adapter.body
+        cap = basis[0].cap if capped else None
+        bodies = [h.body for h in basis] if capped else basis
         for a, b in itertools.combinations(range(len(basis)), 2):
-            f, g = basis[a], basis[b]
+            f, g = bodies[a], bodies[b]
             for label in adapter.labels:
-                found = guarded(f"U_{label} {a} {b}", collisions, adapter.mode, body(f), body(g), label)
+                found = guarded(f"U_{label} {a} {b}", collisions, adapter.mode, f, g, label)
                 for v in found or ():
-                    s = guarded(f"spair {a} {b} {label} {v}", adapter.spair, label, f, g, v)
+                    s = guarded(f"spair {a} {b} {label} {v}", groebner._spair, adapter, label, f, g, v)
                     if s is not None:
-                        cap = getattr(s, "cap", None)
+                        if capped:
+                            s = affinoid.CappedSeries(adapter.mode, s, cap)
                         emit(f"spair {a} {b} {label} {v} cap {cap} " + text(s))
 
     def modules(h, mode):

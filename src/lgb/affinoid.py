@@ -18,9 +18,13 @@ Each mode gives a term a sort key, ``term_key(coef, exp)``, largest term
 first: minus the valuation times the common denominator of the weight or
 the vertices (an integer, since coefficient valuations are integers), for
 a polytope minus the first attaining vertex index, then the generalized
-order's key.  This key is the mode's one term order: ``leading`` and the
-shared division loop take keyed maxima, ``CappedSeries.__str__`` prints by
-it, and ``lm_polytope`` reads the first attaining vertex from it.
+order's key.  It is composed of an exponent half, ``exp_key(exp)`` (the
+scaled dot, the vertex index, the order key), and ``with_coef``, which
+subtracts v(c) times the denominator; the division adapter tables the
+half per engine call.  This key is the mode's one term order: ``leading``
+and the shared division loop take keyed maxima, ``CappedSeries.__str__``
+prints by it, and ``lm_polytope`` reads the first attaining vertex from
+it.
 Valuations and initial forms (``val_weight``, ``val_polytope``,
 ``initial_at_vertex``) compute with ``scaled_val`` and the per-vertex
 integer dots; a ``Fraction`` is built only for a value handed back to the
@@ -31,15 +35,21 @@ The weight mode and the one-vertex polytope mode view their cone modules
 (``laurent.cone_module``) as the Laurent module of the initial form.  With
 several vertices ``PolytopeMode`` supplies T_{i,j}(f) itself: its member
 test, the integer cells that describe it exactly (``_tij_cells``), and a
-witness.  ``PolytopeMode.shifted_lm`` keys the terms of X^t g from
-integers cached per polynomial (exponent, valuation times the
-denominator, dot product with each scaled vertex), so testing t against a
-T_{i,j} module builds no product.
+witness.  For that member test ``PolytopeMode.shifted_lm`` keys the terms
+of X^t g from integers cached per polynomial (exponent, valuation times
+the denominator, dot product with each scaled vertex), so testing t
+against a T_{i,j} module builds no product; the division adapter computes
+its own lm(X^t g) from its key table.
 
 ``reduce_P``, ``buchberger_P`` and ``is_groebner_series`` unwrap their
 series to bodies, run ``reduction._divide`` and ``groebner``'s engine on
 them behind an adapter whose ``bound`` is the shared cap times the common
-denominator, rounded up, and wrap the results once.
+denominator, rounded up, and wrap the results once.  ``buchberger_P``
+expands each added element into an exact combination of the inputs
+(``groebner._expand_provenance``) and certifies from it that the
+element's leading term lies below the precision to which the element is
+known (``_certifier``); an element whose leading term is noise raises
+``PrecisionError``.
 """
 
 from __future__ import annotations
@@ -50,7 +60,15 @@ from fractions import Fraction
 from math import gcd as _gcd
 
 from lgb.coeffs import INF, Coefficient
-from lgb.groebner import GBConfig, GBResult, _buchberger, _criterion, _distinct
+from lgb.groebner import (
+    GBConfig,
+    GBResult,
+    _buchberger,
+    _criterion,
+    _distinct,
+    _expand_provenance,
+    _normalized,
+)
 from lgb.lattice import (
     CheckResult,
     Cone,
@@ -77,6 +95,11 @@ class AffinoidError(ValueError):
 
 class DegeneratePolytopeError(AffinoidError):
     """A vertex region degenerated to an empty interior."""
+
+
+class PrecisionError(AffinoidError):
+    """A capped basis element's leading term lies at or above the precision
+    to which it is certified to be an ideal element."""
 
 
 # -- weight contexts -----------------------------------------------------------
@@ -393,11 +416,16 @@ class WeightMode:
             self._initials[g] = cached
         return cached
 
+    def exp_key(self, exp):
+        """The exponent half of ``term_key``: (num.e, order key)."""
+        return (vdot(self.context._num, exp),) + self.ring.order.key(exp)
+
+    def with_coef(self, coef: Coefficient, half):
+        return _with_valuation(coef, half, self.context._den)
+
     def term_key(self, coef: Coefficient, exp):
         """Sort key, largest term first: (num.e - v(c) * den, order key)."""
-        ctx = self.context
-        top = vdot(ctx._num, exp)
-        return (top - coef.valuation() * ctx._den,) + self.ring.order.key(exp)
+        return self.with_coef(coef, self.exp_key(exp))
 
     def leading(self, f: LaurentPoly) -> Term:
         return _max_term(self, f)
@@ -405,9 +433,6 @@ class WeightMode:
     def cone_leading(self, g: LaurentPoly, label):
         lm, lc, _ = self.initial(g).cone_leading_data(label)
         return lm, lc
-
-    def shifted_lm(self, g: LaurentPoly, shift):
-        return self.initial(g).shifted_leading_monomial(shift)
 
     def member(self, g: LaurentPoly, t, label) -> bool:
         return self.initial(g).ti_contains(t, label)
@@ -466,12 +491,19 @@ class PolytopeMode:
             self._initials[key] = cached
         return cached
 
+    def exp_key(self, exp):
+        """The exponent half of ``term_key``: (top, -first attaining vertex
+        index, order key), where top is the largest num_k.e."""
+        top, neg_k = max((vdot(v, exp), -k) for k, v in enumerate(self.context._num, 1))
+        return (top, neg_k) + self.ring.order.key(exp)
+
+    def with_coef(self, coef: Coefficient, half):
+        return _with_valuation(coef, half, self.context._den)
+
     def term_key(self, coef: Coefficient, exp):
         """Sort key, largest term first: (top - v(c) * den, -first attaining
-        vertex index, order key), where top is the largest num_k.e."""
-        ctx = self.context
-        top, neg_k = max((vdot(v, exp), -k) for k, v in enumerate(ctx._num, 1))
-        return (top - coef.valuation() * ctx._den, neg_k) + self.ring.order.key(exp)
+        vertex index, order key)."""
+        return self.with_coef(coef, self.exp_key(exp))
 
     def leading(self, f: LaurentPoly) -> Term:
         return _max_term(self, f)
@@ -576,6 +608,12 @@ def _tij_cells(mode: PolytopeMode, f: LaurentPoly, label):
             best = max(vdot(nk, e) - c.valuation() * den for e, c in f.terms_unordered())
             base.append((vsub(num[i - 1], nk), top - best - (k < i)))
     return base, factors
+
+
+def _with_valuation(coef: Coefficient, half, den):
+    """A capped ``term_key`` from its exponent half: the scaled dot minus
+    v(c) * den, then the rest of the half."""
+    return (half[0] - coef.valuation() * den,) + half[1:]
 
 
 def _max_term(mode, f: LaurentPoly) -> Term:
@@ -710,18 +748,54 @@ def _series_generators(gens):
     return basis, positions, PolynomialMode(mode, _cap_bound(mode, cap))
 
 
+def _certifier(mode, cap):
+    """The capped check of ``groebner._expand_provenance``.  The
+    combination c_i of an added element h is exact, and Laurent
+    polynomials lie in the affinoid algebra, so sum(c_i * f_i) is an ideal
+    element up to the inputs' own precision: h is one to precision
+    pi(h) = min(val(h - sum(c_i * body(f_i))), cap + min val c_i), since
+    val(c * e) >= val(c) + val(e) in both modes.  Raises PrecisionError
+    when val(lt h) >= pi(h): then h's leading term is noise.
+
+    Works in valuations times the common denominator: val(lt h) >= cap +
+    min val c_i iff the integer difference reaches ceil(cap * den)."""
+    scaled, den, bound = mode.context.scaled_val, mode.context._den, _cap_bound(mode, cap)
+
+    def least(body):
+        return min((scaled(c, e) for e, c in body.terms_unordered()), default=math.inf)
+
+    def certify(k, h, combo, rebuilt):
+        lead, residual, low = least(h), least(h - rebuilt), min(map(least, combo))
+        if lead >= residual or lead - low >= bound:
+            precision = min(
+                Fraction(x, den) + shift
+                for x, shift in ((residual, 0), (low, cap)) if x != math.inf
+            )
+            raise PrecisionError(
+                f"basis element {k + 1} has a leading term of valuation {Fraction(lead, den)}, "
+                f"but it is certified only to precision {precision}"
+            )
+
+    return certify
+
+
 def buchberger_P(gens, cfg: GBConfig | None = None) -> GBResult:
     """Buchberger's algorithm at a fixed working precision: criterion
     closure means every S-pair remainder consists of terms at or above
-    the cap."""
+    the cap.  Each added element is certified (``_certifier``), and
+    ``combinations`` holds each basis element's exact combination of the
+    input bodies."""
     cfg = cfg or GBConfig()
     basis, _, adapter = _series_generators(gens)
+    cap = basis[0].cap
     bodies = [h.body for h in basis]
-    stats, _ = _buchberger(bodies, adapter, cfg)
-    basis = [CappedSeries(adapter.mode, h, basis[0].cap) for h in bodies]
+    inputs = list(bodies)
+    stats, records = _buchberger(bodies, adapter, cfg)
+    combos = _expand_provenance(inputs, bodies, records, adapter, _certifier(adapter.mode, cap))
+    basis = [CappedSeries(adapter.mode, h, cap) for h in bodies]
     if cfg.normalize:
-        basis = [h * h.leading_term().coef.inv() for h in basis]
-    return GBResult(basis, stats, None)
+        basis, combos = _normalized(basis, combos, lambda h: h.leading_term().coef)
+    return GBResult(basis, stats, combos)
 
 
 def is_groebner_series(H):

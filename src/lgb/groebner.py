@@ -8,9 +8,10 @@ criterion check on ``LaurentPoly`` bodies, each over one
 ``reduction.PolynomialMode`` adapter that holds the mode and the cap
 bound (+inf in the Laurent layer).  Both layers form S-pairs with one
 builder, ``_spair``, and divide them with ``reduction._divide``.
-``buchberger`` expands the loop's record of how each element arose into
-``GBResult.combinations`` and re-verifies the combination identity
-exactly.
+``buchberger`` and ``buchberger_P`` expand the loop's record of how each
+element arose into ``GBResult.combinations`` (``_expand_provenance``);
+``buchberger`` re-verifies the combination identity exactly, and
+``buchberger_P`` certifies each element's precision from it.
 
 The exact check (``is_groebner``) skips S-pairs by a chain criterion over
 collision modules (Gebauer and Moeller, J. Symb. Comput. 1988; proofs by
@@ -323,17 +324,20 @@ def _find(parent, x):
     return x
 
 
-def _expand_provenance(inputs, basis, records):
-    """Each basis element as a combination of the inputs, expanded from the
-    loop's records and re-verified exactly."""
+def _expand_provenance(inputs, basis, records, adapter, verify):
+    """Each basis element as a combination of the input bodies, expanded
+    from the loop's records.  Each added element h is checked against the
+    exact sum of its combination, ``verify(k, h, combo, rebuilt)`` with k
+    its basis index: in the Laurent layer by ``_exact``, in the capped
+    layer by ``affinoid``'s precision certificate."""
     ring = inputs[0].ring
     combos = [
         [ring.one() if j == k else ring.zero() for j in range(len(inputs))]
         for k in range(len(inputs))
     ]
-    for (a, b, i, v, quotients), r in zip(records, basis[len(inputs):]):
-        lmf, lcf, _ = basis[a].cone_leading_data(i)
-        lmg, lcg, _ = basis[b].cone_leading_data(i)
+    for k, (a, b, label, v, quotients) in enumerate(records, len(inputs)):
+        lmf, lcf = adapter.cone_leading(basis[a], label)
+        lmg, lcg = adapter.cone_leading(basis[b], label)
         combo = [
             cf.term_mul(vsub(v, lmf), lcg) - cg.term_mul(vsub(v, lmg), lcf)
             for cf, cg in zip(combos[a], combos[b])
@@ -344,10 +348,25 @@ def _expand_provenance(inputs, basis, records):
         rebuilt = ring.zero()
         for c, gen in zip(combo, inputs):
             rebuilt = rebuilt + c * gen
-        if rebuilt != r:
-            raise ArithmeticError("provenance identity failed to re-verify")
+        verify(k, basis[k], combo, rebuilt)
         combos.append(combo)
     return combos
+
+
+def _exact(k, h, combo, rebuilt):
+    """The Laurent check of ``_expand_provenance``: the identity is exact."""
+    if rebuilt != h:
+        raise ArithmeticError("provenance identity failed to re-verify")
+
+
+def _normalized(basis, combos, lc):
+    """The basis and combinations scaled to leading coefficient 1; ``lc(h)``
+    is the leading coefficient of h."""
+    invs = [lc(h).inv() for h in basis]
+    return (
+        [h * inv for h, inv in zip(basis, invs)],
+        [[c * inv for c in combo] for combo, inv in zip(combos, invs)],
+    )
 
 
 def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
@@ -358,12 +377,9 @@ def buchberger(gens, cfg: GBConfig | None = None) -> GBResult:
     basis, _, adapter = _generators(gens)
     inputs = list(basis)
     stats, records = _buchberger(basis, adapter, cfg, _Chain(basis, adapter))
-    combos = _expand_provenance(inputs, basis, records)
+    combos = _expand_provenance(inputs, basis, records, adapter, _exact)
     if cfg.normalize:
-        for k, h in enumerate(basis):
-            inv = h.leading_data()[1].inv()
-            basis[k] = h * inv
-            combos[k] = [c * inv for c in combos[k]]
+        basis, combos = _normalized(basis, combos, lambda h: h.leading_data()[1])
     return GBResult(basis, stats, combos)
 
 

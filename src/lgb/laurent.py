@@ -366,6 +366,14 @@ class LaurentMode:
         self.ring = ring
         self.labels = tuple(range(len(ring.order.decomposition.cones)))
 
+    def exp_key(self, exp):
+        """The exponent half of ``term_key``: the order key."""
+        return self.ring.order.key(exp)
+
+    def with_coef(self, coef, half):
+        """``term_key`` from its exponent half: terms rank by exponent alone."""
+        return half
+
     def term_key(self, coef, exp):
         return self.ring.order.key(exp)
 
@@ -375,9 +383,6 @@ class LaurentMode:
     def cone_leading(self, g: LaurentPoly, label):
         lm, lc, _ = g.cone_leading_data(label)
         return lm, lc
-
-    def shifted_lm(self, g: LaurentPoly, shift):
-        return g.shifted_leading_monomial(shift)
 
     def member(self, g: LaurentPoly, t, label) -> bool:
         return g.ti_contains(t, label)

@@ -8,8 +8,8 @@ deterministic: scan cone labels in order, then the divisor list in order,
 and take the first pair whose cone leading monomial cancels the current
 leading term without introducing a larger one.
 
-A layer is a mode with ``ring``, ``labels``, ``term_key``,
-``cone_leading`` and ``shifted_lm``, and the cone-module protocol of
+A layer is a mode with ``ring``, ``labels``, ``exp_key``, ``with_coef``,
+``term_key`` and ``cone_leading``, and the cone-module protocol of
 ``laurent.cone_module``: ``laurent.LaurentMode``, ``affinoid.WeightMode``
 and ``PolytopeMode``.  Each engine call builds one adapter over its mode,
 ``PolynomialMode``, which holds the mode and the call's cap ``bound``: the
@@ -17,30 +17,41 @@ only datum by which the layers differ.  Both divide ``LaurentPoly``
 bodies through one verified division, ``_divide``, which ``reduce``,
 ``affinoid.reduce_P`` and ``groebner``'s engine call.
 
+A term's sort key (largest term first) has an exponent half and a
+coefficient part: the mode's ``exp_key(e)`` is the order key in the
+Laurent layer, and the scaled weight or polytope dot followed by the order
+key in the capped layers; its ``with_coef(c, half)`` folds in v(c), and
+``term_key(c, e)`` is the two composed.  The adapter keeps one table
+``{e: exp_key(e)}`` per engine call, and its ``term_key`` reads the
+exponent half from it, so ``division_loop``, ``groebner._spair`` and the
+residual check of ``_divide`` key an exponent once per call.
+
 The work polynomial is a mutable ``{exp: coef}`` map with a parallel
-``{exp: key}`` map of the mode's ``term_key`` (largest term first), so a
-step takes a keyed maximum and subtracts ``coef * X^shift * g`` in place;
-no immutable polynomial is rebuilt per step.  The cap test reads the
-leading term's key: in the capped layer ``-key[0]`` is the term's
-valuation times the common denominator, so ``past_cap(key)`` compares it
-with the adapter's ``bound`` (+inf in the Laurent layer).
+``{exp: key}`` map of ``term_key``, so a step takes a keyed maximum and
+subtracts ``coef * X^shift * g`` in place; no immutable polynomial is
+rebuilt per step.  The cap test reads the leading term's key: in the
+capped layer ``-key[0]`` is the term's valuation times the common
+denominator, so ``past_cap(key)`` compares it with the adapter's
+``bound`` (+inf in the Laurent layer).
 
 A reducer fires only when lm(X^shift g) is the current leading exponent,
 with shift = that exponent minus lm_label(g), so it always cancels at
-shift + lm_label(g) and a fire needs no further check.  The adapter's
-``on_fire`` hook does nothing; it marks each fire for ``bench/spans.py``,
-which counts reducer fires through it.
+shift + lm_label(g) and a fire needs no further check.  The adapter
+computes lm(X^shift g) itself, in every layer, as the term of X^shift g
+with the largest ``term_key``, and memoizes it as ``{g: {shift: lm}}``:
+the same (g, shift) test recurs within a division and across the
+divisions of one Buchberger run.  The adapter's ``on_fire`` hook does
+nothing; it marks each fire for ``bench/spans.py``, which counts reducer
+fires through it.
 
-The same (g, shift) test recurs within a division and across the divisions
-of one Buchberger run, so the adapter memoizes ``shifted_lm`` as
-``{g: {shift: lm}}``.  It also keeps the reducer table ``{g: {label:
-(lm, lc)}}`` of each divisor's cone leading data, which the loop and
-``groebner``'s S-pair bound check read.  The table is filled lazily, one
-(g, label) on first use: the loop asks only the labels it scans before a
-reducer fires, and a cone whose leading data cannot be computed must
-fail only a division that reaches it.  The memo and the table die with
-the engine call; held on the polynomial or on a long-lived mode, they
-would keep every shift tried alive with the bases the caller retains.
+The adapter also keeps the reducer table ``{g: {label: (lm, lc)}}`` of
+each divisor's cone leading data, which the loop and ``groebner``'s S-pair
+bound check read.  It is filled lazily, one (g, label) on first use: the
+loop asks only the labels it scans before a reducer fires, and a cone
+whose leading data cannot be computed must fail only a division that
+reaches it.  The key table, the memo and the reducer table die with the
+engine call; held on the ring, order, mode or polynomial, they would keep
+every exponent and shift tried alive with the bases the caller retains.
 """
 
 from __future__ import annotations
@@ -74,23 +85,42 @@ class PolynomialMode:
     (module docstring); ``bound`` is ceil(cap * den) for the call's cap,
     +inf in the Laurent layer."""
 
-    __slots__ = ("mode", "labels", "term_key", "cone_leading", "bound", "_lms", "_leads")
+    __slots__ = ("mode", "labels", "cone_leading", "bound", "_keys", "_lms", "_leads")
 
     def __init__(self, mode, bound=math.inf):
         self.mode = mode
         self.labels = mode.labels
-        self.term_key = mode.term_key
         self.cone_leading = mode.cone_leading
         self.bound = bound
+        self._keys = {}
         self._lms = {}
         self._leads = {}
+
+    def term_key(self, coef, exp):
+        """The mode's ``term_key(coef, exp)``, its exponent half read from
+        the call's table."""
+        half = self._keys.get(exp)
+        if half is None:
+            half = self._keys[exp] = self.mode.exp_key(exp)
+        return self.mode.with_coef(coef, half)
 
     def leading(self, work, keys) -> Term:
         exp = max(keys, key=keys.__getitem__)
         return Term(work[exp], exp)
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        return _memoized(self._lms, g, shift, self.mode.shifted_lm)
+        return _memoized(self._lms, g, shift, self._shifted_lm)
+
+    def _shifted_lm(self, g: LaurentPoly, shift):
+        """lm(X^shift g): the shifted term with the largest ``term_key``."""
+        term_key = self.term_key
+        best = best_key = None
+        for e, c in g.terms_unordered():
+            e = vadd(e, shift)
+            key = term_key(c, e)
+            if best is None or key > best_key:
+                best, best_key = e, key
+        return best
 
     def past_cap(self, key) -> bool:
         """Whether the term of ``term_key`` key lies at or above the cap; in

@@ -22,6 +22,7 @@ from lgb.affinoid import (
     CappedSeries,
     PolytopeContext,
     PolytopeMode,
+    PrecisionError,
     WeightContext,
     WeightMode,
     buchberger_P,
@@ -33,9 +34,9 @@ from lgb.affinoid import (
     val_polytope,
     val_weight,
 )
-from lgb.cli import parse_poly
+from lgb.cli import parse_poly, parse_problem
 from lgb.coeffs import INF, FieldSpec
-from lgb.groebner import buchberger
+from lgb.groebner import GBConfig, buchberger
 from lgb.laurent import LaurentMode, Term, cone_module
 from lgb.lattice import LatticeError, _satisfies, box_points, build_decomposition, vadd, vdot, vsub
 from lgb.oracle import brute_valP
@@ -324,6 +325,50 @@ def test_buchberger_p_singleton_and_closure():
     res2 = buchberger_P([g, h], None)
     flag, cert = is_groebner_series(res2.basis)
     assert flag, cert
+
+
+#: design ideal cap-9 of the capped-series benchmark at seed 1; its common
+#: zero (1/2, 1/4) lies in the domain, so the ideal is proper
+CAP9 = (
+    "ring Qp 2\nvars x y\n{directive}\norder degmin\nprecision {cap}\ngens:\n"
+    "(3/50)*x^-2*y^-2 + (-11663/400)*x*y + (-25/2)*x^2*y^2\n(-10)*x^-2*y^2 + (5)*x\n"
+)
+
+
+@pytest.mark.parametrize("directive", ["weight 1 2", "polytope (1,2)"])
+def test_noise_leading_term_fails_loudly(tmp_path, capsys, directive):
+    """At cap 150 the fourth basis element of cap-9 is one monomial of
+    valuation 149, certified only to 143: its leading term is noise, and
+    dividing 1 by the basis would claim 1 is in the ideal.  At cap 50 every
+    added element is certified and 1 is not a member."""
+    from lgb.cli import main, parse_problem
+
+    problem = parse_problem(CAP9.format(directive=directive, cap=150))
+    message = "basis element 4 has a leading term of valuation 149, but it is certified only to precision 143"
+    with pytest.raises(PrecisionError, match=message):
+        buchberger_P(problem.series_generators())
+    path = tmp_path / "cap9.txt"
+    path.write_text(CAP9.format(directive=directive, cap=50))
+    assert main(["member", str(path), "--poly", "1"]) == 3
+    assert main(["member", str(path), "--poly", "1", "--precision", "150"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "member: false\n" and err == f"error: {message}\n"
+
+
+def test_buchberger_p_combinations_certify_each_element():
+    # h - sum(c_i * f_i) lies strictly above val(lt h) for every element,
+    # and the inputs are their own combinations
+    problem = parse_problem(CAP9.format(directive="polytope (1,2)", cap=50))
+    gens = problem.series_generators()
+    for normalize in (False, True):
+        res = buchberger_P(gens, GBConfig(normalize=normalize))
+        assert len(res.combinations) == len(res.basis) > len(gens)
+        for k, (h, combo) in enumerate(zip(res.basis, res.combinations)):
+            rebuilt = sum((c * g.body for c, g in zip(combo, gens)), problem.ring.zero())
+            if k < len(gens):
+                assert rebuilt == h.body
+            lead = val_polytope(problem.mode.context, h)[0]
+            assert val_polytope(problem.mode.context, h.body - rebuilt)[0] > lead
 
 
 def test_series_validation_shared_by_gb_and_check():
@@ -694,6 +739,7 @@ def test_reducer_fires_at_its_cone_leading_monomial(directive):
         ring = q2_ring() if directive == "laurent standard" else orthant_ring(2)
         mode = LaurentMode(ring)
     rng = random.Random(directive)
+    adapter = PolynomialMode(mode)
     hits = 0
     for _ in range(8):
         g = random_poly(ring, rng, terms=4, radius=3)
@@ -701,7 +747,7 @@ def test_reducer_fires_at_its_cone_leading_monomial(directive):
             lm_g, _ = mode.cone_leading(g, label)
             module = cone_module(mode, g, label, 12)
             for t in box_points(2, 4):
-                lm = mode.shifted_lm(g, t)
+                lm = adapter.shifted_lm(g, t)
                 if isinstance(mode, PolytopeMode):
                     member = mode.refined.cone(label).contains(lm) and mode.context.in_vi_less(label[0], lm)
                 else:

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from conftest import random_poly, ring_for
+from conftest import orthant_ring, polytope_mode, random_coeff, random_poly, ring_for
 from lgb.affinoid import WeightContext, WeightMode
 from lgb.coeffs import FieldSpec
 from lgb.cli import parse_poly
@@ -106,22 +106,25 @@ def test_guard_rejects_naive_cancellation(q_ring2):
     assert remainder == f
 
 
+def _modes():
+    """(name, mode) of every layer: the Laurent mode on the standard and
+    the orthant ring, the weight mode, a one-vertex and a two-vertex
+    polytope."""
+    from test_affinoid import example71, q2_ring
+
+    yield "polynomial", LaurentMode(ring_for(FieldSpec.rational(), 2, "degmin"))
+    yield "orthant", LaurentMode(orthant_ring(2))
+    yield "weight (1,2)", WeightMode(q2_ring(), WeightContext((1, 2)))
+    yield "one vertex (1,2)", polytope_mode([(1, 2)])[1]
+    yield "example 7.1", example71()[3]
+
+
 def _memo_cases():
     """(name, adapter, direct, polynomials): the reducer-test memo of the
     division adapter over each mode against lm(X^shift g) computed from the
     product."""
-    from test_affinoid import example71, q2_ring
-
     rng = random.Random(77)
-    ring = ring_for(FieldSpec.rational(), 2, "degmin")
-    polys = [random_poly(ring, rng, terms=4, radius=3) for _ in range(5)]
-    adapter = PolynomialMode(LaurentMode(ring))
-    yield "polynomial", adapter, lambda g, t: g.term_mul(t).leading_data()[0], polys
-    wring = q2_ring()
-    for name, mode in (
-        ("weight (1,2)", WeightMode(wring, WeightContext((1, 2)))),
-        ("example 7.1", example71()[3]),
-    ):
+    for name, mode in _modes():
         polys = [random_poly(mode.ring, rng, terms=4, radius=3) for _ in range(5)]
         yield name, PolynomialMode(mode), lambda g, t, m=mode: m.leading(g.term_mul(t)).exp, polys
 
@@ -135,39 +138,52 @@ def test_memoized_shifted_lm_matches_direct_computation():
             assert adapter.shifted_lm(g, t) == direct(g, t), (name, g, t)
 
 
+def test_adapter_term_key_is_the_modes():
+    # the adapter reads the exponent half from its table and folds in v(c)
+    # as the mode does; a second ask of an exponent hits the table
+    rng = random.Random(31)
+    for name, mode in _modes():
+        adapter = PolynomialMode(mode)
+        terms = [
+            (random_coeff(mode.ring, rng, 40), tuple(rng.randint(-4, 4) for _ in range(2)))
+            for _ in range(150)
+        ]
+        for c, e in terms + terms[::-1]:
+            assert adapter.term_key(c, e) == mode.term_key(c, e), (name, c, e)
+        assert set(adapter._keys) == {e for _, e in terms}, name
+
+
 def test_repeated_reducer_test_is_computed_once(monkeypatch, q_ring2):
     from test_affinoid import q2_ring
 
-    def counting(owner, name):
-        shifts = []
-        real = getattr(owner, name)
+    shifts = []
+    real = PolynomialMode._shifted_lm
 
-        def wrapped(self, *args):
-            shifts.append(args[-1])
-            return real(self, *args)
+    def counting(self, g, shift):
+        shifts.append(shift)
+        return real(self, g, shift)
 
-        monkeypatch.setattr(owner, name, wrapped)
-        return shifts
-
+    # the adapter's one compute path of lm(X^shift g), for every layer
+    monkeypatch.setattr(PolynomialMode, "_shifted_lm", counting)
     g = parse_poly(q_ring2, "x^-2*y^-1 + x*y")
     h = parse_poly(q2_ring(), "2*x^-1 + y^2")
     series = PolynomialMode(WeightMode(h.ring, WeightContext((1, 2))))
-    for adapter, f, owner, name in (
-        (PolynomialMode(LaurentMode(q_ring2)), g, LaurentPoly, "shifted_leading_monomial"),
-        (series, h, WeightMode, "shifted_lm"),
-    ):
-        shifts = counting(owner, name)
+    for adapter, f in ((PolynomialMode(LaurentMode(q_ring2)), g), (series, h)):
+        shifts.clear()
         for _ in range(3):
             adapter.shifted_lm(f, (1, 2))
         adapter.shifted_lm(f, (2, 1))
         adapter.shifted_lm(f, (1, 2))
         assert shifts == [(1, 2), (2, 1)]
-        monkeypatch.undo()
 
 
-def _spy(monkeypatch, module, name):
+class _Table(dict):
+    """A dict that can be weakly referenced."""
+
+
+def _spy(monkeypatch, module, name, tables=None):
     """Replace an adapter class with a subclass that records a weak
-    reference to every instance."""
+    reference to every instance and, in ``tables``, to its key table."""
     refs = []
     real = getattr(module, name)
 
@@ -175,30 +191,67 @@ def _spy(monkeypatch, module, name):
         def __init__(self, *args):
             super().__init__(*args)
             refs.append(weakref.ref(self))
+            if tables is not None:
+                self._keys = _Table()
+                tables.append(weakref.ref(self._keys))
 
     monkeypatch.setattr(module, name, Spy)
     return refs
 
 
+def _exponent_keyed(obj, n, seen=()):
+    """The attribute paths of ``obj`` (slots and instance dict) that hold a
+    dict, or a dict of dicts, with an exponent vector (a tuple of n ints)
+    among its keys; a polynomial's own terms do not count."""
+    names = [slot for cls in type(obj).__mro__ for slot in getattr(cls, "__slots__", ())]
+    names += list(getattr(obj, "__dict__", {}))
+    found = []
+    for name in names:
+        if isinstance(obj, LaurentPoly) and name == "_terms":
+            continue
+        stack = [getattr(obj, name, None)]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, dict):
+                if any(
+                    isinstance(k, tuple) and len(k) == n and all(type(x) is int for x in k)
+                    for k in value
+                ):
+                    found.append(f"{type(obj).__name__}.{name}")
+                    break
+                stack.extend(v for v in value.values() if isinstance(v, dict))
+    return found
+
+
 def test_division_adapter_lives_for_one_engine_call(monkeypatch, q_ring2):
-    from lgb import affinoid, groebner
+    from lgb import affinoid, groebner, reduction
     from lgb.cli import parse_problem
 
-    refs = _spy(monkeypatch, groebner, "PolynomialMode")
+    tables = []
+    refs = _spy(monkeypatch, groebner, "PolynomialMode", tables)
+    reduce_refs = _spy(monkeypatch, reduction, "PolynomialMode", tables)
     gens = [parse_poly(q_ring2, "x^2*y - 1"), parse_poly(q_ring2, "x*y^2 - x")]
     basis = groebner.buchberger(gens).basis
     assert groebner.is_groebner(basis)[0]
+    reduction.reduce(parse_poly(q_ring2, "x^3 + y"), basis)
     problem = parse_problem(
         "ring Qp 2\nvars x y\nweight 1 2\norder degmin\nprecision 12\ngens:\n"
         "2*x^-1 + y^2\nx*y + 4\n"
     )
-    series_refs = _spy(monkeypatch, affinoid, "PolynomialMode")
+    series_refs = _spy(monkeypatch, affinoid, "PolynomialMode", tables)
     sbasis = affinoid.buchberger_P(problem.series_generators()).basis
     affinoid.reduce_P(problem.series(parse_poly(problem.ring, "x + y")), sbasis)
     gc.collect()
-    # one adapter per call, each gone once its call has returned
-    assert len(refs) == 2 and len(series_refs) == 2
-    assert all(ref() is None for ref in refs + series_refs)
+    # one adapter per call, each gone with its key table once its call has
+    # returned
+    assert len(refs) == 2 and len(reduce_refs) == 1 and len(series_refs) == 2
+    assert len(tables) == 5 and all(table() is None for table in tables)
+    assert all(ref() is None for ref in refs + reduce_refs + series_refs)
+    # and nothing the caller keeps holds an exponent-keyed memo
+    mode = problem.mode
+    held = [q_ring2, q_ring2.order, *basis, problem.ring, problem.ring.order, mode, mode._laurent]
+    held += [h.body for h in sbasis]
+    assert [path for obj in held for path in _exponent_keyed(obj, 2)] == []
 
 
 # -- the surfaces bench/spans.py counts -----------------------------------------

@@ -3,9 +3,17 @@ counted surface of the traced benchmark, to one file, so that two
 checkouts can be compared byte for byte.
 
   python3 tools/dump_answers.py CHECKOUT OUT
+  python3 tools/dump_answers.py --digest CHECKOUT OUT
 
 CHECKOUT is the root of an lgb checkout; its ``src``, ``bench`` and
-``tests/conftest.py`` are imported.  The file holds, for seeds 1 and 7 of the three workloads, every
+``tests/conftest.py`` are imported.  Every ``== `` line opens a section.
+With ``--digest``, OUT gets one line per answer section instead, ``sha256
+lines name``, the name being the ``== `` line up to any `` -> `` exit code
+(a repeated name numbered ``#2``, ``#3``, ...), and the
+traced-count trailer (the ``== bench`` sections), which legitimate
+refactors move, is neither run nor written; ``tests/answers.digest`` holds
+the digest of the checked-in engine, and ``tests/test_answers.py``
+compares against it.  The file holds, for seeds 1 and 7 of the three workloads, every
 basis (with its pair statistics), criterion verdict, and the quotients and
 remainder of each probe, of 1 and of each generator divided by the basis
 and by the generators; a capped series is written as ``str(h)``, in its
@@ -50,6 +58,7 @@ per-layer metric of unit count or ratio but ``trace_overhead``, with
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -143,9 +152,32 @@ def run_cli(cli, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def digest(lines):
+    """One ``sha256 lines name`` line per section of a dump."""
+    sections, seen = [], {}
+    for line in lines:
+        if line.startswith("== "):
+            name = line[3:].split(" -> ")[0]
+            seen[name] = seen.get(name, 0) + 1
+            if seen[name] > 1:
+                name += f" #{seen[name]}"
+            sections.append((name, []))
+        sections[-1][1].append(line)
+    return [
+        f"{hashlib.sha256(chr(10).join(body).encode()).hexdigest()} {len(body)} {name}"
+        for name, body in sections
+    ]
+
+
 def main():
-    checkout = Path(sys.argv[1]).resolve()
-    out_path = Path(sys.argv[2])
+    args = sys.argv[1:]
+    digest_only = args[:1] == ["--digest"]
+    if digest_only:
+        args = args[1:]
+    if len(args) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    checkout = Path(args[0]).resolve()
+    out_path = Path(args[1])
     sys.path.insert(0, str(checkout / "src"))
     sys.path.insert(0, str(checkout / "bench"))
     sys.path.insert(0, str(checkout / "tests"))
@@ -379,6 +411,11 @@ def main():
     for body in PROBLEMS:
         emit(f"{body!r} -> {parsed(cli.parse_problem, body)}")
 
+    if digest_only:
+        lines = digest(lines)
+        out_path.write_text("\n".join(lines) + "\n")
+        print(f"{len(lines)} sections digested to {out_path}")
+        return
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     counted = [
         m["name"] for m in spec["per_layer"]

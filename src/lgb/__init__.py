@@ -33,7 +33,6 @@ from lgb.affinoid import (
     CappedSeries,
     PolytopeContext,
     RefinedDecomposition,
-    WeightContext,
     buchberger_P,
     build_refined_decomposition,
     reduce_P,
@@ -73,7 +72,6 @@ __all__ = [
     "CappedSeries",
     "PolytopeContext",
     "RefinedDecomposition",
-    "WeightContext",
     "buchberger_P",
     "build_refined_decomposition",
     "reduce_P",

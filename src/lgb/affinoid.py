@@ -1,45 +1,44 @@
-"""Valuation layer: weighted and polytopal term orders, initial forms,
-capped-precision series, and the modes through which they run the shared
-division loop and ``groebner``'s one Buchberger engine, each behind one
+"""Valuation layer: polytopal term orders, initial forms, capped-precision
+series, and the mode through which they run the shared division loop and
+``groebner``'s one Buchberger engine, behind one
 ``reduction.PolynomialMode`` adapter per engine call.
 
-A weight context carries a single rational weight vector r; terms are
-compared valuation first (val(c) - r.e, smaller is greater), ties broken
-by the generalized monomial order.  A polytope context carries an ordered
-vertex list; terms are compared by the polytope valuation, then by the
-smallest attaining vertex index, then by the generalized order, whose
-conic decomposition must refine the vertex regions V_i.
+A polytope context carries an ordered vertex list; terms are compared by
+the polytope valuation, then by the smallest attaining vertex index, then
+by the generalized order, whose conic decomposition must refine the
+vertex regions V_i.  A weight order is the one-vertex polytope (r): the
+valuation val(c) - r.e, smaller is greater, ties broken by the generalized
+order, over the base cones themselves (``build_refined_decomposition``);
+``cli`` parses ``weight r`` to it.
 
 Series are represented exactly by finite Laurent polynomial bodies; the
 cap is a computation bound, not an uncertainty: every identity holds
 modulo terms of valuation at least the cap.
 
-Each mode gives a term a sort key, ``term_key(coef, exp)``, largest term
-first: minus the valuation times the common denominator of the weight or
-the vertices (an integer, since coefficient valuations are integers), for
-a polytope minus the first attaining vertex index, then the generalized
-order's key.  It is composed of an exponent half, ``exp_key(exp)`` (the
-scaled dot, the vertex index, the order key), and ``with_coef``, which
-subtracts v(c) times the denominator; the division adapter tables the
-half per engine call.  This key is the mode's one term order: ``leading``
-and the shared division loop take keyed maxima, ``CappedSeries.__str__``
-prints by it, and ``lm_polytope`` reads the first attaining vertex from
-it.
-Valuations and initial forms (``val_weight``, ``val_polytope``,
-``initial_at_vertex``) compute with ``scaled_val`` and the per-vertex
-integer dots; a ``Fraction`` is built only for a value handed back to the
-caller (``term_val``, the ``val_*`` valuations).  There is no pairwise
-term comparator and no per-vertex ``Fraction`` valuation beside them.
+The mode gives a term a sort key, ``term_key(coef, exp)``, largest term
+first: minus the valuation times the common denominator of the vertices
+(an integer, since coefficient valuations are integers), minus the first
+attaining vertex index, then the generalized order's key.  It is composed
+of an exponent half, ``exp_key(exp)`` (the scaled dot, the vertex index,
+the order key), and ``with_coef``, which subtracts v(c) times the
+denominator; the division adapter tables the half per engine call.  This
+key is the mode's one term order: ``leading`` and the shared division
+loop take keyed maxima, ``CappedSeries.__str__`` prints by it, and
+``lm_polytope`` reads the first attaining vertex from it.
+Valuations and initial forms (``val_polytope``, ``initial_at_vertex``)
+compute with ``scaled_val`` and the per-vertex integer dots; a
+``Fraction`` is built only for a value handed back to the caller
+(``term_val``, ``val_polytope``).
 
-The weight mode and the one-vertex polytope mode view their cone modules
-(``laurent.cone_module``) as the Laurent module of the initial form.  With
-several vertices ``PolytopeMode`` supplies T_{i,j}(f) itself: its member
-test, the integer cells that describe it exactly (``_tij_cells``), and a
-witness.  For that member test ``PolytopeMode.shifted_lm`` keys the terms
-of X^t g from integers cached per polynomial (exponent, valuation times
-the denominator, dot product with each scaled vertex), so testing t
-against a T_{i,j} module builds no product; the division adapter computes
-its own lm(X^t g) from its key table.
+The one-vertex mode views its cone modules (``laurent.cone_module``) as
+the Laurent module of the initial form.  With several vertices
+``PolytopeMode`` supplies T_{i,j}(f) itself: its member test, the integer
+cells that describe it exactly (``_tij_cells``), and a witness.  For that
+member test ``PolytopeMode.shifted_lm`` keys the terms of X^t g from
+integers cached per polynomial (exponent, valuation times the
+denominator, dot product with each scaled vertex), so testing t against a
+T_{i,j} module builds no product; the division adapter computes its own
+lm(X^t g) from its key table.
 
 ``reduce_P``, ``buchberger_P`` and ``is_groebner_series`` unwrap their
 series to bodies, run ``reduction._divide`` and ``groebner``'s engine on
@@ -90,7 +89,7 @@ from lgb.reduction import PolynomialMode, _divide
 
 
 class AffinoidError(ValueError):
-    """Invalid weighted or polytopal usage."""
+    """Invalid polytopal usage."""
 
 
 class DegeneratePolytopeError(AffinoidError):
@@ -102,63 +101,8 @@ class PrecisionError(AffinoidError):
     to which it is certified to be an ideal element."""
 
 
-# -- weight contexts -----------------------------------------------------------
-
-class WeightContext:
-    """A single weight vector r in Q^n."""
-
-    __slots__ = ("r", "_num", "_den")
-
-    def __init__(self, r):
-        self.r = tuple(Fraction(x) for x in r)
-        if not self.r:
-            raise AffinoidError("the weight vector must be nonempty")
-        self._den = 1
-        for x in self.r:
-            self._den = self._den * x.denominator // _gcd(self._den, x.denominator)
-        self._num = tuple(int(x * self._den) for x in self.r)
-
-    @property
-    def n(self):
-        return len(self.r)
-
-    def __eq__(self, other):
-        return isinstance(other, WeightContext) and self.r == other.r
-
-    def __hash__(self):
-        return hash(self.r)
-
-    def __repr__(self):
-        return f"WeightContext({self.r})"
-
-    def scaled_val(self, coef: Coefficient, exp) -> int:
-        """The term valuation times the common denominator of the weight."""
-        return coef.valuation() * self._den - vdot(self._num, exp)
-
-    def term_val(self, coef: Coefficient, exp) -> Fraction:
-        return Fraction(self.scaled_val(coef, exp), self._den)
-
-
 def _body_of(f):
     return f.body if isinstance(f, CappedSeries) else f
-
-
-def _least(body: LaurentPoly, scaled):
-    """(least scaled(coef, exp) over the terms of a nonzero body, the terms
-    attaining it as a LaurentPoly)."""
-    vals = {e: scaled(c, e) for e, c in body.terms_unordered()}
-    best = min(vals.values())
-    kept = {e: c for e, c in body.terms_unordered() if vals[e] == best}
-    return best, LaurentPoly(body.ring, kept)
-
-
-def val_weight(ctx: WeightContext, f):
-    """(valuation, initial form) of f under the weight; (+inf, 0) for zero."""
-    body = _body_of(f)
-    if body.is_zero():
-        return INF, body
-    best, initial = _least(body, ctx.scaled_val)
-    return Fraction(best, ctx._den), initial
 
 
 # -- polytope contexts -----------------------------------------------------------
@@ -278,7 +222,9 @@ def initial_at_vertex(ctx: PolytopeContext, f, i: int) -> LaurentPoly:
     if body.is_zero():
         return body
     r, den = ctx._num[i - 1], ctx._den
-    return _least(body, lambda c, e: c.valuation() * den - vdot(r, e))[1]
+    vals = {e: c.valuation() * den - vdot(r, e) for e, c in body.terms_unordered()}
+    best = min(vals.values())
+    return LaurentPoly(body.ring, {e: c for e, c in body.terms_unordered() if vals[e] == best})
 
 
 # -- refined decompositions -------------------------------------------------------
@@ -383,68 +329,9 @@ def _new_refined_decomposition(ctx, base):
 
 # -- division modes ----------------------------------------------------------------
 
-class WeightMode:
-    """Division machinery for a ring under a single-weight term order."""
-
-    __slots__ = ("ring", "context", "labels", "_initials", "_laurent")
-    search_radius = 8
-
-    def __init__(self, ring: LaurentRing, context: WeightContext):
-        if context.n != ring.n:
-            raise AffinoidError("weight dimension does not match the ring")
-        self.ring = ring
-        self.context = context
-        self.labels = tuple(range(len(ring.order.decomposition.cones)))
-        self._initials = {}
-        self._laurent = LaurentMode(ring)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightMode)
-            and self.ring == other.ring
-            and self.context == other.context
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.context))
-
-    # ------------------------------------------------------------------
-    def initial(self, g: LaurentPoly) -> LaurentPoly:
-        cached = self._initials.get(g)
-        if cached is None:
-            _, cached = val_weight(self.context, g)
-            self._initials[g] = cached
-        return cached
-
-    def exp_key(self, exp):
-        """The exponent half of ``term_key``: (num.e, order key)."""
-        return (vdot(self.context._num, exp),) + self.ring.order.key(exp)
-
-    def with_coef(self, coef: Coefficient, half):
-        return _with_valuation(coef, half, self.context._den)
-
-    def term_key(self, coef: Coefficient, exp):
-        """Sort key, largest term first: (num.e - v(c) * den, order key)."""
-        return self.with_coef(coef, self.exp_key(exp))
-
-    def leading(self, f: LaurentPoly) -> Term:
-        return _max_term(self, f)
-
-    def cone_leading(self, g: LaurentPoly, label):
-        lm, lc, _ = self.initial(g).cone_leading_data(label)
-        return lm, lc
-
-    def member(self, g: LaurentPoly, t, label) -> bool:
-        return self.initial(g).ti_contains(t, label)
-
-    def module_source(self, g: LaurentPoly, label):
-        """The Laurent module of the initial form (module docstring)."""
-        return self._laurent, self.initial(g), label
-
-
 class PolytopeMode:
     """Division machinery for a ring whose order refines a polytope's
-    vertex regions."""
+    vertex regions; with one vertex r, the weight order of r."""
 
     __slots__ = (
         "ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules", "_interiors",
@@ -494,11 +381,14 @@ class PolytopeMode:
     def exp_key(self, exp):
         """The exponent half of ``term_key``: (top, -first attaining vertex
         index, order key), where top is the largest num_k.e."""
-        top, neg_k = max((vdot(v, exp), -k) for k, v in enumerate(self.context._num, 1))
-        return (top, neg_k) + self.ring.order.key(exp)
+        dots = [vdot(v, exp) for v in self.context._num]
+        top = max(dots)
+        return (top, -1 - dots.index(top)) + self.ring.order.key(exp)
 
     def with_coef(self, coef: Coefficient, half):
-        return _with_valuation(coef, half, self.context._den)
+        """``term_key`` from its exponent half: the scaled dot minus
+        v(c) * den, then the rest of the half."""
+        return (half[0] - coef.valuation() * self.context._den,) + half[1:]
 
     def term_key(self, coef: Coefficient, exp):
         """Sort key, largest term first: (top - v(c) * den, -first attaining
@@ -506,7 +396,12 @@ class PolytopeMode:
         return self.with_coef(coef, self.exp_key(exp))
 
     def leading(self, f: LaurentPoly) -> Term:
-        return _max_term(self, f)
+        """The leading term of a series body: the largest ``term_key``."""
+        key = self.term_key
+        best = max(f.terms_unordered(), key=lambda t: key(t[1], t[0]), default=None)
+        if best is None:
+            raise AffinoidError("the zero series has no leading term")
+        return Term(best[1], best[0])
 
     def cone_leading(self, g: LaurentPoly, label):
         i, _ = label
@@ -608,21 +503,6 @@ def _tij_cells(mode: PolytopeMode, f: LaurentPoly, label):
             best = max(vdot(nk, e) - c.valuation() * den for e, c in f.terms_unordered())
             base.append((vsub(num[i - 1], nk), top - best - (k < i)))
     return base, factors
-
-
-def _with_valuation(coef: Coefficient, half, den):
-    """A capped ``term_key`` from its exponent half: the scaled dot minus
-    v(c) * den, then the rest of the half."""
-    return (half[0] - coef.valuation() * den,) + half[1:]
-
-
-def _max_term(mode, f: LaurentPoly) -> Term:
-    """The leading term of a series body: the largest ``term_key``."""
-    key = mode.term_key
-    best = max(f.terms_unordered(), key=lambda t: key(t[1], t[0]), default=None)
-    if best is None:
-        raise AffinoidError("the zero series has no leading term")
-    return Term(best[1], best[0])
 
 
 def lm_polytope(mode: PolytopeMode, f):
@@ -754,7 +634,7 @@ def _certifier(mode, cap):
     polynomials lie in the affinoid algebra, so sum(c_i * f_i) is an ideal
     element up to the inputs' own precision: h is one to precision
     pi(h) = min(val(h - sum(c_i * body(f_i))), cap + min val c_i), since
-    val(c * e) >= val(c) + val(e) in both modes.  Raises PrecisionError
+    val(c * e) >= val(c) + val(e).  Raises PrecisionError
     when val(lt h) >= pi(h): then h's leading term is noise.
 
     Works in valuations times the common denominator: val(lt h) >= cap +

@@ -2,7 +2,8 @@
 the ``lgb`` command surface.
 
 Problem files name a ring, variables, an order, optional ``weight`` or
-``polytope`` and ``precision`` directives, and a generator list:
+``polytope`` and ``precision`` directives, and a generator list; ``weight
+r`` is the one-vertex ``polytope (r)``:
 
     ring Qp 2
     vars x y
@@ -33,8 +34,6 @@ from lgb.affinoid import (
     CappedSeries,
     PolytopeContext,
     PolytopeMode,
-    WeightContext,
-    WeightMode,
     build_refined_decomposition,
     buchberger_P,
     is_groebner_series,
@@ -261,18 +260,21 @@ def parse_poly(ring: LaurentRing, text: str, line=None) -> LaurentPoly:
 # -- problem files --------------------------------------------------------------
 
 class Problem:
-    """A parsed problem file, assembled into ring/mode/generators."""
+    """A parsed problem file, assembled into ring/mode/generators.  A
+    ``weight r`` problem is the one-vertex polytope (r) (``lgb.affinoid``);
+    it prints its cone labels as flat indices, as a Laurent problem does."""
 
     def __init__(self, field, n, names, score, weight, polytope, precision, gen_texts):
         self.field = field
         self.score = score
         order_decomp = build_decomposition("standard", n)
-        self.context = None
         self.mode = None
-        if polytope is not None:
-            ctx = PolytopeContext(polytope)
+        self.flat_labels = polytope is None
+        vertices, noun = ([weight], "weight") if weight is not None else (polytope, "polytope")
+        if vertices is not None:
+            ctx = PolytopeContext(vertices)
             if ctx.n != n:
-                raise ParseError("polytope dimension does not match vars")
+                raise ParseError(f"{noun} dimension does not match vars")
             refined = build_refined_decomposition(ctx, order_decomp)
             order = GeneralizedOrder(refined.decomposition, ScoreFunction(score, n))
             # the score must be linear on every refined cone; an invalid
@@ -281,16 +283,9 @@ class Problem:
                 order.linear_form(k)
             self.ring = LaurentRing(field, n, order, names)
             self.mode = PolytopeMode(self.ring, ctx, refined)
-            self.context = ctx
         else:
             order = GeneralizedOrder(order_decomp, ScoreFunction(score, n))
             self.ring = LaurentRing(field, n, order, names)
-            if weight is not None:
-                wctx = WeightContext(weight)
-                if wctx.n != n:
-                    raise ParseError("weight dimension does not match vars")
-                self.mode = WeightMode(self.ring, wctx)
-                self.context = wctx
         self.precision = precision
         self.generators = []
         for text, lineno in gen_texts:
@@ -308,6 +303,13 @@ class Problem:
 
     def series_generators(self):
         return [self.series(g) for g in self.generators]
+
+    def label_text(self, label) -> str:
+        """A cone label as ``info`` and ``check`` print it: a polytope
+        problem's (vertex, sub-index) pair, otherwise the flat cone index."""
+        if self.flat_labels and self.capped:
+            label = self.mode.refined.flat_index(label)
+        return str(label)
 
 
 _VERTEX_RE = re.compile(r"\(([^()]*)\)")
@@ -515,7 +517,7 @@ def cmd_check(args) -> int:
     label, a, b, v = cert
     print("groebner: no")
     print(
-        f"failing S-pair: cone {label}, generators {a + 1} and {b + 1}, "
+        f"failing S-pair: cone {problem.label_text(label)}, generators {a + 1} and {b + 1}, "
         f"collision monomial {_monomial_text(problem.ring, v)}"
     )
     return 3
@@ -529,11 +531,12 @@ def cmd_info(args) -> int:
     body = problem.series(poly).body if problem.capped else poly
     print(f"lm: {_monomial_text(ring, mode.leading(body).exp)}")
     for label in mode.labels:
-        print(f"lm_{label}: {_monomial_text(ring, mode.cone_leading(body, label)[0])}")
-    noun = "generators" if isinstance(mode, PolytopeMode) else "generator"
+        lm = mode.cone_leading(body, label)[0]
+        print(f"lm_{problem.label_text(label)}: {_monomial_text(ring, lm)}")
+    noun = "generator" if problem.flat_labels else "generators"
     for label in mode.labels:
-        gens = cone_module(mode, body, label).generators
-        print(f"T_{label} {noun}: " + ", ".join(_monomial_text(ring, g) for g in gens))
+        gens = ", ".join(_monomial_text(ring, g) for g in cone_module(mode, body, label).generators)
+        print(f"T_{problem.label_text(label)} {noun}: {gens}")
     return 0
 
 

@@ -134,9 +134,12 @@ def _spair(adapter, label, f, g, v) -> LaurentPoly:
     lmf, lcf = _memoized(adapter._leads, f, label, adapter.cone_leading)
     lmg, lcg = _memoized(adapter._leads, g, label, adapter.cone_leading)
     tf, tg = vsub(v, lmf), vsub(v, lmg)
-    member = adapter.mode.member
-    if not member(f, tf, label) or not member(g, tg, label):
-        raise RingError(f"{v} is not a collision monomial for cone {label}")
+    for h, t in ((f, tf), (g, tg)):
+        # asked of the module source, as ``laurent.cone_module`` asks it:
+        # with one vertex, the Laurent module of the initial form
+        source, body, at = adapter.mode.module_source(h, label)
+        if not source.member(body, t, at):
+            raise RingError(f"{v} is not a collision monomial for cone {label}")
     key, past_cap = adapter.term_key, adapter.past_cap
     capped = adapter.bound != math.inf
     terms = {}

@@ -11,7 +11,7 @@ AAECC 1999) and T_{i,j}(f) over a polytope.  In every layer t in T implies
 lm(X^t f) = t + lm_label(f), so M = lm_label(f) + T holds the collision
 monomials: the value tests ``v in M`` against its shifted generators and
 intersects with another module to U (``Cone.module_intersection``).  The
-weight mode and the one-vertex polytope mode view their modules as the
+one-vertex polytope mode, a weight order, views its modules as the
 Laurent module of an initial form (``module_source``).  A Laurent module
 is memoized on its polynomial, a polytope one on its mode.  On the
 standard cones a module is principal, g + C, found by one descent from the

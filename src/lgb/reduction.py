@@ -10,17 +10,18 @@ leading term without introducing a larger one.
 
 A layer is a mode with ``ring``, ``labels``, ``exp_key``, ``with_coef``,
 ``term_key`` and ``cone_leading``, and the cone-module protocol of
-``laurent.cone_module``: ``laurent.LaurentMode``, ``affinoid.WeightMode``
-and ``PolytopeMode``.  Each engine call builds one adapter over its mode,
-``PolynomialMode``, which holds the mode and the call's cap ``bound``: the
-only datum by which the layers differ.  Both divide ``LaurentPoly``
+``laurent.cone_module``: ``laurent.LaurentMode`` and
+``affinoid.PolytopeMode``, whose one-vertex case is a weight order.  Each
+engine call builds one adapter over its mode, ``PolynomialMode``, which
+holds the mode and the call's cap ``bound``: the only datum by which the
+layers differ.  Both divide ``LaurentPoly``
 bodies through one verified division, ``_divide``, which ``reduce``,
 ``affinoid.reduce_P`` and ``groebner``'s engine call.
 
 A term's sort key (largest term first) has an exponent half and a
 coefficient part: the mode's ``exp_key(e)`` is the order key in the
-Laurent layer, and the scaled weight or polytope dot followed by the order
-key in the capped layers; its ``with_coef(c, half)`` folds in v(c), and
+Laurent layer, and the scaled polytope dot and vertex index followed by
+the order key in the capped layer; its ``with_coef(c, half)`` folds in v(c), and
 ``term_key(c, e)`` is the two composed.  The adapter keeps one table
 ``{e: exp_key(e)}`` per engine call, and its ``term_key`` reads the
 exponent half from it, so ``division_loop``, ``groebner._spair`` and the

@@ -10,7 +10,7 @@ import pytest
 
 from lgb import groebner, lattice, laurent, reduction
 from lgb.affinoid import AffinoidError, PolytopeContext, PolytopeMode, build_refined_decomposition
-from lgb.cli import ParseError
+from lgb.cli import ParseError, parse_problem
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order
 from lgb.lattice import (
@@ -31,14 +31,22 @@ def ring_for(field, n, score="degmin", decomposition=None, names=None):
     return LaurentRing(field, n, make_order(n, score, decomposition), names)
 
 
-def polytope_mode(vertices, base="standard"):
-    """(ring, mode) of Q_2[x^±1, y^±1] ordered by degmin on the refinement
-    of the base cones by a polytope."""
+def polytope_mode(vertices, base="standard", field=None, score="degmin"):
+    """(ring, mode) of K[x^±1, y^±1], K = Q_2 unless given, ordered by the
+    score (degmin unless given) on the refinement of the base cones by a
+    polytope; the one-vertex polytope (r) is the weight order of r."""
     ctx = PolytopeContext(vertices)
     refined = build_refined_decomposition(ctx, build_decomposition(base, 2))
-    order = GeneralizedOrder(refined.decomposition, ScoreFunction("degmin", 2))
-    ring = LaurentRing(FieldSpec.padic(2), 2, order, ("x", "y"))
+    order = GeneralizedOrder(refined.decomposition, ScoreFunction(score, 2))
+    ring = LaurentRing(field or FieldSpec.padic(2), 2, order, ("x", "y"))
     return ring, PolytopeMode(ring, ctx, refined)
+
+
+def directive_mode(directive):
+    """(ring, mode) of a capped directive such as ``weight 1 2``, parsed
+    over Q_2[x^±1, y^±1] under degmin."""
+    problem = parse_problem(f"ring Qp 2\nvars x y\n{directive}\norder degmin\ngens:\nx\n")
+    return problem.ring, problem.mode
 
 
 def certified_ti(f, i, search_radius):
@@ -587,10 +595,11 @@ def reference_compare(order, u, v) -> int:
     return 0
 
 
-def reference_compare_weight(ctx, order, s, t) -> int:
-    """Valuation-first term comparison; equal only on unit multiples."""
-    vs = s.coef.valuation() - vdot(ctx.r, s.exp)
-    vt = t.coef.valuation() - vdot(ctx.r, t.exp)
+def reference_compare_weight(r, order, s, t) -> int:
+    """Valuation-first term comparison under the weight r; equal only on
+    unit multiples."""
+    vs = s.coef.valuation() - vdot(r, s.exp)
+    vt = t.coef.valuation() - vdot(r, t.exp)
     if vs != vt:
         return -1 if vs > vt else 1
     return reference_compare(order, s.exp, t.exp)

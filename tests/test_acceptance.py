@@ -11,22 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import certified_ti, random_poly, ring_for, ti_generator
+from conftest import certified_ti, random_poly, reference_compare_weight, ring_for, ti_generator
 from lgb.affinoid import (
-    CappedSeries,
     PolytopeContext,
     PolytopeMode,
-    WeightContext,
-    WeightMode,
     buchberger_P,
     build_refined_decomposition,
     initial_at_vertex,
     lm_polytope,
     reduce_P,
     val_polytope,
-    val_weight,
 )
-from lgb.cli import parse_poly
+from lgb.cli import parse_poly, parse_problem
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, make_order, validate_gmo
 from lgb.groebner import buchberger, ideal_membership, is_groebner, same_ideal
@@ -256,13 +252,14 @@ def test_criterion_09_valuation_laws():
     with criterion(9, "valuation laws: multiplicative weights, sub-multiplicative polytopes"):
         ring = ring_for(FieldSpec.padic(2), 2, "degmin")
         rng = random.Random(909)
-        wctx = WeightContext((Fraction(1, 2), Fraction(2)))
+        # a weight is the one-vertex polytope
+        wctx = PolytopeContext([(Fraction(1, 2), Fraction(2))])
         for _ in range(500):
             f = random_poly(ring, rng, terms=3, radius=3)
             g = random_poly(ring, rng, terms=3, radius=3)
             assert (
-                val_weight(wctx, f * g)[0]
-                == val_weight(wctx, f)[0] + val_weight(wctx, g)[0]
+                val_polytope(wctx, f * g)[0]
+                == val_polytope(wctx, f)[0] + val_polytope(wctx, g)[0]
             )
         ctx = PolytopeContext([(1, 1), (0, 1)])
         for _ in range(500):
@@ -290,14 +287,16 @@ def test_criterion_09_valuation_laws():
 
 def test_criterion_10_polytopal_degeneration():
     with criterion(10, "single-vertex polytope pipeline matches the weight pipeline bit-for-bit"):
-        ring = ring_for(FieldSpec.padic(2), 2, "degmin")
+        # the two directives, through the parser; the term order is checked
+        # against the independent weight comparator
+        text = "ring Qp 2\nvars x y\n{}\norder degmin\nprecision 50\ngens:\n"
+        weight = parse_problem(text.format("weight 1 2") + "x\n")
+        vertex = parse_problem(text.format("polytope (1,2)") + "x\n")
         r = (Fraction(1), Fraction(2))
-        wmode = WeightMode(ring, WeightContext(r))
-        ctx = PolytopeContext([r])
-        refined = build_refined_decomposition(ctx, build_decomposition("standard", 2))
-        pmode = PolytopeMode(ring, ctx, refined)
-        cap = Fraction(50)
+        assert weight.mode.context.vertices == vertex.mode.context.vertices == (r,)
+        ring = weight.ring
         rng = random.Random(1010)
+        quotients = pairs = 0
         for k in range(20):
             terms = 2 if k % 2 == 0 else 3
             gens = [random_poly(ring, rng, terms=terms, radius=2, bound=3) for _ in range(2)]
@@ -310,20 +309,37 @@ def test_criterion_10_polytopal_degeneration():
                     ring.field.from_int(rng.choice([1, 2, 3, 6])),
                     (rng.randint(-3, 3), rng.randint(-3, 3)),
                 )
-                kw = wmode.term_key(*s), wmode.term_key(*t)
-                kp = pmode.term_key(*s), pmode.term_key(*t)
-                assert (kw[0] > kw[1]) - (kw[0] < kw[1]) == (kp[0] > kp[1]) - (kp[0] < kp[1])
-            gw = [CappedSeries(wmode, g, cap) for g in gens]
-            gp = [CappedSeries(pmode, g, cap) for g in gens]
+                kw = weight.mode.term_key(*s), weight.mode.term_key(*t)
+                kp = vertex.mode.term_key(*s), vertex.mode.term_key(*t)
+                sign = (kw[0] > kw[1]) - (kw[0] < kw[1])
+                assert sign == (kp[0] > kp[1]) - (kp[0] < kp[1])
+                assert sign == reference_compare_weight(r, ring.order, s, t)
+            gw = [weight.series(g) for g in gens]
+            gp = [vertex.series(g) for g in gens]
             probe = random_poly(ring, rng, terms=2, radius=2, bound=3)
-            qw, rw = reduce_P(CappedSeries(wmode, probe, cap), gw)
-            qp, rp = reduce_P(CappedSeries(pmode, probe, cap), gp)
+            qw, rw = reduce_P(weight.series(probe), gw)
+            qp, rp = reduce_P(vertex.series(probe), gp)
             assert rw.body == rp.body and rw.cap == rp.cap
             assert [q.body for q in qw] == [q.body for q in qp]
             bw = buchberger_P(gw, None)
             bp = buchberger_P(gp, None)
             assert [h.body for h in bw.basis] == [h.body for h in bp.basis]
             assert bw.stats == bp.stats
+            quotients += sum(not q.is_zero() for q in qw)
+            pairs += bw.stats.pairs_processed
+        # the divisions and the S-pairs compared are not all empty
+        assert quotients >= 20 and pairs >= 20, (quotients, pairs)
+        # the random ideals above are all the unit ideal; this one grows a
+        # basis element and leaves a nonzero remainder
+        gens = "(3/50)*x^-2*y^-2 + (-11663/400)*x*y + (-25/2)*x^2*y^2\n(-10)*x^-2*y^2 + (5)*x\n"
+        answers = []
+        for directive in ("weight 1 2", "polytope (1,2)"):
+            problem = parse_problem(text.format(directive) + gens)
+            res = buchberger_P(problem.series_generators(), None)
+            _, rem = reduce_P(problem.series(parse_poly(problem.ring, "x^2 + y^2")), res.basis)
+            answers.append(([h.body for h in res.basis], res.stats, rem.body))
+        assert answers[0] == answers[1]
+        assert len(answers[0][0]) > 2 and not answers[0][2].is_zero()
 
 
 def test_criterion_11_figure_polytopes():
@@ -363,7 +379,7 @@ def test_criterion_12_polytope_valuation_against_brute():
         ctx72 = PolytopeContext([(1, 2), (2, 1), (0, 0)])
         f72 = parse_poly(ring2, "1/2*x + y^2 + x*y")
         # the valuation at vertex r_1 is the weight valuation of r_1
-        assert val_weight(WeightContext(ctx72.vertices[0]), f72)[0] == -4  # prose says -3
+        assert val_polytope(PolytopeContext([ctx72.vertices[0]]), f72)[0] == -4  # prose says -3
         ctx73 = PolytopeContext([(0, 0, 3), (1, 0, 0), (-1, 1, 2), (0, 1, 1)])
         t73 = parse_poly(ring3, "2*x*y*z^-1")
         assert val_polytope(ctx73, t73)[1] == (2,)  # prose says {2, 4}

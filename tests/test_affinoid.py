@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     collisions,
+    directive_mode,
     orthant_ring,
     polytope_mode,
     random_coeff,
@@ -23,8 +24,6 @@ from lgb.affinoid import (
     PolytopeContext,
     PolytopeMode,
     PrecisionError,
-    WeightContext,
-    WeightMode,
     buchberger_P,
     build_refined_decomposition,
     initial_at_vertex,
@@ -32,7 +31,6 @@ from lgb.affinoid import (
     lm_polytope,
     reduce_P,
     val_polytope,
-    val_weight,
 )
 from lgb.cli import parse_poly, parse_problem
 from lgb.coeffs import INF, FieldSpec
@@ -54,24 +52,26 @@ def example71():
 
 
 def test_val_weight_examples():
+    # a weight r is the one-vertex polytope (r)
     ring = q2_ring()
-    ctx = WeightContext((1, 2))
-    assert val_weight(ctx, parse_poly(ring, "x*y"))[0] == -3
-    ctx01 = WeightContext((0, 1))
-    assert val_weight(ctx01, parse_poly(ring, "x^-1*y^-1"))[0] == 1
-    ctx0 = WeightContext((0, 0))
-    value, initial = val_weight(ctx0, parse_poly(ring, "2*x + y"))
+    ctx = PolytopeContext([(1, 2)])
+    assert val_polytope(ctx, parse_poly(ring, "x*y"))[0] == -3
+    ctx01 = PolytopeContext([(0, 1)])
+    assert val_polytope(ctx01, parse_poly(ring, "x^-1*y^-1"))[0] == 1
+    ctx0 = PolytopeContext([(0, 0)])
+    f = parse_poly(ring, "2*x + y")
+    value, initial = val_polytope(ctx0, f)[0], initial_at_vertex(ctx0, f, 1)
     assert value == 0 and initial == parse_poly(ring, "y")
-    assert val_weight(ctx0, ring.zero())[0] is INF
+    assert val_polytope(ctx0, ring.zero())[0] is INF
 
 
 def test_compare_weight_examples():
-    ring = q2_ring()
+    ring, mode0 = polytope_mode([(0, 0)])
     one = ring.field.one()
     two = ring.field.from_int(2)
-    key0 = WeightMode(ring, WeightContext((0, 0))).term_key
+    key0 = mode0.term_key
     assert key0(two, (1, 0)) < key0(one, (0, 1))
-    key10 = WeightMode(ring, WeightContext((1, 0))).term_key
+    key10 = polytope_mode([(1, 0)])[1].term_key
     assert key10(one, (1, 0)) > key10(one, (0, 1))
     # tie on the valuation falls through to the generalized order (lex)
     assert key0(one, (1, 0)) > key0(one, (0, 1))
@@ -156,12 +156,12 @@ def test_lm_polytope_example71():
 def test_val_r_multiplicative_and_val_p_submultiplicative():
     rng = random.Random(515)
     ring = q2_ring()
-    ctx = WeightContext((Fraction(1, 2), Fraction(2)))
+    ctx = PolytopeContext([(Fraction(1, 2), Fraction(2))])
     pctx = PolytopeContext([(1, 1), (0, 1)])
     for _ in range(500):
         f = random_poly(ring, rng, terms=3, radius=3)
         g = random_poly(ring, rng, terms=3, radius=3)
-        assert val_weight(ctx, f * g)[0] == val_weight(ctx, f)[0] + val_weight(ctx, g)[0]
+        assert val_polytope(ctx, f * g)[0] == val_polytope(ctx, f)[0] + val_polytope(ctx, g)[0]
         assert val_polytope(pctx, f * g)[0] >= val_polytope(pctx, f)[0] + val_polytope(pctx, g)[0]
 
 
@@ -259,8 +259,7 @@ def test_reduce_p_self_and_residual():
 
 
 def test_weight_pipeline_degenerates_to_polynomial():
-    ring = ring_for(FieldSpec.rational(), 2, "degmin")
-    mode = WeightMode(ring, WeightContext((0, 0)))
+    ring, mode = polytope_mode([(0, 0)], field=FieldSpec.rational())
     cap = Fraction(50)
     f = parse_poly(ring, "2*x^2*y^-1 + x^-3*y - 3*y^-5")
     gens = [parse_poly(ring, "x^-2*y^-1 + x*y"), parse_poly(ring, "x^-2*y + x^2*y^-1")]
@@ -276,13 +275,11 @@ def test_weight_pipeline_degenerates_to_polynomial():
 
 
 def test_single_vertex_matches_weight_pipeline():
+    # the weight directive parses to the one-vertex polytope
     rng = random.Random(4321)
-    ring = q2_ring()
-    r = (Fraction(1), Fraction(2))
-    wmode = WeightMode(ring, WeightContext(r))
-    ctx = PolytopeContext([r])
-    refined = build_refined_decomposition(ctx, build_decomposition("standard", 2))
-    pmode = PolytopeMode(ring, ctx, refined)
+    ring, wmode = directive_mode("weight 1 2")
+    pmode = directive_mode("polytope (1,2)")[1]
+    assert isinstance(wmode, PolytopeMode) and wmode == pmode
     cap = Fraction(50)
     for _ in range(5):
         gens = [random_poly(ring, rng, terms=2, radius=2, bound=4) for _ in range(2)]
@@ -373,8 +370,7 @@ def test_buchberger_p_combinations_certify_each_element():
 
 def test_series_validation_shared_by_gb_and_check():
     # 1024 = 2^10 is zero at cap 10; both verbs reject it with one message
-    ring = q2_ring()
-    mode = WeightMode(ring, WeightContext((1, 2)))
+    ring, mode = polytope_mode([(1, 2)])
     f = CappedSeries(mode, parse_poly(ring, "x - 1"), 10)
     zero = CappedSeries(mode, parse_poly(ring, "1024"), 10)
     other_cap = CappedSeries(mode, parse_poly(ring, "y - 1"), 12)
@@ -388,8 +384,7 @@ def test_series_validation_shared_by_gb_and_check():
 
 
 def test_is_groebner_series_certificate_names_input_positions():
-    ring = q2_ring()
-    mode = WeightMode(ring, WeightContext((1, 2)))
+    ring, mode = polytope_mode([(1, 2)])
     texts = ("4*x*y + 3*x", "4*x*y + 3*x", "-306/5*x^2*y^2 - 25/2*x^-2*y^-1 - 1/6*y^2")
     gens = [CappedSeries(mode, parse_poly(ring, t), 50) for t in texts]
     flag, cert = is_groebner_series(gens)
@@ -400,8 +395,7 @@ def test_is_groebner_series_certificate_names_input_positions():
 def test_is_groebner_series_forms_every_spair(monkeypatch):
     """The capped check is exhaustive: one S-pair per collision generator
     of every pair and label, none skipped (see ``groebner``)."""
-    ring = q2_ring()
-    mode = WeightMode(ring, WeightContext((1, 2)))
+    ring, mode = polytope_mode([(1, 2)])
     gens = [CappedSeries(mode, parse_poly(ring, t), 20) for t in ("x*y + 4", "2*x + y", "x^2 - 8*y")]
     basis = buchberger_P(gens).basis
     expected = sum(
@@ -438,8 +432,8 @@ def test_multi_vertex_buchberger_closure_random():
 
 
 def test_fractional_weight_division_identity():
-    ring = ring_for(FieldSpec.padic(3), 2, "min")
-    mode = WeightMode(ring, WeightContext((Fraction(1, 3), Fraction(-1, 2))))
+    r = (Fraction(1, 3), Fraction(-1, 2))
+    ring, mode = polytope_mode([r], field=FieldSpec.padic(3), score="min")
     cap = Fraction(8)
     rng = random.Random(140)
     for _ in range(15):
@@ -572,9 +566,8 @@ def test_term_key_orders_like_compare(vertices):
     ``reference_compare_polytope`` do, and ``leading`` is the
     compare-maximum."""
     if vertices is None:
-        ring = q2_ring()
-        mode = WeightMode(ring, WeightContext((1, 2)))
-        compare = lambda s, t: reference_compare_weight(mode.context, ring.order, s, t)
+        ring, mode = polytope_mode([(1, 2)])
+        compare = lambda s, t: reference_compare_weight((1, 2), ring.order, s, t)
     else:
         ring, mode = polytope_mode(vertices)
         compare = lambda s, t: reference_compare_polytope(mode.context, ring.order, s, t)
@@ -641,7 +634,7 @@ def test_one_pass_spair_series_matches_the_composition(vertices):
     at the cap: at every collision generator of every cone, and at caps
     where a term of S lies at or above the cap in one multiple only."""
     if vertices is None:
-        mode = WeightMode(q2_ring(), WeightContext((1, 2)))
+        _, mode = directive_mode("weight 1 2")
     else:
         _, mode = polytope_mode(vertices)
     rng = random.Random(f"spair {vertices}")
@@ -699,8 +692,7 @@ def test_reduce_reverification_catches_a_dropped_quotient_term(monkeypatch, q_ri
 @pytest.mark.parametrize("directive", ["weight", "polytope"])
 def test_reduce_P_reverification_catches_a_dropped_quotient_term(monkeypatch, directive):
     if directive == "weight":
-        ring = q2_ring()
-        mode = WeightMode(ring, WeightContext((1, 2)))
+        ring, mode = directive_mode("weight 1 2")
     else:
         ring, mode = polytope_mode([(1, 2)])
     f = CappedSeries(mode, parse_poly(ring, "x^3*y + 2*x*y^2 + x^-1"), 20)
@@ -727,8 +719,7 @@ def test_reducer_fires_at_its_cone_leading_monomial(directive):
     value holds exactly these t: t + lm_label(g) lies in its shifted module
     iff lm(X^t g) lands in the cone and, over a polytope, in V_{i,<}."""
     if directive == "weight (1,2)":
-        ring = q2_ring()
-        mode = WeightMode(ring, WeightContext((1, 2)))
+        ring, mode = directive_mode("weight 1 2")
     elif directive == "polytope (1,2)":
         ring, mode = polytope_mode([(1, 2)])
     elif directive == "example 7.1":

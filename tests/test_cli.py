@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_poly, reference_parse_poly, ring_for
+from lgb.affinoid import PolytopeMode
 from lgb.cli import ParseError, main, parse_poly, parse_problem
 from lgb.coeffs import FieldSpec
 from lgb.groebner import same_ideal
@@ -42,7 +43,16 @@ def test_parse_problem_polytopal():
     problem = parse_problem(text)
     assert problem.capped
     assert problem.precision == Fraction(20)
-    assert problem.context.vertices == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+    assert problem.mode.context.vertices == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+
+
+def test_weight_parses_to_the_one_vertex_polytope():
+    problem = parse_problem("ring Qp 2\nvars x y\nweight 1 1/2\norder degmin\ngens:\nx\n")
+    assert isinstance(problem.mode, PolytopeMode)
+    assert problem.mode.context.vertices == ((Fraction(1), Fraction(1, 2)),)
+    assert problem.mode.labels == ((1, 1), (1, 2), (1, 3))
+    with pytest.raises(ParseError, match="^weight dimension does not match vars$"):
+        parse_problem("ring Qp 2\nvars x y\nweight 1 2 3\norder degmin\ngens:\nx\n")
 
 
 def test_parse_problem_errors():

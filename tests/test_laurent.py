@@ -15,7 +15,7 @@ from conftest import (
     ti_generator,
     ti_set_general,
 )
-from lgb.affinoid import PolytopeContext, WeightContext, WeightMode, build_refined_decomposition
+from lgb.affinoid import PolytopeContext, build_refined_decomposition
 from lgb.cli import parse_poly
 from lgb.coeffs import FieldSpec
 from lgb.gmo import GeneralizedOrder, ScoreFunction, validate_gmo
@@ -235,11 +235,9 @@ def test_u_intersection_examples(q_ring2):
         assert (in_f and in_g) == cone.contains(vsub(t, vs[0]))
     # in every mode, U generates the intersection of the two shifted
     # modules, each tested definitionally point by point on a box
-    q2 = ring_for(FieldSpec.padic(2), 2)
     modes = [
         mode,
         LaurentMode(orthant_ring(2)),
-        WeightMode(q2, WeightContext((1, 2))),
         polytope_mode([(1, 2)])[1],
         polytope_mode([(1, 1), (0, 1)])[1],
         polytope_mode([(1, 0), (0, 1)], "orthant")[1],

@@ -5,7 +5,6 @@ import weakref
 import pytest
 
 from conftest import orthant_ring, polytope_mode, random_coeff, random_poly, ring_for
-from lgb.affinoid import WeightContext, WeightMode
 from lgb.coeffs import FieldSpec
 from lgb.cli import parse_poly
 from lgb.laurent import LaurentPoly, Term
@@ -108,13 +107,12 @@ def test_guard_rejects_naive_cancellation(q_ring2):
 
 def _modes():
     """(name, mode) of every layer: the Laurent mode on the standard and
-    the orthant ring, the weight mode, a one-vertex and a two-vertex
-    polytope."""
-    from test_affinoid import example71, q2_ring
+    the orthant ring, a one-vertex polytope (the weight order of (1,2)) and
+    a two-vertex polytope."""
+    from test_affinoid import example71
 
     yield "polynomial", LaurentMode(ring_for(FieldSpec.rational(), 2, "degmin"))
     yield "orthant", LaurentMode(orthant_ring(2))
-    yield "weight (1,2)", WeightMode(q2_ring(), WeightContext((1, 2)))
     yield "one vertex (1,2)", polytope_mode([(1, 2)])[1]
     yield "example 7.1", example71()[3]
 
@@ -154,8 +152,6 @@ def test_adapter_term_key_is_the_modes():
 
 
 def test_repeated_reducer_test_is_computed_once(monkeypatch, q_ring2):
-    from test_affinoid import q2_ring
-
     shifts = []
     real = PolynomialMode._shifted_lm
 
@@ -166,8 +162,9 @@ def test_repeated_reducer_test_is_computed_once(monkeypatch, q_ring2):
     # the adapter's one compute path of lm(X^shift g), for every layer
     monkeypatch.setattr(PolynomialMode, "_shifted_lm", counting)
     g = parse_poly(q_ring2, "x^-2*y^-1 + x*y")
-    h = parse_poly(q2_ring(), "2*x^-1 + y^2")
-    series = PolynomialMode(WeightMode(h.ring, WeightContext((1, 2))))
+    ring, mode = polytope_mode([(1, 2)])
+    h = parse_poly(ring, "2*x^-1 + y^2")
+    series = PolynomialMode(mode)
     for adapter, f in ((PolynomialMode(LaurentMode(q_ring2)), g), (series, h)):
         shifts.clear()
         for _ in range(3):

@@ -58,3 +58,15 @@ def test_one_spair_builder_and_one_verified_division():
     assert _call_sites("residual") == [("reduction.py", "_divide")]
     assert {path for path, _ in _call_sites("_spair")} == {"groebner.py"}
     assert not {"spair", "divide", "body"} & set(PolynomialMode.__slots__)
+
+
+def test_one_capped_mode():
+    # a weight r is the one-vertex polytope (r): the package has no second
+    # capped mode, context or valuation for it
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in ("WeightMode", "WeightContext", "val_weight")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert found == []

@@ -30,15 +30,12 @@ compute with ``scaled_val`` and the per-vertex integer dots; a
 ``Fraction`` is built only for a value handed back to the caller
 (``term_val``, ``val_polytope``).
 
-The one-vertex mode views its cone modules (``laurent.cone_module``) as
-the Laurent module of the initial form.  With several vertices
-``PolytopeMode`` supplies T_{i,j}(f) itself: its member test, the integer
-cells that describe it exactly (``_tij_cells``), and a witness.  For that
-member test ``PolytopeMode.shifted_lm`` keys the terms of X^t g from
-integers cached per polynomial (exponent, valuation times the
-denominator, dot product with each scaled vertex), so testing t against a
-T_{i,j} module builds no product; the division adapter computes its own
-lm(X^t g) from its key table.
+For its cone modules (``laurent.cone_module``) ``PolytopeMode`` supplies
+the region of T_{i,j}(f), ``in_region`` (the cone and V_{i,<}), which the
+division adapter's ``member`` asks of lm(X^t f), the integer cells that
+describe the module exactly (``_tij_cells``), and a witness.  With one
+vertex r the module is the Laurent module of the initial form in_r(f),
+principal on the standard cones.
 
 ``reduce_P``, ``buchberger_P`` and ``is_groebner_series`` unwrap their
 series to bodies, run ``reduction._divide`` and ``groebner``'s engine on
@@ -84,7 +81,7 @@ from lgb.lattice import (
     vdot,
     vsub,
 )
-from lgb.laurent import LaurentMode, LaurentPoly, LaurentRing, Term, _ti_cells, format_poly
+from lgb.laurent import LaurentPoly, LaurentRing, Term, _ti_cells, format_poly
 from lgb.reduction import PolynomialMode, _divide
 
 
@@ -333,10 +330,7 @@ class PolytopeMode:
     """Division machinery for a ring whose order refines a polytope's
     vertex regions; with one vertex r, the weight order of r."""
 
-    __slots__ = (
-        "ring", "context", "refined", "labels", "_initials", "_term_keys", "_modules", "_interiors",
-        "_laurent",
-    )
+    __slots__ = ("ring", "context", "refined", "labels", "_initials", "_modules", "_interiors")
     search_radius = 6
 
     def __init__(self, ring: LaurentRing, context: PolytopeContext, refined: RefinedDecomposition):
@@ -353,10 +347,8 @@ class PolytopeMode:
         self.refined = refined
         self.labels = refined.labels
         self._initials = {}
-        self._term_keys = {}
         self._modules = {}
         self._interiors = {}
-        self._laurent = LaurentMode(ring) if context.nvertices == 1 else None
 
     def __eq__(self, other):
         return (
@@ -409,61 +401,30 @@ class PolytopeMode:
         lm, lc, _ = self.initial(g, i).cone_leading_data(flat)
         return lm, lc
 
-    def shifted_lm(self, g: LaurentPoly, shift):
-        """lm(X^shift * g) without building the product: ``term_key`` of
-        each shifted term from the integers cached per polynomial, the
-        order key computed only on ties."""
-        keys = self._term_keys.get(g)
-        if keys is None:
-            num, den = self.context._num, self.context._den
-            keys = [
-                (e, c.valuation() * den, tuple(vdot(v, e) for v in num))
-                for e, c in g.terms_unordered()
-            ]
-            self._term_keys[g] = keys
-        sdots = [vdot(v, shift) for v in self.context._num]
-        order_key = self.ring.order.key
-        best = best_key = None
-        for e, vden, dots in keys:
-            top, neg_k = max((d + s, -k) for k, (d, s) in enumerate(zip(dots, sdots)))
-            key = (top - vden, neg_k)
-            exp = vadd(e, shift)
-            if best is None or key > best_key or (
-                key == best_key and order_key(exp) > order_key(best)
-            ):
-                best, best_key = exp, key
-        if best is None:
-            raise AffinoidError("the zero series has no leading term")
-        return best
-
-    def member(self, g: LaurentPoly, t, label) -> bool:
-        """t in T_{i,j}(g): the shifted leading monomial lands in the cone
-        and in V_{i,<}."""
-        i, _ = label
-        lm = self.shifted_lm(g, t)
-        return self.refined.cone(label).contains(lm) and self.context.in_vi_less(i, lm)
-
-    def module_source(self, g: LaurentPoly, label):
-        """With one vertex, the Laurent module of the initial form."""
-        if self._laurent is None:
-            return self, g, label
-        return self._laurent, self.initial(g, 1), self.refined.flat_index(label)
+    def in_region(self, label, exp) -> bool:
+        """Whether lm(X^t g) = exp puts t in T_{i,j}(g): exp lies in the
+        cone and in V_{i,<}."""
+        return self.refined.cone(label).contains(exp) and self.context.in_vi_less(label[0], exp)
 
     def memo(self, g: LaurentPoly, label):
         return self._modules, (g, label)
 
-    def module_search(self, g: LaurentPoly, label, search_radius):
-        """(cone, cells, witness) of T_{i,j}(g): the witness is the first
-        member on the walk from the cone witness along an interior
-        direction; IncompleteSearchError with none in 2 * search_radius + 2
-        steps."""
-        cells = _tij_cells(self, g, label)
-        t = g.cone_witness(self.refined.flat_index(label))
-        interior = self._interior_vector(label)
+    def module_search(self, g: LaurentPoly, label, search_radius, member):
+        """(cone, cells, witness) of T_{i,j}(g), no cells where principal,
+        with one vertex r on the standard cones: a shift by t moves every
+        valuation by r.t, so lm(X^t g) = lm(X^t in_r(g)) and the module is
+        the Laurent one of in_r(g), whose cone witness is a member.  The
+        witness is the first ``member`` on the walk from that cone witness
+        along an interior direction; IncompleteSearchError with none in
+        2 * search_radius + 2 steps."""
+        flat = self.refined.flat_index(label)
+        single = self.context.nvertices == 1
+        cells = None if single and self.ring.standard_cones else _tij_cells(self, g, label)
+        t = (self.initial(g, 1) if single else g).cone_witness(flat)
         for _ in range(2 * search_radius + 2):
-            if self.member(g, t, label):
+            if member(t):
                 return self.refined.cone(label), cells, t
-            t = vadd(t, interior)
+            t = vadd(t, self._interior_vector(label))
         raise IncompleteSearchError(f"no witness for cone {label} within radius {search_radius}")
 
     def _interior_vector(self, label):

@@ -46,7 +46,7 @@ from lgb.lattice import LatticeError, build_decomposition, vadd
 from lgb.laurent import (
     LaurentMode, LaurentPoly, LaurentRing, RingError, cone_module, format_exponent, format_poly,
 )
-from lgb.reduction import reduce
+from lgb.reduction import PolynomialMode, reduce
 
 
 class ParseError(ValueError):
@@ -534,8 +534,9 @@ def cmd_info(args) -> int:
         lm = mode.cone_leading(body, label)[0]
         print(f"lm_{problem.label_text(label)}: {_monomial_text(ring, lm)}")
     noun = "generator" if problem.flat_labels else "generators"
+    adapter = PolynomialMode(mode)
     for label in mode.labels:
-        gens = ", ".join(_monomial_text(ring, g) for g in cone_module(mode, body, label).generators)
+        gens = ", ".join(_monomial_text(ring, g) for g in cone_module(adapter, body, label).generators)
         print(f"T_{problem.label_text(label)} {noun}: {gens}")
     return 0
 

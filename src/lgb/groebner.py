@@ -7,7 +7,9 @@ computation is deterministic.  ``buchberger``/``is_groebner`` and
 criterion check on ``LaurentPoly`` bodies, each over one
 ``reduction.PolynomialMode`` adapter that holds the mode and the cap
 bound (+inf in the Laurent layer).  Both layers form S-pairs with one
-builder, ``_spair``, and divide them with ``reduction._divide``.
+builder, ``_spair``, and divide them with ``reduction._divide``; they
+build cone modules with ``laurent.cone_module`` over the same adapter,
+and ``_spair`` checks a collision monomial with its ``member`` test.
 ``buchberger`` and ``buchberger_P`` expand the loop's record of how each
 element arose into ``GBResult.combinations`` (``_expand_provenance``);
 ``buchberger`` re-verifies the combination identity exactly, and
@@ -122,7 +124,8 @@ def _spair(adapter, label, f, g, v) -> LaurentPoly:
     """S(label, f, g, v) = lc_g*X^(v - lm_f)*f - lc_f*X^(v - lm_g)*g of two
     bodies at a collision monomial v, checked to lie strictly below
     lc_f*lc_g*X^v under the adapter's ``term_key``.  The leading data come
-    from the adapter's reducer table (``reduction``).
+    from the adapter's reducer table (``reduction``), and v must lie in both
+    shifted modules by the adapter's ``member`` test.
 
     It is built in one pass over the two supports into one term dict, with
     no intermediate polynomial per multiple.  Below a finite cap it drops
@@ -135,10 +138,7 @@ def _spair(adapter, label, f, g, v) -> LaurentPoly:
     lmg, lcg = _memoized(adapter._leads, g, label, adapter.cone_leading)
     tf, tg = vsub(v, lmf), vsub(v, lmg)
     for h, t in ((f, tf), (g, tg)):
-        # asked of the module source, as ``laurent.cone_module`` asks it:
-        # with one vertex, the Laurent module of the initial form
-        source, body, at = adapter.mode.module_source(h, label)
-        if not source.member(body, t, at):
+        if not adapter.member(h, t, label):
             raise RingError(f"{v} is not a collision monomial for cone {label}")
     key, past_cap = adapter.term_key, adapter.past_cap
     capped = adapter.bound != math.inf
@@ -183,8 +183,7 @@ def _generators(gens):
 
 def _u_set(adapter, f, g, label):
     """U_label of the bodies f and g: M_label(f) meets M_label(g)."""
-    mode = adapter.mode
-    return cone_module(mode, f, label).intersection(cone_module(mode, g, label))
+    return cone_module(adapter, f, label).intersection(cone_module(adapter, g, label))
 
 
 def _collisions(adapter, basis, a, b, chain):
@@ -296,20 +295,20 @@ class _Chain:
         """The union-find of (label, v) over E and its free edges, brought
         up to the current basis, or None while no element besides a and b
         has v in its module (nothing to chain)."""
-        mode, basis = self.adapter.mode, self.basis
+        adapter, basis = self.adapter, self.basis
         parent, start = self._groups.get((label, v), (None, 0))
         if start == len(basis):
             return parent
         new = [
             h for h in range(start, len(basis))
-            if h == a or h == b or v in cone_module(mode, basis[h], label)
+            if h == a or h == b or v in cone_module(adapter, basis[h], label)
         ]
         if parent is None:
             if len(new) == 2:
                 return None
             parent = {}
         self._groups[(label, v)] = (parent, len(basis))
-        cone = mode.ring.order.decomposition[label]
+        cone = adapter.mode.ring.order.decomposition[label]
         for y in new:
             members = list(parent)
             parent[y] = y

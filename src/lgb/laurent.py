@@ -5,17 +5,19 @@ The cone-i leading monomial of a nonzero f is computed through a witness
 translation that pushes the support into cone i.
 
 A cone module is one immutable ``ConeModule`` built by one function,
-``cone_module(mode, f, label)``: T(f) = {t : lm(X^t f) in cone} under the
-mode's order, T_i(f) for Laurent polynomials (Pauer and Unterkircher,
-AAECC 1999) and T_{i,j}(f) over a polytope.  In every layer t in T implies
+``cone_module(adapter, f, label)``: T(f) = {t : lm(X^t f) in cone} under
+the order of an engine call adapter's mode, T_i(f) for Laurent
+polynomials (Pauer and Unterkircher, AAECC 1999), and T_{i,j}(f) over a
+polytope, where lm(X^t f) must also lie in V_{i,<}.  Membership is one
+test, the adapter's ``member``: the mode's ``in_region`` of lm(X^t f),
+from the call's memo.  In every layer t in T implies
 lm(X^t f) = t + lm_label(f), so M = lm_label(f) + T holds the collision
 monomials: the value tests ``v in M`` against its shifted generators and
-intersects with another module to U (``Cone.module_intersection``).  The
-one-vertex polytope mode, a weight order, views its modules as the
-Laurent module of an initial form (``module_source``).  A Laurent module
-is memoized on its polynomial, a polytope one on its mode.  On the
-standard cones a module is principal, g + C, found by one descent from the
-cone witness; any other is certified complete over the mode's cells by
+intersects with another module to U (``Cone.module_intersection``).  A
+Laurent module is memoized on its polynomial, a polytope one on its mode,
+the one-vertex (weight) modules included.  On the standard cones a module
+is principal, g + C, found by one descent from the cone witness; any
+other is certified complete over the mode's cells by
 ``lattice._certified_generators`` at the mode's search ceiling, or raises.
 
 The Laurent cells (``_ti_cells``) describe T_i(f) exactly in factored
@@ -248,12 +250,6 @@ class LaurentPoly:
         lc = self._terms[lm]
         return lm, lc, Term(lc, lm)
 
-    def shifted_leading_monomial(self, shift):
-        """lm(X^shift * f) without building the product."""
-        if self.is_zero():
-            raise UndefinedLeadingError("the zero polynomial has no leading monomial")
-        return self.ring.order.max_exponent(vadd(shift, e) for e in self._terms)
-
     def cone_witness(self, i):
         """A translation t with supp(X^t * f) inside cone i."""
         cone = self.ring.order.decomposition[i]
@@ -277,11 +273,6 @@ class LaurentPoly:
             cached = (lm, lc, Term(lc, lm))
             self._cone_cache[i] = cached
         return cached
-
-    def ti_contains(self, t, i) -> bool:
-        """Whether lm(X^t * f) lies in cone i."""
-        cone = self.ring.order.decomposition[i]
-        return cone.contains(self.shifted_leading_monomial(t))
 
     # -- display -----------------------------------------------------------
     def sorted_terms(self, key=None):
@@ -384,17 +375,16 @@ class LaurentMode:
         lm, lc, _ = g.cone_leading_data(label)
         return lm, lc
 
-    def member(self, g: LaurentPoly, t, label) -> bool:
-        return g.ti_contains(t, label)
-
-    def module_source(self, g: LaurentPoly, label):
-        return self, g, label
+    def in_region(self, label, exp) -> bool:
+        """Whether lm(X^t g) = exp puts t in T_label(g): exp lies in the cone."""
+        return self.ring.order.decomposition[label].contains(exp)
 
     def memo(self, g: LaurentPoly, label):
         return g._cone_cache, ("module", label)
 
-    def module_search(self, g: LaurentPoly, label, search_radius):
-        """(cone, cells, witness) of T_label(g), no cells where principal."""
+    def module_search(self, g: LaurentPoly, label, search_radius, member):
+        """(cone, cells, witness) of T_label(g), no cells where principal;
+        the cone witness is a member, so ``member`` is not asked."""
         cells = None if self.ring.standard_cones else _ti_cells(g, label)
         return self.ring.order.decomposition[label], cells, g.cone_witness(label)
 
@@ -422,21 +412,21 @@ class ConeModule:
         return self.cone.module_intersection(self.shifted, other.shifted)
 
 
-def cone_module(mode, f: LaurentPoly, label, search_radius=None) -> ConeModule:
-    """The cone module of f at a cone label of a mode, memoized where its
-    source mode says (module docstring).  A principal module is one descent
-    from the witness; any other is certified over the cells by
+def cone_module(adapter, f: LaurentPoly, label, search_radius=None) -> ConeModule:
+    """The cone module of f at a cone label of an engine call adapter's mode,
+    memoized where the mode says (module docstring).  A principal module is
+    one descent from the witness; any other is certified over the cells by
     ``lattice._certified_generators`` within ``search_radius``, by default
     the mode's ceiling, and raises IncompleteSearchError when it cannot be."""
-    source, f, label = mode.module_source(f, label)
-    memo, key = source.memo(f, label)
+    mode = adapter.mode
+    memo, key = mode.memo(f, label)
     module = memo.get(key)
     if module is not None:
         return module
     if search_radius is None:
         search_radius = mode.search_radius
-    cone, cells, t = source.module_search(f, label, search_radius)
-    member = lambda t: source.member(f, t, label)
+    member = lambda t: adapter.member(f, t, label)
+    cone, cells, t = mode.module_search(f, label, search_radius, member)
     if cells is None:
         if not member(t):
             raise AssertionError(f"cone witness {t} lies outside T_{label}")
@@ -446,7 +436,7 @@ def cone_module(mode, f: LaurentPoly, label, search_radius=None) -> ConeModule:
         generators = (t,)
     else:
         generators = _certified_generators(cells, cone, t, search_radius, member)
-    module = memo[key] = ConeModule(cone, source.cone_leading(f, label)[0], tuple(generators))
+    module = memo[key] = ConeModule(cone, mode.cone_leading(f, label)[0], tuple(generators))
     return module
 
 

@@ -10,13 +10,13 @@ leading term without introducing a larger one.
 
 A layer is a mode with ``ring``, ``labels``, ``exp_key``, ``with_coef``,
 ``term_key`` and ``cone_leading``, and the cone-module protocol of
-``laurent.cone_module``: ``laurent.LaurentMode`` and
-``affinoid.PolytopeMode``, whose one-vertex case is a weight order.  Each
-engine call builds one adapter over its mode, ``PolynomialMode``, which
-holds the mode and the call's cap ``bound``: the only datum by which the
-layers differ.  Both divide ``LaurentPoly``
-bodies through one verified division, ``_divide``, which ``reduce``,
-``affinoid.reduce_P`` and ``groebner``'s engine call.
+``laurent.cone_module`` (``in_region``, ``memo``, ``module_search``):
+``laurent.LaurentMode`` and ``affinoid.PolytopeMode``, whose one-vertex
+case is a weight order.  Each engine call builds one adapter over its
+mode, ``PolynomialMode``, which holds the mode and the call's cap
+``bound``: the only datum by which the layers differ.  Both divide
+``LaurentPoly`` bodies through one verified division, ``_divide``, which
+``reduce``, ``affinoid.reduce_P`` and ``groebner``'s engine call.
 
 A term's sort key (largest term first) has an exponent half and a
 coefficient part: the mode's ``exp_key(e)`` is the order key in the
@@ -41,9 +41,11 @@ shift + lm_label(g) and a fire needs no further check.  The adapter
 computes lm(X^shift g) itself, in every layer, as the term of X^shift g
 with the largest ``term_key``, and memoizes it as ``{g: {shift: lm}}``:
 the same (g, shift) test recurs within a division and across the
-divisions of one Buchberger run.  The adapter's ``on_fire`` hook does
-nothing; it marks each fire for ``bench/spans.py``, which counts reducer
-fires through it.
+divisions of one Buchberger run.  The memo also serves every cone
+module's one membership test, ``member(g, t, label)``: the mode's
+``in_region(label, lm(X^t g))``; ``shifted_lm`` counts reducer tries
+alone.  The adapter's ``on_fire`` hook does nothing; it marks each fire
+for ``bench/spans.py``, which counts reducer fires through it.
 
 The adapter also keeps the reducer table ``{g: {label: (lm, lc)}}`` of
 each divisor's cone leading data, which the loop and ``groebner``'s S-pair
@@ -60,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from lgb.laurent import LaurentMode, LaurentPoly, Term
+from lgb.laurent import LaurentMode, LaurentPoly, Term, UndefinedLeadingError
 from lgb.lattice import vadd, vsub
 
 
@@ -112,6 +114,10 @@ class PolynomialMode:
     def shifted_lm(self, g: LaurentPoly, shift):
         return _memoized(self._lms, g, shift, self._shifted_lm)
 
+    def member(self, g: LaurentPoly, t, label) -> bool:
+        """Whether t lies in the cone module of g at label."""
+        return self.mode.in_region(label, _memoized(self._lms, g, t, self._shifted_lm))
+
     def _shifted_lm(self, g: LaurentPoly, shift):
         """lm(X^shift g): the shifted term with the largest ``term_key``."""
         term_key = self.term_key
@@ -121,6 +127,8 @@ class PolynomialMode:
             key = term_key(c, e)
             if best is None or key > best_key:
                 best, best_key = e, key
+        if best is None:
+            raise UndefinedLeadingError("the zero polynomial has no leading monomial")
         return best
 
     def past_cap(self, key) -> bool:

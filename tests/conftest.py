@@ -49,12 +49,26 @@ def directive_mode(directive):
     return problem.ring, problem.mode
 
 
+def reference_member(mode, f, t, label):
+    """Whether t lies in the cone module of f at a label of a mode: lm(X^t f)
+    is the leading monomial of the built product ``f.term_mul(t)``, tested
+    by the mode's ``in_region``.  It reads no adapter memo or key table, so
+    it checks the engine's test, ``reduction.PolynomialMode.member``."""
+    return mode.in_region(label, mode.leading(f.term_mul(t)).exp)
+
+
+def ti_contains(f, t, i):
+    """Whether lm(X^t f) lies in cone i: ``reference_member`` under the
+    Laurent mode."""
+    return reference_member(laurent.LaurentMode(f.ring), f, t, i)
+
+
 def certified_ti(f, i, search_radius):
     """T_i(f) by the certified search run directly on the cells of
     ``laurent._ti_cells``, which ``cone_module`` skips on the standard
-    cones."""
+    cones.  Its membership test is ``ti_contains``."""
     cone = f.ring.order.decomposition[i]
-    member = lambda t: f.ti_contains(t, i)
+    member = lambda t: ti_contains(f, t, i)
     return lattice._certified_generators(
         laurent._ti_cells(f, i), cone, f.cone_witness(i), search_radius, member
     )
@@ -62,25 +76,27 @@ def certified_ti(f, i, search_radius):
 
 def ti_generator(f, i):
     """The generator of the principal Laurent module T_i(f)."""
-    (gen,) = cone_module(laurent.LaurentMode(f.ring), f, i).generators
+    (gen,) = cone_module(reduction.PolynomialMode(laurent.LaurentMode(f.ring)), f, i).generators
     return gen
 
 
 def ti_set_general(f, i, search_radius):
     """The generators of the Laurent module T_i(f), searched within
     ``search_radius``."""
-    return list(cone_module(laurent.LaurentMode(f.ring), f, i, search_radius).generators)
+    adapter = reduction.PolynomialMode(laurent.LaurentMode(f.ring))
+    return list(cone_module(adapter, f, i, search_radius).generators)
 
 
 def tij_generators(mode, f, label, search_radius=6):
     """The generators of T_{i,j}(f), searched within ``search_radius``."""
-    return list(cone_module(mode, f, label, search_radius).generators)
+    return list(cone_module(reduction.PolynomialMode(mode), f, label, search_radius).generators)
 
 
 def collisions(mode, f, g, label):
     """U_label(f, g) of two bodies under a mode: the generators of
     M_label(f) intersected with M_label(g)."""
-    return cone_module(mode, f, label).intersection(cone_module(mode, g, label))
+    adapter = reduction.PolynomialMode(mode)
+    return cone_module(adapter, f, label).intersection(cone_module(adapter, g, label))
 
 
 @pytest.fixture(scope="session")
@@ -249,7 +265,8 @@ def reference_ti_set_general(self, i, search_radius: int):
     box: the check for the search that widens its box from the origin.
     It keeps no memo, and it reaches ``_ti_cells`` through ``lgb.laurent``
     and ``_satisfies`` through ``lgb.lattice``, so a test that counts calls
-    there counts this search too."""
+    there counts this search too.  It checks each minimal element with
+    ``ti_contains``."""
     if self.is_zero():
         raise UndefinedLeadingError("the zero polynomial has no cone module")
     base, factors = laurent._ti_cells(self, i)
@@ -261,7 +278,7 @@ def reference_ti_set_general(self, i, search_radius: int):
         lambda p: lattice._satisfies(base, factors, p), cone.generators, starts
     )
     for g in minimal:
-        if not self.ti_contains(g, i):
+        if not ti_contains(self, g, i):
             raise LatticeError(f"polyhedral description disagrees at {g}")
     # outside g + T_i: h.(p - g) <= -1 for one half-space h
     levels = factors + [
@@ -280,11 +297,12 @@ def reference_tij_generators(self, f, label, search_radius=6):
     """``tij_generators`` on several vertices as one search from
     the whole radius box, with no memo and no completeness certificate: the
     check for the certified search that widens its box from the witness.
-    Its membership test is ``PolytopeMode.member``."""
+    Its membership test is ``reference_member``, looked up at each call, so
+    a test can count it."""
     if f.is_zero():
         raise AffinoidError("the zero series has no cone module")
     cone = self.refined.cone(label)
-    member = lambda t: self.member(f, t, label)
+    member = lambda t: reference_member(self, f, t, label)
 
     witness = None
     t0 = f.cone_witness(self.refined.flat_index(label))
@@ -555,21 +573,25 @@ def reference_buchberger(gens):
 # that the one-pass builder agrees with them
 
 def reference_spair(i, f: LaurentPoly, g: LaurentPoly, v) -> LaurentPoly:
-    """S(i, f, g, v) at a collision monomial v of the cone-i leading data."""
+    """S(i, f, g, v) at a collision monomial v of the cone-i leading data;
+    its membership test is ``ti_contains``."""
     f._check(g)
     lmf, lcf, _ = f.cone_leading_data(i)
     lmg, lcg, _ = g.cone_leading_data(i)
-    if not f.ti_contains(vsub(v, lmf), i) or not g.ti_contains(vsub(v, lmg), i):
+    if not ti_contains(f, vsub(v, lmf), i) or not ti_contains(g, vsub(v, lmg), i):
         raise laurent.RingError(f"{v} is not a collision monomial for cone {i}")
     return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
 
 
 def reference_spair_series(mode, label, f, g, v):
-    """S-pair of two series at a collision monomial of a cone label."""
+    """S-pair of two series at a collision monomial of a cone label; its
+    membership test is ``reference_member``."""
     f._check(g)
     lmf, lcf = mode.cone_leading(f.body, label)
     lmg, lcg = mode.cone_leading(g.body, label)
-    if not mode.member(f.body, vsub(v, lmf), label) or not mode.member(g.body, vsub(v, lmg), label):
+    if not reference_member(mode, f.body, vsub(v, lmf), label) or not reference_member(
+        mode, g.body, vsub(v, lmg), label
+    ):
         raise AffinoidError(f"{v} is not a collision monomial for cone {label}")
     return f.term_mul(vsub(v, lmf), lcg) - g.term_mul(vsub(v, lmg), lcf)
 

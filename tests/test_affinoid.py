@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import conftest
 from conftest import (
     collisions,
     directive_mode,
@@ -13,6 +14,7 @@ from conftest import (
     random_poly,
     reference_compare_polytope,
     reference_compare_weight,
+    reference_member,
     reference_spair_series,
     reference_tij_generators,
     ring_for,
@@ -35,7 +37,7 @@ from lgb.affinoid import (
 from lgb.cli import parse_poly, parse_problem
 from lgb.coeffs import INF, FieldSpec
 from lgb.groebner import GBConfig, buchberger
-from lgb.laurent import LaurentMode, Term, cone_module
+from lgb.laurent import LaurentMode, Term, UndefinedLeadingError, cone_module
 from lgb.lattice import LatticeError, _satisfies, box_points, build_decomposition, vadd, vdot, vsub
 from lgb.oracle import brute_valP
 from lgb import affinoid, groebner, reduction
@@ -469,14 +471,14 @@ def test_tij_generators_verified_directly():
             gens = tij_generators(mode, f, label, 6)
             assert gens
             for g in gens:
-                assert mode.member(f, g, label)
+                assert reference_member(mode, f, g, label)
             i, _ = label
             cone = refined.cone(label)
             for g in gens:
                 for k in range(len(cone.generators)):
                     w = cone.generators[k]
                     shifted = tuple(a + b for a, b in zip(g, w))
-                    assert mode.member(f, shifted, label)
+                    assert reference_member(mode, f, shifted, label)
 
 
 def test_single_term_tij_generator():
@@ -485,21 +487,76 @@ def test_single_term_tij_generator():
     for label in mode.labels:
         gens = tij_generators(mode, f, label, 6)
         for g in gens:
-            assert mode.member(f, g, label)
+            assert reference_member(mode, f, g, label)
 
 
 # example 7.1 and the polytopes of the general-cones benchmark workload
 BENCH_POLYTOPES = (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((2, 1), (0, 1)), ((1, 0), (-1, 0)))
 
 
-@pytest.mark.parametrize("vertices", BENCH_POLYTOPES + (((1, 2),),))
+# the Laurent rings of the shifted-lm test, by name
+LAURENT_RINGS = {
+    "standard": lambda: ring_for(FieldSpec.rational(), 2),
+    "orthant": lambda: orthant_ring(2),
+    "n3": lambda: ring_for(FieldSpec.rational(), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    BENCH_POLYTOPES
+    + (((1, 2),),)
+    + tuple(pytest.param(name, id=f"laurent {name}") for name in LAURENT_RINGS),
+)
 def test_shifted_lm_matches_leading_of_product(vertices):
-    ring, mode = polytope_mode(vertices)
+    """The adapter's lm(X^t g) is the leading monomial of the built product
+    in every layer, and its member test is the mode's ``in_region`` of it."""
+    if vertices in LAURENT_RINGS:
+        ring = LAURENT_RINGS[vertices]()
+        mode = LaurentMode(ring)
+    else:
+        ring, mode = polytope_mode(vertices)
+    adapter = PolynomialMode(mode)
     rng = random.Random(str(vertices))
     for _ in range(8):
         g = random_poly(ring, rng, terms=4, radius=3)
-        for t in box_points(2, 4):
-            assert mode.shifted_lm(g, t) == mode.leading(g.term_mul(t)).exp
+        for t in box_points(ring.n, 4):
+            lm = mode.leading(g.term_mul(t)).exp
+            assert adapter._shifted_lm(g, t) == lm
+            for label in mode.labels:
+                assert adapter.member(g, t, label) == mode.in_region(label, lm), (g, t, label)
+
+
+@pytest.mark.parametrize("directive", ["weight 1 2", "polytope (1/2,3)"])
+def test_one_vertex_module_is_the_laurent_module_of_the_initial_form(directive):
+    """With one vertex r, shifting by t moves every term's valuation by
+    r.t, so lm(X^t g) = lm(X^t in_r(g)): each module, and each member test,
+    is the Laurent one of the initial form at the flat label."""
+    ring, mode = directive_mode(directive)
+    adapter, laurent = PolynomialMode(mode), PolynomialMode(LaurentMode(ring))
+    rng = random.Random(directive)
+    for _ in range(12):
+        g = random_poly(ring, rng, terms=4, radius=3)
+        initial = initial_at_vertex(mode.context, g, 1)
+        for label in mode.labels:
+            flat = mode.refined.flat_index(label)
+            module = cone_module(adapter, g, label)
+            expected = cone_module(laurent, initial, flat)
+            assert (module.lm, module.generators) == (expected.lm, expected.generators), (g, label)
+            for t in box_points(2, 4):
+                assert adapter.member(g, t, label) == laurent.member(initial, t, flat), (g, label, t)
+
+
+@pytest.mark.parametrize("directive", ["laurent", "weight 1 2", "polytope (1,1) (0,1)"])
+def test_zero_polynomial_has_no_cone_module(directive):
+    if directive == "laurent":
+        ring = q2_ring()
+        mode = LaurentMode(ring)
+    else:
+        ring, mode = directive_mode(directive)
+    for label in mode.labels:
+        with pytest.raises(UndefinedLeadingError):
+            cone_module(PolynomialMode(mode), ring.zero(), label)
 
 
 # tij_generators(mode, f, label, 6) at the labels (1,1), (1,2), (2,1), (2,2),
@@ -736,7 +793,7 @@ def test_reducer_fires_at_its_cone_leading_monomial(directive):
         g = random_poly(ring, rng, terms=4, radius=3)
         for label in mode.labels:
             lm_g, _ = mode.cone_leading(g, label)
-            module = cone_module(mode, g, label, 12)
+            module = cone_module(adapter, g, label, 12)
             for t in box_points(2, 4):
                 lm = adapter.shifted_lm(g, t)
                 if isinstance(mode, PolytopeMode):
@@ -762,15 +819,17 @@ def test_tij_generators_are_memoized(monkeypatch):
     monkeypatch.setattr(affinoid, "_tij_cells", counting)
     ring, mode = polytope_mode(BENCH_POLYTOPES[0])
     f = parse_poly(ring, "x^-1*y^2 - 2*x")
+    adapter = PolynomialMode(mode)
     # a hit returns the same value, whose generators callers cannot change
-    module = cone_module(mode, f, (1, 1), 6)
+    module = cone_module(adapter, f, (1, 1), 6)
     assert module.generators == ((1, -2),)
-    assert cone_module(mode, f, (1, 1), 6) is module
-    # an equal polynomial built separately hits the same entry
-    assert cone_module(mode, parse_poly(ring, "x^-1*y^2 - 2*x"), (1, 1), 6) is module
+    assert cone_module(adapter, f, (1, 1), 6) is module
+    # an equal polynomial built separately hits the same entry, under
+    # another engine call's adapter too
+    assert cone_module(PolynomialMode(mode), parse_poly(ring, "x^-1*y^2 - 2*x"), (1, 1), 6) is module
     assert len(searches) == 1
     # a certified set does not depend on the ceiling: another one is a hit
-    assert cone_module(mode, f, (1, 1), 0) is module
+    assert cone_module(adapter, f, (1, 1), 0) is module
     assert len(searches) == 1
     assert tij_generators(mode, f, (1, 2), 6) == [(1, -2)]
     assert len(searches) == 2
@@ -804,12 +863,13 @@ def test_tij_cells_agree_with_module_contains():
     for ring, mode in map(_tij_ring, range(5)):
         rng = random.Random(str(mode.refined.labels))
         texts = list(TIJ_POLYS) + [str(random_poly(ring, rng, terms=3, radius=3)) for _ in range(4)]
+        adapter = PolynomialMode(mode)
         for text in texts:
             f = parse_poly(ring, text)
             for label in mode.labels:
                 base, factors = affinoid._tij_cells(mode, f, label)
                 for t in box_points(2, 6):
-                    assert _satisfies(base, factors, t) == mode.member(f, t, label), (
+                    assert _satisfies(base, factors, t) == adapter.member(f, t, label), (
                         text, label, t,
                     )
 
@@ -827,12 +887,16 @@ def test_widening_tij_search_agrees_with_the_whole_box_search(monkeypatch):
     from lgb import lattice
 
     tests, rounds = [], []
-    real_member, real_satisfies = PolytopeMode.member, lattice._satisfies
-    real_minimal = lattice.minimal_elements
+    real_member, real_satisfies = PolynomialMode.member, lattice._satisfies
+    real_reference, real_minimal = conftest.reference_member, lattice.minimal_elements
 
     def member(self, f, t, label):
         tests.append(t)
         return real_member(self, f, t, label)
+
+    def reference(mode, f, t, label):
+        tests.append(t)
+        return real_reference(mode, f, t, label)
 
     def satisfies(base, factors, p):
         tests.append(p)
@@ -842,7 +906,8 @@ def test_widening_tij_search_agrees_with_the_whole_box_search(monkeypatch):
         rounds.append(args)
         return real_minimal(*args)
 
-    monkeypatch.setattr(PolytopeMode, "member", member)
+    monkeypatch.setattr(PolynomialMode, "member", member)
+    monkeypatch.setattr(conftest, "reference_member", reference)
     monkeypatch.setattr(lattice, "_satisfies", satisfies)
     monkeypatch.setattr(lattice, "minimal_elements", minimal)
     cases = []

@@ -70,3 +70,35 @@ def test_one_capped_mode():
         if name in path.read_text(encoding="utf-8")
     ]
     assert found == []
+
+
+def _trees():
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in SOURCES]
+
+
+def test_one_membership_test():
+    # lm(X^t g) is computed by the engine call's adapter alone, and every
+    # cone module is tested by its member, whatever the layer
+    used = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) == "_shifted_lm"
+    }
+    assert used == {"reduction.py"}
+    found = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in ("shifted_leading_monomial", "ti_contains", "module_source", "_term_keys")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+    defined = [
+        (name, cls.name)
+        for name, tree in _trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "member"
+    ]
+    assert defined == [("reduction.py", "PolynomialMode")]

@@ -28,8 +28,8 @@ the adapter the layer's engine builds (``groebner._generators``,
 at each collision generator of each cone for each pair of basis elements,
 with its cap; for each
 general-cones basis element, the generators of every cone module of
-``laurent.cone_module`` (at ceiling 8 on the orthant ring, 6 on a
-polytope) or the exception it raised, and on a
+``laurent.cone_module``, each under an adapter of its own (at ceiling 8
+on the orthant ring, 6 on a polytope), or the exception it raised, and on a
 polytope those at every ceiling r = 0..6 on a
 fresh mode; while the general-cones bases of seed 1, their cone modules
 and the ``ORTHANT_N3`` bases and modules are computed, every verdict of the
@@ -222,12 +222,12 @@ def main():
             return None
 
     def generators(mode, f, label, radius):
-        """The generators of one cone module."""
-        return list(cone_module(mode, f, label, radius).generators)
+        """The generators of one cone module, under an adapter of its own."""
+        return list(cone_module(reduction.PolynomialMode(mode), f, label, radius).generators)
 
-    def collisions(mode, f, g, label):
+    def collisions(adapter, f, g, label):
         """The collision generators U of two bodies at a cone label."""
-        return cone_module(mode, f, label).intersection(cone_module(mode, g, label))
+        return cone_module(adapter, f, label).intersection(cone_module(adapter, g, label))
 
     def combinations(gens):
         """The plain and the normalized basis with each element's combination."""
@@ -262,7 +262,7 @@ def main():
         for a, b in itertools.combinations(range(len(basis)), 2):
             f, g = bodies[a], bodies[b]
             for label in adapter.labels:
-                found = guarded(f"U_{label} {a} {b}", collisions, adapter.mode, f, g, label)
+                found = guarded(f"U_{label} {a} {b}", collisions, adapter, f, g, label)
                 for v in found or ():
                     s = guarded(f"spair {a} {b} {label} {v}", groebner._spair, adapter, label, f, g, v)
                     if s is not None:

@@ -5,15 +5,19 @@ with a p-adic valuation, and finite fields F_{p^k} (valuation identically
 zero on nonzero elements).  A rational is a coprime integer pair (n, d),
 d > 0, operated on by gcd arithmetic on ints as in ``fractions.Fraction``
 (``payload`` gives the ``Fraction``); products, quotients and inverses
-carry a known valuation over.  An element of a prime field F_p is its
-residue.  An extension field F_{p^k}, k >= 2, is F_p[t]/(modulus) with
-p^k <= 10^4; its nonzero element alpha^i is stored as the exponent i in
-1..q-1 of a primitive element alpha, so products, inverses and negation
-add exponents mod q-1 and a sum is one lookup in the Zech logarithm table
-(1 + alpha^d = alpha^Z(d)).  The tables are built once per field; the
-coefficient vector over F_p (``payload``) is read from them.  Zero is
-``_n == 0`` in every field.  Operations compare fields by identity
-first.  No floating point is used anywhere.
+carry a known valuation over, and so does a sum of two elements whose
+known valuations differ, by the ultrametric rule v(a + b) = min(v(a), v(b));
+a sum of equal valuations, which may cancel, is valued lazily.  Over Q_2
+a valuation counts trailing zero bits, over Q_p it divides by p.  An
+element of a prime field F_p is its residue.  An extension field F_{p^k},
+k >= 2, is F_p[t]/(modulus) with p^k <= 10^4; its nonzero element alpha^i
+is stored as the exponent i in 1..q-1 of a primitive element alpha, so
+products, inverses and negation add exponents mod q-1 and a sum is one
+lookup in the Zech logarithm table (1 + alpha^d = alpha^Z(d)).  The
+tables are built once per field; the coefficient vector over F_p
+(``payload``) is read from them.  Zero is ``_n == 0`` in every field.
+Operations compare fields by identity first.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -361,7 +365,10 @@ class Coefficient:
         s = da // g
         t = na * (db // g) + nb * s
         g = gcd(t, g)
-        return Coefficient(spec, t // g, s * (db // g))
+        # ultrametric: v(a + b) = min(v(a), v(b)) when the two differ
+        va, vb = self._val, other._val
+        val = None if va is None or vb is None or va == vb else (va if va < vb else vb)
+        return Coefficient(spec, t // g, s * (db // g), val)
 
     def __sub__(self, other):
         return self + (-other)
@@ -415,6 +422,10 @@ class Coefficient:
             self._val = INF
         elif self.spec.kind != "padic":
             self._val = 0
+        elif self.spec.p == 2:
+            # trailing zero bits; n & -n is the lowest set bit of n
+            num, den = self._n, self._d
+            self._val = (num & -num).bit_length() - (den & -den).bit_length()
         else:
             p = self.spec.p
             num, den, v = self._n, self._d, 0

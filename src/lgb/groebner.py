@@ -63,7 +63,6 @@ reducing to zero there is no representation below v.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -140,23 +139,31 @@ def _spair(adapter, label, f, g, v) -> LaurentPoly:
     for h, t in ((f, tf), (g, tg)):
         if not adapter.member(h, t, label):
             raise RingError(f"{v} is not a collision monomial for cone {label}")
-    key, past_cap = adapter.term_key, adapter.past_cap
-    capped = adapter.bound != math.inf
-    terms = {}
+    table, exp_key, with_coef = adapter._keys, adapter.mode.exp_key, adapter.mode.with_coef
+    bound = adapter.bound
+    terms, keys = {}, {}
     for h, shift, coef in ((f, tf, lcg), (g, tg, -lcf)):
         for e, c in h.terms_unordered():
             e = vadd(e, shift)
             c = c * coef
-            if capped and past_cap(key(c, e)):
+            half = table.get(e)
+            if half is None:
+                half = table[e] = exp_key(e)
+            key = with_coef(c, half)
+            if -key[0] >= bound:
                 continue
             old = terms.get(e)
-            terms[e] = c if old is None else old + c
-    keys = {e: key(c, e) for e, c in terms.items() if not c.is_zero()}
-    if capped:
-        keys = {e: k for e, k in keys.items() if not past_cap(k)}
-    if keys and max(keys.values()) >= key(lcf * lcg, v):
+            if old is not None:
+                # each multiple has e at most once, so this is its last part
+                c = old + c
+                key = None if c.is_zero() else with_coef(c, half)
+                if key is None or -key[0] >= bound:
+                    del terms[e], keys[e]
+                    continue
+            terms[e], keys[e] = c, key
+    if keys and max(keys.values()) >= adapter.term_key(lcf * lcg, v):
         raise AssertionError(f"S-pair at {v} does not drop below its bound")
-    return LaurentPoly(adapter.mode.ring, {e: terms[e] for e in keys})
+    return LaurentPoly(adapter.mode.ring, terms)
 
 
 def _distinct(gens, error, nonzero):

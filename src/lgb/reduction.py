@@ -21,19 +21,21 @@ mode, ``PolynomialMode``, which holds the mode and the call's cap
 A term's sort key (largest term first) has an exponent half and a
 coefficient part: the mode's ``exp_key(e)`` is the order key in the
 Laurent layer, and the scaled polytope dot and vertex index followed by
-the order key in the capped layer; its ``with_coef(c, half)`` folds in v(c), and
-``term_key(c, e)`` is the two composed.  The adapter keeps one table
-``{e: exp_key(e)}`` per engine call, and its ``term_key`` reads the
-exponent half from it, so ``division_loop``, ``groebner._spair`` and the
-residual check of ``_divide`` key an exponent once per call.
+the order key in the capped layer; its ``with_coef(c, half)`` folds in
+v(c), and ``term_key(c, e)`` is the two composed.  The adapter keeps one
+table ``{e: exp_key(e)}`` per engine call, and ``term_key``,
+``division_loop``, ``groebner._spair`` and lm(X^shift g) read the exponent
+half from it directly, so an exponent is keyed once per call.  A sum of
+two coefficients whose valuations are known and differ carries the
+smaller (``coeffs``), so folding v(c) in is mostly a read.
 
 The work polynomial is a mutable ``{exp: coef}`` map with a parallel
-``{exp: key}`` map of ``term_key``, so a step takes a keyed maximum and
-subtracts ``coef * X^shift * g`` in place; no immutable polynomial is
-rebuilt per step.  The cap test reads the leading term's key: in the
-capped layer ``-key[0]`` is the term's valuation times the common
-denominator, so ``past_cap(key)`` compares it with the adapter's
-``bound`` (+inf in the Laurent layer).
+``{exp: key}`` map of keys, so a step takes a keyed maximum and subtracts
+``coef * X^shift * g`` in place; no immutable polynomial is rebuilt per
+step, and a quotient or remainder term is stored as it is on first use.
+The cap test reads the leading term's key: in the capped layer ``-key[0]``
+is the term's valuation times the common denominator, which the loop
+compares with the adapter's ``bound`` (+inf in the Laurent layer).
 
 A reducer fires only when lm(X^shift g) is the current leading exponent,
 with shift = that exponent minus lm_label(g), so it always cancels at
@@ -41,11 +43,12 @@ shift + lm_label(g) and a fire needs no further check.  The adapter
 computes lm(X^shift g) itself, in every layer, as the term of X^shift g
 with the largest ``term_key``, and memoizes it as ``{g: {shift: lm}}``:
 the same (g, shift) test recurs within a division and across the
-divisions of one Buchberger run.  The memo also serves every cone
-module's one membership test, ``member(g, t, label)``: the mode's
-``in_region(label, lm(X^t g))``; ``shifted_lm`` counts reducer tries
-alone.  The adapter's ``on_fire`` hook does nothing; it marks each fire
-for ``bench/spans.py``, which counts reducer fires through it.
+divisions of one Buchberger run, so a try costs one row lookup and one
+dict get.  The memo also serves every cone module's one membership test,
+``member(g, t, label)``: the mode's ``in_region(label, lm(X^t g))``;
+``shifted_lm`` counts reducer tries alone.  The adapter's ``on_fire``
+hook does nothing; it marks each fire for ``bench/spans.py``, which counts
+reducer fires through it.
 
 The adapter also keeps the reducer table ``{g: {label: (lm, lc)}}`` of
 each divisor's cone leading data, which the loop and ``groebner``'s S-pair
@@ -112,29 +115,40 @@ class PolynomialMode:
         return Term(work[exp], exp)
 
     def shifted_lm(self, g: LaurentPoly, shift):
-        return _memoized(self._lms, g, shift, self._shifted_lm)
+        """lm(X^shift g), from the call's memo; one reducer try."""
+        row = self._lms.get(g)
+        if row is None:
+            row = self._lms[g] = {}
+        lm = row.get(shift)
+        if lm is None:
+            lm = row[shift] = self._shifted_lm(g, shift)
+        return lm
 
     def member(self, g: LaurentPoly, t, label) -> bool:
         """Whether t lies in the cone module of g at label."""
-        return self.mode.in_region(label, _memoized(self._lms, g, t, self._shifted_lm))
+        row = self._lms.get(g)
+        if row is None:
+            row = self._lms[g] = {}
+        lm = row.get(t)
+        if lm is None:
+            lm = row[t] = self._shifted_lm(g, t)
+        return self.mode.in_region(label, lm)
 
     def _shifted_lm(self, g: LaurentPoly, shift):
         """lm(X^shift g): the shifted term with the largest ``term_key``."""
-        term_key = self.term_key
+        table, exp_key, with_coef = self._keys, self.mode.exp_key, self.mode.with_coef
         best = best_key = None
         for e, c in g.terms_unordered():
             e = vadd(e, shift)
-            key = term_key(c, e)
+            half = table.get(e)
+            if half is None:
+                half = table[e] = exp_key(e)
+            key = with_coef(c, half)
             if best is None or key > best_key:
                 best, best_key = e, key
         if best is None:
             raise UndefinedLeadingError("the zero polynomial has no leading monomial")
         return best
-
-    def past_cap(self, key) -> bool:
-        """Whether the term of ``term_key`` key lies at or above the cap; in
-        the capped layer -key[0] is its valuation times the denominator."""
-        return -key[0] >= self.bound
 
     def on_fire(self, label, g, shift) -> None:
         pass
@@ -143,16 +157,16 @@ class PolynomialMode:
 def division_loop(f: LaurentPoly, gens, adapter: PolynomialMode):
     """Run the division; returns (quotient term dicts, remainder dict).  The
     terms left at the precision cap are dropped."""
-    zero = f.ring.field.zero()
-    term_key, cone_leading = adapter.term_key, adapter.cone_leading
+    table, exp_key, with_coef = adapter._keys, adapter.mode.exp_key, adapter.mode.with_coef
+    bound, cone_leading = adapter.bound, adapter.cone_leading
     rows = [_row(adapter._leads, g) for g in gens]
     quotients = [dict() for _ in gens]
     remainder = {}
     work = dict(f.terms_unordered())
-    keys = {e: term_key(c, e) for e, c in work.items()}
+    keys = {e: adapter.term_key(c, e) for e, c in work.items()}
     while work:
         lt = adapter.leading(work, keys)
-        if adapter.past_cap(keys[lt.exp]):
+        if -keys[lt.exp][0] >= bound:
             break
         for label in adapter.labels:
             for k, g in enumerate(gens):
@@ -167,7 +181,8 @@ def division_loop(f: LaurentPoly, gens, adapter: PolynomialMode):
             adapter.on_fire(label, g, shift)
             coef = lt.coef / lead[1]
             acc = quotients[k]
-            acc[shift] = acc.get(shift, zero) + coef
+            old = acc.get(shift)
+            acc[shift] = coef if old is None else old + coef
             neg = -coef
             for e, c in g.terms_unordered():
                 e = vadd(e, shift)
@@ -179,10 +194,14 @@ def division_loop(f: LaurentPoly, gens, adapter: PolynomialMode):
                         del work[e], keys[e]
                         continue
                 work[e] = c
-                keys[e] = term_key(c, e)
+                half = table.get(e)
+                if half is None:
+                    half = table[e] = exp_key(e)
+                keys[e] = with_coef(c, half)
             break
         else:
-            remainder[lt.exp] = remainder.get(lt.exp, zero) + lt.coef
+            old = remainder.get(lt.exp)
+            remainder[lt.exp] = lt.coef if old is None else old + lt.coef
             del work[lt.exp], keys[lt.exp]
     return quotients, remainder
 
@@ -191,18 +210,17 @@ def residual(f: LaurentPoly, remainder: LaurentPoly, quotients, gens) -> dict:
     """The nonzero terms of ``f - r - sum(q * g)``, accumulated in one dict;
     the quotients are ``{exp: coef}`` term dicts."""
     acc = dict(f.terms_unordered())
-
-    def add(e, c):
+    for e, c in remainder.terms_unordered():
+        c = -c
         old = acc.get(e)
         acc[e] = c if old is None else old + c
-
-    for e, c in remainder.terms_unordered():
-        add(e, -c)
     for q, g in zip(quotients, gens):
         for eq, cq in q.items():
             neg = -cq
             for eg, cg in g.terms_unordered():
-                add(vadd(eq, eg), cg * neg)
+                e, c = vadd(eq, eg), cg * neg
+                old = acc.get(e)
+                acc[e] = c if old is None else old + c
     return {e: c for e, c in acc.items() if not c.is_zero()}
 
 
@@ -222,9 +240,9 @@ def _divide(f: LaurentPoly, gens, adapter: PolynomialMode):
     infinite bound, unless the identity holds exactly."""
     qdicts, rdict = division_loop(f, gens, adapter)
     remainder = LaurentPoly(f.ring, rdict)
-    key, past_cap = adapter.term_key, adapter.past_cap
+    key, bound = adapter.term_key, adapter.bound
     for e, c in residual(f, remainder, qdicts, gens).items():
-        if not past_cap(key(c, e)):
+        if -key(c, e)[0] < bound:
             raise ArithmeticError("division identity failed to re-verify")
     return qdicts, remainder
 

@@ -354,6 +354,55 @@ def test_noise_leading_term_fails_loudly(tmp_path, capsys, directive):
     assert out == "member: false\n" and err == f"error: {message}\n"
 
 
+#: design ideal cap-1 of the capped-series benchmark at seed 1
+CAP1 = (
+    "ring Qp 2\nvars x y\n{directive}\norder degmin\nprecision {cap}\ngens:\n"
+    "(-25/2)*x^-2*y^-1 + (-1/6)*y^2 + (-306/5)*x^2*y^2\n(3)*x + (4)*x*y\n"
+)
+
+
+@pytest.mark.parametrize("cap", [50, 200])
+@pytest.mark.parametrize("directive", ["weight 1 2", "polytope (1,2)"])
+def test_carried_valuations_match_fresh_ones(monkeypatch, directive, cap):
+    """Sums carry valuations by the ultrametric rule; every coefficient that
+    the engine builds, reads back or returns has the valuation recomputed
+    from its value: each basis body, every S-pair, and every division's
+    quotients and remainder, those of the criterion check included."""
+    from lgb.coeffs import Coefficient
+
+    seen = []
+
+    def spy(module, name, out):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            result = real(*args)
+            seen.append(out(result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def divided(result):
+        qdicts, remainder = result
+        return [c for q in qdicts for c in q.values()] + [c for _, c in remainder.terms_unordered()]
+
+    spy(groebner, "_divide", divided)
+    spy(affinoid, "_divide", divided)
+    spy(groebner, "_spair", lambda h: [c for _, c in h.terms_unordered()])
+    problem = parse_problem(CAP1.format(directive=directive, cap=cap))
+    basis = buchberger_P(problem.series_generators()).basis
+    assert is_groebner_series(basis)[0]
+    for f in [problem.series(parse_poly(problem.ring, "1"))] + problem.series_generators():
+        quotients, remainder = reduce_P(f, basis)
+        seen.append([c for h in quotients + [remainder] for _, c in h.body.terms_unordered()])
+    seen.append([c for h in basis for _, c in h.body.terms_unordered()])
+    coefs = [c for batch in seen for c in batch]
+    carried = [c for c in coefs if c._val is not None]
+    assert len(carried) > len(coefs) // 4
+    for c in coefs:
+        assert c.valuation() == Coefficient(c.spec, c._n, c._d).valuation(), c
+
+
 def test_buchberger_p_combinations_certify_each_element():
     # h - sum(c_i * f_i) lies strictly above val(lt h) for every element,
     # and the inputs are their own combinations

@@ -217,6 +217,77 @@ def test_padic_valuation_propagates_through_products():
         assert c.valuation() == v
 
 
+def _padic_pairs(p, rng, count):
+    """Pairs of Fractions for a sum over Q_p: zero operands, independent
+    values of either sign up to 2^200 in numerator and denominator, equal
+    valuations whose sum cancels leading digits, equal valuations in
+    general, and exact negatives."""
+
+    def unit():
+        while True:
+            n = rng.randint(1, 2 ** rng.choice((6, 64, 200)))
+            if n % p:
+                return n
+
+    def value(v=None):
+        v = rng.randint(-40, 40) if v is None else v
+        return Fraction(rng.choice((1, -1)) * unit(), unit()) * Fraction(p) ** v
+
+    pairs = []
+    while len(pairs) < count:
+        kind = rng.randrange(5)
+        x = value()
+        if kind == 0:
+            pairs.append(rng.choice(((x, Fraction(0)), (Fraction(0), x), (Fraction(0), Fraction(0)))))
+        elif kind == 1:
+            pairs.append((x, value()))
+        elif kind == 2:
+            # v(y) = v(x), and x + y has valuation v(x) + j
+            j = rng.randint(1, 60)
+            pairs.append((x, -x + value(_padic_valuation(x, p) + j)))
+        elif kind == 3:
+            pairs.append((x, value(_padic_valuation(x, p))))
+        else:
+            pairs.append((x, -x))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sum_carries_the_ultrametric_valuation(p):
+    # a + b carries min(v(a), v(b)) when both are known and differ, and
+    # stays lazy otherwise; a carried valuation is the one recomputed fresh
+    spec = FieldSpec.padic(p)
+    rng = random.Random(2019 + p)
+    carried = 0
+    for x, y in _padic_pairs(p, rng, 1500):
+        a, b = spec.from_fraction(x), spec.from_fraction(y)
+        for c in (a, b):
+            if rng.random() < 0.75:
+                c.valuation()
+        va, vb = a._val, b._val
+        for s, want in ((a + b, x + y), (a - b, x - y)):
+            assert s.payload == want
+            if s._val is not None:
+                carried += 1
+                assert s._val == Coefficient(spec, s._n, s._d).valuation()
+                assert s._val == _padic_valuation(want, p)
+        s = a + b
+        known = va is not None and vb is not None
+        assert (s._val is not None) == (known and va != vb), (x, y, va, vb)
+    assert carried > 500
+
+
+def test_q2_valuation_counts_trailing_bits_as_the_division_loop():
+    # the bit count of Q_2 against the reference loop of _padic_valuation,
+    # on fresh elements of either sign, with 2-power numerator or denominator
+    spec = FieldSpec.padic(2)
+    rng = random.Random(2)
+    values = [x for pair in _padic_pairs(2, rng, 600) for x in pair]
+    values += [Fraction(2**k) for k in range(201)] + [Fraction(-1, 2**k) for k in range(201)]
+    for x in values:
+        assert spec.from_fraction(x).valuation() == _padic_valuation(x, 2), x
+
+
 def test_mixed_fields_raise_in_every_operation():
     q, q2, q3, f7 = FieldSpec.rational(), FieldSpec.padic(2), FieldSpec.padic(3), FieldSpec.finite(7)
     ops = (operator.add, operator.sub, operator.mul, operator.truediv)

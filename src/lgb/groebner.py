@@ -139,29 +139,25 @@ def _spair(adapter, label, f, g, v) -> LaurentPoly:
     for h, t in ((f, tf), (g, tg)):
         if not adapter.member(h, t, label):
             raise RingError(f"{v} is not a collision monomial for cone {label}")
-    table, exp_key, with_coef = adapter._keys, adapter.mode.exp_key, adapter.mode.with_coef
-    bound = adapter.bound
+    term_key, bound = adapter.term_key, adapter.bound
     terms, keys = {}, {}
     for h, shift, coef in ((f, tf, lcg), (g, tg, -lcf)):
         for e, c in h.terms_unordered():
             e = vadd(e, shift)
             c = c * coef
-            half = table.get(e)
-            if half is None:
-                half = table[e] = exp_key(e)
-            key = with_coef(c, half)
+            key = term_key(c, e)
             if -key[0] >= bound:
                 continue
             old = terms.get(e)
             if old is not None:
                 # each multiple has e at most once, so this is its last part
                 c = old + c
-                key = None if c.is_zero() else with_coef(c, half)
+                key = None if c.is_zero() else term_key(c, e)
                 if key is None or -key[0] >= bound:
                     del terms[e], keys[e]
                     continue
             terms[e], keys[e] = c, key
-    if keys and max(keys.values()) >= adapter.term_key(lcf * lcg, v):
+    if keys and max(keys.values()) >= term_key(lcf * lcg, v):
         raise AssertionError(f"S-pair at {v} does not drop below its bound")
     return LaurentPoly(adapter.mode.ring, terms)
 

@@ -23,9 +23,9 @@ coefficient part: the mode's ``exp_key(e)`` is the order key in the
 Laurent layer, and the scaled polytope dot and vertex index followed by
 the order key in the capped layer; its ``with_coef(c, half)`` folds in
 v(c), and ``term_key(c, e)`` is the two composed.  The adapter keeps one
-table ``{e: exp_key(e)}`` per engine call, and ``term_key``,
-``division_loop``, ``groebner._spair`` and lm(X^shift g) read the exponent
-half from it directly, so an exponent is keyed once per call.  A sum of
+table ``{e: exp_key(e)}`` per engine call: ``term_key`` reads the exponent
+half from it, and the hot loops of ``division_loop`` and lm(X^shift g)
+read it directly, so an exponent is keyed once per call.  A sum of
 two coefficients whose valuations are known and differ carries the
 smaller (``coeffs``), so folding v(c) in is mostly a read.
 
@@ -126,13 +126,7 @@ class PolynomialMode:
 
     def member(self, g: LaurentPoly, t, label) -> bool:
         """Whether t lies in the cone module of g at label."""
-        row = self._lms.get(g)
-        if row is None:
-            row = self._lms[g] = {}
-        lm = row.get(t)
-        if lm is None:
-            lm = row[t] = self._shifted_lm(g, t)
-        return self.mode.in_region(label, lm)
+        return self.mode.in_region(label, _memoized(self._lms, g, t, self._shifted_lm))
 
     def _shifted_lm(self, g: LaurentPoly, shift):
         """lm(X^shift g): the shifted term with the largest ``term_key``."""

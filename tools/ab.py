@@ -1,15 +1,17 @@
 """A/B the benchmark between two checkouts on this machine.
 
-  python3 tools/ab.py PARENT CHANGE --workload W --pairs N --seconds S
+  python3 tools/ab.py PARENT CHANGE --workload W [--pairs N] [--seconds S]
 
 PARENT and CHANGE are roots of lgb checkouts.  Each pair runs ``python3
-bench/run.py --workload W --seed K --seconds S --trace 0`` once in each
-checkout, the parent first in odd pairs and the change first in even
-ones, so that neither side always meets the machine in the same phase.
-Then it prints, for each end-to-end metric of PARENT's ``BENCHMARK.json``,
-the two medians, the parent's interquartile range (IQR, as a share of its
-median), the ratio change/parent, and in how many pairs the change did
-better; then ``attempted`` and ``failed`` of every run.  A run that exits
+bench/run.py --workload W --seconds S --trace 0`` once in each checkout,
+at the benchmark's default seed, the parent first in odd pairs and the
+change first in even ones, so that neither side always meets the machine
+in the same phase.  N defaults to 10 and S to the ``run_seconds`` of
+PARENT's ``BENCHMARK.json``.  Then it prints, for each end-to-end
+metric of PARENT's ``BENCHMARK.json``, the two medians, the parent's
+interquartile range (IQR, as a share of its median), the ratio
+change/parent, and in how many pairs the change did better; then
+``attempted`` and ``failed`` of every run.  A run that exits
 non-zero stops the A/B with its exit code.
 """
 
@@ -21,11 +23,11 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout, workload, seed, seconds):
+def run_bench(checkout, workload, seconds):
     """The result object of one ``bench/run.py`` run: its last stdout line."""
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
@@ -81,17 +83,17 @@ def main():
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int)
     args = ap.parse_args()
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = args.seconds or spec["run_seconds"]
     parent, change = [], []
     for k in range(1, args.pairs + 1):
         sides = [(args.parent, parent), (args.change, change)]
         for checkout, results in sides if k % 2 else sides[::-1]:
-            results.append(run_bench(checkout, args.workload, args.seed, args.seconds))
-    print(f"{args.workload}, {args.pairs} pairs of {args.seconds} s runs at seed {args.seed}")
+            results.append(run_bench(checkout, args.workload, seconds))
+    print(f"{args.workload}, {args.pairs} pairs of {seconds} s runs")
     for line in summary(spec["end_to_end"], parent, change):
         print(line)
     return 0
